@@ -12,12 +12,13 @@ L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
 involution built from beta = 5 (N_{K/Q}(5) = 125 = alpha * theta(alpha)).
 """
 
-import json
-import os
+import functools
 from fractions import Fraction
 
 from . import linalg, serialize
-from .field import FieldElement, TotallyRealField, make_cyclotomic
+from .field import (FieldElement, TotallyRealField, _maxnorm_vectors,
+                    make_cyclotomic)
+from .polyn import sign_variations
 from .residue import NormResidueVerdict, UNKNOWN
 
 
@@ -497,7 +498,6 @@ def is_division_candidate(algebra, budget=10 ** 4):
     A witness certifies NotDivision (alpha is a norm, so the algebra has
     zero divisors); exhaustion yields Unknown since no complete local test
     is implemented here."""
-    import itertools
     ext = algebra.ext
     E = algebra.E
     s = E.s
@@ -505,9 +505,7 @@ def is_division_candidate(algebra, budget=10 ** 4):
     count = 0
     bound = 1
     while count < budget and bound <= 8:
-        rng = range(-bound, bound + 1)
-        shell = (c for c in itertools.product(rng, repeat=dim)
-                 if max(abs(v) for v in c) == bound)
+        shell = _maxnorm_vectors(dim, bound)
         if (2 * bound + 1) ** dim <= 300000:
             # simplest candidates first: small L1 norm, positive leading signs
             shell = sorted(shell, key=lambda c: (sum(abs(v) for v in c),
@@ -519,8 +517,6 @@ def is_division_candidate(algebra, budget=10 ** 4):
                 chunk = coords[k * 2 * s:(k + 1) * 2 * s]
                 parts.append(E.element(chunk[:s], chunk[s:]))
             gamma = ext.element(parts)
-            if gamma.is_zero():
-                continue
             if gamma.relative_norm() == algebra.alpha:
                 return NormResidueVerdict(NOT_DIVISION, witness=gamma)
             if count >= budget:
@@ -601,15 +597,16 @@ def verify_involution(inv, samples=None):
     basis = algebra.basis()
     labels = [(i, j) for j in range(3) for i in range(3)]
     star = inv.apply
+    stars = [star(a) for a in basis]
     # anti-multiplicativity on all 81 pairs
-    for (la, a) in zip(labels, basis):
-        for (lb, b) in zip(labels, basis):
-            if star(a * b) != star(b) * star(a):
+    for (la, a, sa) in zip(labels, basis, stars):
+        for (lb, b, sb) in zip(labels, basis, stars):
+            if star(a * b) != sb * sa:
                 raise InvolutionError(
                     "(xy)* != y* x* at basis pair %s, %s" % (la, lb))
     # involutivity on the basis
-    for (la, a) in zip(labels, basis):
-        if star(star(a)) != a:
+    for (la, a, sa) in zip(labels, basis, stars):
+        if star(sa) != a:
             raise InvolutionError("(x*)* != x at basis element %s" % (la,))
     # restriction to E is theta
     sq = algebra.E.sqrt_delta()
@@ -693,9 +690,8 @@ def splitting_signature(algebra, involution, h):
         raise AlgebraError("h is degenerate")
     out = []
     for ell in range(K.degree):
-        signs = [K.sign_of_coords(row, ell) for row in rational_rows]
-        nz = [s for s in signs if s != 0]
-        e_plus = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+        e_plus = sign_variations([K.sign_of_coords(row, ell)
+                                  for row in rational_rows])
         out.append((e_plus, 3 - e_plus))
     return tuple(out)
 
@@ -754,21 +750,15 @@ def algebra_from_json(obj):
     return algebra, involution
 
 
-_DATA_FILE = os.path.join(os.path.dirname(__file__), "data",
-                          "builtin_algebra.json")
-
-
-def write_builtin_file(path=_DATA_FILE):
-    algebra, involution = _build_builtin()
-    with open(path, "w") as fh:
-        json.dump(algebra_to_json(algebra, involution), fh, indent=1)
-    return path
-
-
 # --- the shipped example --------------------------------------------------
 
-def _build_builtin():
-    """The vetted (L/E, alpha, involution) example.
+@functools.cache
+def builtin_example():
+    """The vetted (L/E, alpha, involution) example, built once per process.
+
+    Every call returns the same (algebra, involution) pair; callers must
+    not modify it.  The involution carries its splitting conjugator, so
+    verify_involution also checks splitting compatibility.
 
     E = Q(i); L = E(eta), eta = zeta_7 + zeta_7^{-1} with minimal cubic
     y^3 + y^2 - 2y - 1 and tau(eta) = eta^2 - 2; conjugation fixes eta and
@@ -787,16 +777,3 @@ def _build_builtin():
     algebra = CyclicAlgebra(ext, alpha)
     involution = verify_involution(make_involution(algebra, ext.from_E(5)))
     return algebra, involution
-
-
-def builtin_example():
-    """The shipped example, preferring the bundled data file.
-
-    The programmatic construction is the source of truth; the data file is
-    the external wire-format copy and is re-verified on load."""
-    if os.path.exists(_DATA_FILE):
-        with open(_DATA_FILE) as fh:
-            algebra, involution = algebra_from_json(json.load(fh))
-        if involution is not None:
-            return algebra, involution
-    return _build_builtin()

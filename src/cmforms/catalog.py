@@ -2,20 +2,15 @@
 cyclotomic generator matrices.
 
 Entries are accepted by machine verification (closure size and exact
-unitarity), not provenance.  The catalog also ships as a versioned JSON
-data file; `catalog()` prefers the data file and falls back to the
-programmatic construction.
+unitarity), not provenance.  `build_catalog` is the only source of the
+entries; `catalog()` builds them once per process and shares the result.
 """
 
-import json
-import os
+import functools
 
 from . import linalg, serialize
 from .field import cyclotomic_field_containing
 from .groups import MatrixGroup
-
-_DATA_FILE = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
-CATALOG_VERSION = 1
 
 
 class CatalogEntry:
@@ -23,7 +18,7 @@ class CatalogEntry:
         self.name = name
         self.cyclotomic_r = cyclotomic_r
         self.field = field
-        self.generators = [linalg.mat(g) for g in generators]
+        self.generators = tuple(linalg.mat(g) for g in generators)
         self.expected_order = expected_order
 
     def __repr__(self):
@@ -151,23 +146,12 @@ def entry_from_json(obj):
                         obj["expected_order"])
 
 
-def write_catalog_file(path=_DATA_FILE):
-    entries = build_catalog()
-    payload = {"version": CATALOG_VERSION,
-               "entries": [entry_to_json(e) for e in entries]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return path
-
-
+@functools.cache
 def catalog():
-    """All built-in entries, loaded from the shipped data file."""
-    if os.path.exists(_DATA_FILE):
-        with open(_DATA_FILE) as fh:
-            payload = json.load(fh)
-        assert payload["version"] == CATALOG_VERSION
-        return [entry_from_json(o) for o in payload["entries"]]
-    return build_catalog()
+    """All built-in entries as a tuple, built once per process.
+
+    Every call returns the same entries; callers must not modify them."""
+    return tuple(build_catalog())
 
 
 def catalog_entry(name):

@@ -217,8 +217,6 @@ def build_parser():
         prog="cmforms",
         description="Exact hermitian-form and cyclic-algebra pipelines "
                     "over CM fields.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property checks")
     p.add_argument("--json", action="store_true",
                    help="compact single-line JSON output")
     sub = p.add_subparsers(dest="command", required=True)

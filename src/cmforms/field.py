@@ -86,15 +86,6 @@ class TotallyRealField:
                 return NEGATIVE
             self._refine(ell)
 
-    def root_approx(self, ell, width):
-        """Rational interval of width < width around the ell-th root."""
-        width = Fraction(width)
-        while True:
-            lo, hi = self._isolators[ell]
-            if hi - lo < width:
-                return lo, hi
-            self._refine(ell)
-
     def __eq__(self, other):
         return (isinstance(other, TotallyRealField)
                 and self.min_poly == other.min_poly)

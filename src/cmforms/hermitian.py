@@ -10,12 +10,13 @@ from fractions import Fraction
 
 from . import linalg
 from .field import FieldElement, POSITIVE, NEGATIVE
-from .residue import is_norm, IS_NORM, IS_NOT_NORM
+from .polyn import sign_variations
+from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN
 
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
-UNKNOWN_EQUIVALENCE = "Unknown"
+UNKNOWN_EQUIVALENCE = UNKNOWN
 
 
 class DegenerateFormError(ValueError):
@@ -77,12 +78,7 @@ def signature_at(H, ell):
     Descartes on the characteristic polynomial: with all roots real and
     nonzero, the sign variations of the coefficient sequence count the
     positive roots exactly."""
-    coeffs = H.char_poly_coeffs()
-    signs = []
-    for c in coeffs:
-        signs.append(c.sign_at(ell))
-    nonzero = [s for s in signs if s != 0]
-    e_plus = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+    e_plus = sign_variations([c.sign_at(ell) for c in H.char_poly_coeffs()])
     return (e_plus, H.dim - e_plus)
 
 

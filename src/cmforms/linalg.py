@@ -12,10 +12,6 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def dim(A):
-    return len(A)
-
-
 def identity(n, one, zero):
     return mat([[one if i == j else zero for j in range(n)] for i in range(n)])
 

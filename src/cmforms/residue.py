@@ -9,7 +9,7 @@ search and the archimedean obstruction, reporting Unknown otherwise.
 from fractions import Fraction
 from math import isqrt
 
-from .field import FieldElement, NEGATIVE
+from .field import FieldElement, NEGATIVE, _maxnorm_vectors
 
 
 IS_NORM = "IsNorm"
@@ -131,21 +131,20 @@ def rational_norm_witness(d, cmfield, budget=10 ** 4):
     count = 0
     bound = 1
     while count < budget:
-        for p in range(-bound, bound + 1):
-            for q in range(0, bound + 1):
-                if max(abs(p), q) != bound or (p == 0 and q == 0):
-                    continue
-                count += 1
-                x = cmfield.element([Fraction(p)], [Fraction(q)])
-                n = x.relative_norm()
-                if not n.is_rational():
-                    continue
-                ratio = n.as_fraction() / d
-                r = _is_rational_square(ratio)
-                if r:
-                    return x / r
-                if count >= budget:
-                    return None
+        for p, q in _maxnorm_vectors(2, bound):
+            if q < 0:
+                continue
+            count += 1
+            x = cmfield.element([Fraction(p)], [Fraction(q)])
+            n = x.relative_norm()
+            if not n.is_rational():
+                continue
+            ratio = n.as_fraction() / d
+            r = _is_rational_square(ratio)
+            if r:
+                return x / r
+            if count >= budget:
+                return None
         bound += 1
     return None
 
@@ -186,19 +185,13 @@ def is_norm(d, cmfield, budget=10 ** 4):
 
 
 def _general_witness_search(d, cmfield, budget):
-    import itertools
     s = cmfield.s
     count = 0
     bound = 1
     while count < budget and bound <= 6:
-        rng = range(-bound, bound + 1)
-        for coords in itertools.product(rng, repeat=2 * s):
-            if max(abs(c) for c in coords) != bound:
-                continue
+        for coords in _maxnorm_vectors(2 * s, bound):
             count += 1
             x = cmfield.element(coords[:s], coords[s:])
-            if x.is_zero():
-                continue
             n = x.relative_norm()
             ratio = (n / d)
             if ratio.is_rational():

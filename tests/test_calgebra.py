@@ -6,8 +6,9 @@ import pytest
 
 from cmforms import linalg
 from cmforms.calgebra import (AlgebraError, CyclicAlgebra,
-                              CyclicCubicExtension, IN_GROUP, InvolutionError,
-                              NOT_DIVISION, NOT_IN_GROUP, UNKNOWN,
+                              CyclicCubicExtension, IN_GROUP, Involution,
+                              InvolutionError, NOT_DIVISION, NOT_IN_GROUP,
+                              UNKNOWN,
                               algebra_from_json, algebra_to_json,
                               builtin_example, is_division_candidate,
                               make_involution, splitting_signature,
@@ -166,6 +167,18 @@ def test_involution_axioms(builtin):
         x, y = _random_A(algebra, rng), _random_A(algebra, rng)
         assert star(x * y) == star(y) * star(x)
         assert star(star(x)) == x
+
+
+def test_builtin_is_built_once_with_conjugator():
+    algebra, involution = builtin_example()
+    assert builtin_example() is builtin_example()
+    assert involution.splitting_conjugator is not None
+    # the conjugator is what the splitting check compares against
+    ext = algebra.ext
+    wrong = Involution(algebra, involution.images,
+                       linalg.identity(3, ext.one(), ext.zero()))
+    with pytest.raises(InvolutionError, match="splitting compatibility"):
+        verify_involution(wrong)
 
 
 def test_involution_requires_matching_beta(builtin):

@@ -44,13 +44,11 @@ def test_json_round_trip():
                for a, b in zip(e.generators, e2.generators))
 
 
-def test_data_file_matches_programmatic(tmp_path):
-    built = {e.name: e for e in build_catalog()}
-    shipped = {e.name: e for e in catalog()}
-    assert set(built) == set(shipped)
-    for name in built:
-        assert all(linalg.mat_eq(a, b) for a, b in
-                   zip(built[name].generators, shipped[name].generators))
+def test_catalog_is_built_once():
+    entries = catalog()
+    assert isinstance(entries, tuple)
+    assert catalog() is entries
+    assert catalog_entry("Q8") is next(e for e in entries if e.name == "Q8")
 
 
 def test_unknown_name():
