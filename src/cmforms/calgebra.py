@@ -2,10 +2,14 @@
 X^3 = alpha and X beta = tau(beta) X.
 
 L is a cyclic cubic extension of E carrying both the Galois map tau and a
-conjugation extending theta with totally real fixed field K.  The module
-provides the splitting (regular) representation over L, reduced norms, a
-verified involution of second kind, the unitary-group membership predicate
-and signature computation for hermitian elements.
+conjugation extending theta with totally real fixed field K.  Arithmetic
+uses that structure directly: tau and the conjugation act through their
+images of y and y^2, an inverse in L is tau(x) tau^2(x) / N_{L/E}(x), and
+an inverse in A comes from Cayley-Hamilton on the reduced characteristic
+polynomial.  The module provides the splitting (regular) representation
+over L, reduced norms, a verified involution of second kind, the
+unitary-group membership predicate and signature computation for
+hermitian elements.
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg, serialize
 from .field import (FieldElement, TotallyRealField, _maxnorm_vectors,
-                    make_cyclotomic)
+                    _power, make_cyclotomic)
 from .polyn import sign_variations
 from .residue import NormResidueVerdict, UNKNOWN
 
@@ -30,7 +34,10 @@ class CyclicCubicExtension:
     """L = E[y]/(g) with Galois automorphism tau and conjugation c.
 
     tau_poly and conj_poly are the coordinate vectors (over the basis
-    1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta."""
+    1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.
+    tau is applied as the E-linear map sum c_i y^i -> sum c_i tau(y^i),
+    c as the theta-semilinear one, from the images of y and y^2 computed
+    once here; y^3 and y^4 mod g do the same for multiplication."""
 
     def __init__(self, cmfield, g_coeffs, tau_poly, conj_poly):
         self.E = cmfield
@@ -38,14 +45,30 @@ class CyclicCubicExtension:
         if len(g) != 4 or g[3] != cmfield.one():
             raise AlgebraError("g must be a monic cubic")
         self.g = tuple(g)
+        # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
+        y3 = tuple(-c for c in g[:3])
+        y4 = (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1])
+        self._y34 = (y3, y4)
         self.tau_poly = tuple(self._coerce(c) for c in tau_poly)
         self.conj_poly = tuple(self._coerce(c) for c in conj_poly)
+        t, c = self.element(self.tau_poly), self.element(self.conj_poly)
+        self._tau_y12 = (t.coeffs, (t * t).coeffs)
+        self._conj_y12 = (c.coeffs, (c * c).coeffs)
         self._validate()
 
     def _coerce(self, c):
         if isinstance(c, FieldElement):
             return c
         return self.E.from_rational(c)
+
+    def _combine(self, head, tail, images):
+        """head + sum tail[k] * images[k] on coordinate vectors over E,
+        skipping zero tail coefficients."""
+        out = list(head)
+        for c, img in zip(tail, images):
+            if not c.is_zero():
+                out = [u + c * v for u, v in zip(out, img)]
+        return CubicExtElement(self, tuple(out))
 
     # --- element constructors -------------------------------------------
 
@@ -88,12 +111,14 @@ class CyclicCubicExtension:
     # --- field maps -------------------------------------------------------
 
     def tau_of(self, x):
-        t = CubicExtElement(self, self.tau_poly)
-        return x.map_coeffs(lambda c: c).eval_at(t)
+        zero = self.E.zero()
+        return self._combine((x.coeffs[0], zero, zero), x.coeffs[1:],
+                             self._tau_y12)
 
     def conj_of(self, x):
-        cimg = CubicExtElement(self, self.conj_poly)
-        return x.map_coeffs(lambda c: c.conjugate()).eval_at(cimg)
+        zero = self.E.zero()
+        c0, c1, c2 = (c.conjugate() for c in x.coeffs)
+        return self._combine((c0, zero, zero), (c1, c2), self._conj_y12)
 
     def real_subfield(self):
         """K as a totally real field; needs g to have rational coefficients."""
@@ -143,6 +168,10 @@ class CubicExtElement:
         return self._check(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, FieldElement)):
+            # E-scalar: scale the coordinates
+            return CubicExtElement(self.ext,
+                                   tuple(c * other for c in self.coeffs))
         o = self._check(other)
         E = self.ext.E
         prod = [E.zero()] * 5
@@ -151,52 +180,23 @@ class CubicExtElement:
                 continue
             for j, b in enumerate(o.coeffs):
                 prod[i + j] = prod[i + j] + a * b
-        return CubicExtElement(self.ext, _reduce_mod_g(self.ext, prod))
+        return self.ext._combine(prod[:3], prod[3:], self.ext._y34)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in L")
-        # extended Euclid in E[y] against g
-        E = self.ext.E
-        g = list(self.ext.g)
-        p = _trim_epoly(list(self.coeffs), E)
-        r0, r1 = g, p
-        s0, s1 = [], [E.one()]
-        while r1:
-            q, r = _ediv(r0, r1, E)
-            r0, r1 = r1, r
-            s0, s1 = s1, _esub(s0, _emul(q, s1, E), E)
-        assert len(r0) == 1
-        inv = [c * r0[0].inverse() for c in s0]
-        inv += [E.zero()] * (3 - len(inv))
-        return CubicExtElement(self.ext, tuple(inv[:3]))
+        """tau(x) tau^2(x) / N_{L/E}(x); zero divisors of a split L raise
+        ZeroDivisionError like zero does."""
+        n, adj = self._norm_and_adjugate()
+        if n.is_zero():
+            raise ZeroDivisionError("inverse of zero or a zero divisor in L")
+        return adj * n.inverse()
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
 
     def __pow__(self, k):
-        out = self.ext.one()
-        base = self
-        if k < 0:
-            base, k = self.inverse(), -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def map_coeffs(self, f):
-        return CubicExtElement(self.ext, tuple(f(c) for c in self.coeffs))
-
-    def eval_at(self, t):
-        """Evaluate the coefficient polynomial at an L-element t."""
-        acc = self.ext.from_E(self.coeffs[2])
-        acc = acc * t + self.ext.from_E(self.coeffs[1])
-        acc = acc * t + self.ext.from_E(self.coeffs[0])
-        return acc
+        return _power(self, k, self.ext.one(), CubicExtElement.inverse)
 
     def tau(self):
         return self.ext.tau_of(self)
@@ -204,13 +204,17 @@ class CubicExtElement:
     def conj(self):
         return self.ext.conj_of(self)
 
-    def relative_norm(self):
-        """N_{L/E}: x * tau(x) * tau^2(x), returned as an element of E."""
+    def _norm_and_adjugate(self):
         t = self.tau()
-        n = self * t * self.ext.tau_of(t)
+        adj = t * self.ext.tau_of(t)
+        n = self * adj
         if not n.is_in_E():
             raise AlgebraError("norm did not land in E")
-        return n.coeffs[0]
+        return n.coeffs[0], adj
+
+    def relative_norm(self):
+        """N_{L/E}: x * tau(x) * tau^2(x), returned as an element of E."""
+        return self._norm_and_adjugate()[0]
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -232,59 +236,6 @@ class CubicExtElement:
 
     def __repr__(self):
         return "CubicExtElement(%r)" % (self.coeffs,)
-
-
-def _trim_epoly(p, E):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _esub(p, q, E):
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else E.zero()) - (q[i] if i < len(q) else E.zero())
-           for i in range(n)]
-    return _trim_epoly(out, E)
-
-
-def _emul(p, q, E):
-    if not p or not q:
-        return []
-    out = [E.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _trim_epoly(out, E)
-
-
-def _ediv(p, q, E):
-    p = list(p)
-    d = len(q) - 1
-    lead_inv = q[-1].inverse()
-    quot = [E.zero()] * max(len(p) - d, 1)
-    while len(_trim_epoly(p, E)) - 1 >= d:
-        p = _trim_epoly(p, E)
-        s = p[-1] * lead_inv
-        k = len(p) - 1 - d
-        quot[k] = s
-        for i in range(len(q)):
-            p[k + i] = p[k + i] - s * q[i]
-        p.pop()
-    return _trim_epoly(quot, E), _trim_epoly(p, E)
-
-
-def _reduce_mod_g(ext, prod):
-    """Reduce a degree-<5 coefficient list mod the monic cubic g."""
-    E = ext.E
-    g = ext.g
-    p = list(prod)
-    for k in (4, 3):
-        c = p[k]
-        if not c.is_zero():
-            for i in range(3):
-                p[k - 3 + i] = p[k - 3 + i] - c * g[i]
-            p[k] = E.zero()
-    return tuple(p[:3])
 
 
 # --- the algebra ----------------------------------------------------------
@@ -346,37 +297,27 @@ class CyclicAlgebra:
         tau = self.ext.tau_of
         tc = [list(c), [tau(v) for v in c]]
         tc.append([tau(v) for v in tc[1]])
-        out = []
-        for k in range(3):
-            acc = self.ext.zero()
-            for i in range(3):
-                j = (k - i) % 3
+        out = [self.ext.zero()] * 3
+        for i in range(3):
+            if b[i].is_zero():
+                continue
+            for j in range(3):
                 term = b[i] * tc[i][j]
                 if i + j >= 3:
-                    term = term * self.alpha_L
-                acc = acc + term
-            out.append(acc)
+                    term = term * self.alpha
+                out[(i + j) % 3] = out[(i + j) % 3] + term
         return AlgebraElement(self, tuple(out))
 
     def splitting_matrix(self, x):
-        """Image in Mat(3; L): diag-of-conjugates for L, companion for X."""
-        ext = self.ext
-        zero = ext.zero()
-        MX = linalg.mat([[zero, ext.one(), zero],
-                         [zero, zero, ext.one()],
-                         [self.alpha_L, zero, zero]])
-        tau = ext.tau_of
-        def diag(b):
-            tb = tau(b)
-            return linalg.mat([[b, zero, zero],
-                               [zero, tb, zero],
-                               [zero, zero, tau(tb)]])
-        M = diag(x.parts[0])
-        P = MX
-        for j in (1, 2):
-            M = linalg.mat_add(M, linalg.mat_mul(diag(x.parts[j]), P))
-            P = linalg.mat_mul(P, MX)
-        return M
+        """Image in Mat(3; L): entry (r, c) is tau^r(b_{(c - r) mod 3}) for
+        x = b0 + b1 X + b2 X^2, times alpha when c < r."""
+        rows = [x.parts]
+        for _ in range(2):
+            rows.append([self.ext.tau_of(b) for b in rows[-1]])
+        M = [[rows[r][(c - r) % 3] for c in range(3)] for r in range(3)]
+        for r, c in ((1, 0), (2, 0), (2, 1)):
+            M[r][c] = M[r][c] * self.alpha
+        return linalg.mat(M)
 
     def reduced_norm(self, x):
         d = linalg.det(self.splitting_matrix(x))
@@ -385,21 +326,17 @@ class CyclicAlgebra:
         return d.coeffs[0]
 
     def inverse(self, x):
-        """Solve x * z = 1 as a 9-dimensional E-linear system."""
-        if self.reduced_norm(x).is_zero():
+        """Cayley-Hamilton: x^-1 = -(x^2 + c2 x + c1) / c0, where
+        t^3 + c2 t^2 + c1 t + c0 is the reduced characteristic polynomial,
+        whose coefficients lie in E (Reiner, Maximal Orders, Sec. 9)."""
+        coeffs = linalg.char_poly(self.splitting_matrix(x), self.ext.one())
+        if not all(c.is_in_E() for c in coeffs):
+            raise AlgebraError("reduced characteristic polynomial is not "
+                               "over E")
+        c0, c1, c2 = (c.coeffs[0] for c in coeffs[:3])
+        if c0.is_zero():
             raise ZeroDivisionError("element is not invertible")
-        basis = self.basis()
-        cols = [self.multiply(x, e).e_coords() for e in basis]
-        M = linalg.mat([[cols[j][i] for j in range(9)] for i in range(9)])
-        rhs = self.one().e_coords()
-        sol = linalg.solve(M, rhs)
-        return self._from_e_coords(sol)
-
-    def _from_e_coords(self, coords):
-        acc = self.zero()
-        for c, e in zip(coords, self.basis()):
-            acc = acc + _scale(e, c)
-        return acc
+        return _scale(x * x + _scale(x, c2) + c1, -c0.inverse())
 
     def __eq__(self, other):
         return (isinstance(other, CyclicAlgebra) and self.ext == other.ext
@@ -407,8 +344,7 @@ class CyclicAlgebra:
 
 
 def _scale(x, c):
-    return AlgebraElement(x.algebra,
-                          tuple(p * x.algebra.ext.from_E(c) for p in x.parts))
+    return AlgebraElement(x.algebra, tuple(p * c for p in x.parts))
 
 
 class AlgebraElement:
@@ -445,24 +381,7 @@ class AlgebraElement:
         return self._check(other) * self
 
     def __pow__(self, k):
-        out = self.algebra.one()
-        base = self
-        if k < 0:
-            base, k = self.algebra.inverse(self), -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def e_coords(self):
-        """Coordinates over the nine-element E-basis y^i X^j (j-major)."""
-        out = []
-        for j in range(3):
-            for i in range(3):
-                out.append(self.parts[j].coeffs[i])
-        return tuple(out)
+        return _power(self, k, self.algebra.one(), self.algebra.inverse)
 
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)

@@ -3,7 +3,9 @@
 Every command prints a single CommandResult document
 {"status": "ok"|"error"|"unknown", "payload": ..., "trace": [...]} and
 exits 0 (ok), 2 (error) or 3 (unknown); `dgroup enumerate` instead emits
-one JSON object per line, one per enumerated group.
+one JSON object per line, one per enumerated group.  Run as a program,
+it exits 1 without a traceback when its reader closes stdout early (as
+`| head` does).
 
 Budgets: weak-approximation max-norm 20, norm-witness search 10^4
 candidates, closure cap 10^4 elements; all adjustable by flags.
@@ -11,6 +13,7 @@ candidates, closure cap 10^4 elements; all adjustable by flags.
 
 import argparse
 import json
+import os
 import sys
 
 from . import calgebra, dgroups, groups, hermitian, serialize
@@ -330,5 +333,18 @@ def main(argv=None, out=None):
     return EXIT_CODES[result.status]
 
 
+def run():
+    """Program entry point: main() on sys.stdout, quiet on a broken pipe."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

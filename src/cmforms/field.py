@@ -249,16 +249,7 @@ class FieldElement:
         return self._check(other) * self.inverse()
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.field.one(), FieldElement.inverse)
 
     # --- structure ------------------------------------------------------
 
@@ -304,6 +295,20 @@ class FieldElement:
     def __repr__(self):
         return "FieldElement(a=%s, b=%s)" % (list(map(str, self.a)),
                                              list(map(str, self.b)))
+
+
+def _power(x, k, one, inverse):
+    """x**k by square-and-multiply; a negative k inverts x first."""
+    if k < 0:
+        x, k = inverse(x), -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
 
 
 # --- constructions -------------------------------------------------------

@@ -110,19 +110,6 @@ def inverse(A):
     return mat([row[n:] for row in M])
 
 
-def solve(A, rhs):
-    """Solve A z = rhs for a column vector rhs."""
-    Ainv = inverse(A)
-    return tuple(sum_prod(Ainv[i], rhs) for i in range(len(A)))
-
-
-def sum_prod(row, vec):
-    acc = row[0] * vec[0]
-    for a, v in zip(row[1:], vec[1:]):
-        acc = acc + a * v
-    return acc
-
-
 def char_poly(A, one):
     """Monic characteristic polynomial det(xI - A) via Faddeev-LeVerrier.
 

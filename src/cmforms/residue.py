@@ -186,14 +186,14 @@ def is_norm(d, cmfield, budget=10 ** 4):
 
 def _general_witness_search(d, cmfield, budget):
     s = cmfield.s
+    dinv = d.inverse()
     count = 0
     bound = 1
     while count < budget and bound <= 6:
         for coords in _maxnorm_vectors(2 * s, bound):
             count += 1
             x = cmfield.element(coords[:s], coords[s:])
-            n = x.relative_norm()
-            ratio = (n / d)
+            ratio = x.relative_norm() * dinv
             if ratio.is_rational():
                 r = _is_rational_square(ratio.as_fraction())
                 if r:

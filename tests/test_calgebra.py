@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cmforms
 from cmforms import linalg
 from cmforms.calgebra import (AlgebraError, CyclicAlgebra,
                               CyclicCubicExtension, IN_GROUP, Involution,
@@ -57,6 +61,56 @@ def test_extension_field_axioms(builtin):
     i = ext.from_E(ext.E.sqrt_delta())
     assert ext.conj_of(y) == y
     assert ext.conj_of(i) == -i
+
+
+def test_extension_over_qzeta5():
+    # the same cubic and tau over E = Q(zeta5), where F has degree s = 2
+    E = make_cyclotomic(5)
+    ext = CyclicCubicExtension(E, [-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    rng = random.Random(7)
+
+    def e():
+        return E.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(2)],
+                         [Fraction(rng.randint(-3, 3)) for _ in range(2)])
+    for _ in range(5):
+        x, y = ext.element([e(), e(), e()]), ext.element([e(), e(), e()])
+        assert x * x.inverse() == ext.one()
+        assert ext.tau_of(x * y) == ext.tau_of(x) * ext.tau_of(y)
+        assert ext.conj_of(x * y) == ext.conj_of(x) * ext.conj_of(y)
+        assert ext.conj_of(ext.conj_of(x)) == x
+        assert (x * y).relative_norm() == \
+            x.relative_norm() * y.relative_norm()
+
+
+_SPLIT_L = """
+from fractions import Fraction
+from cmforms.calgebra import CyclicCubicExtension
+from cmforms.field import make_cyclotomic
+# g = (y - 1)(y - 2)(y - 3) splits; tau cycles the roots 1 -> 2 -> 3
+ext = CyclicCubicExtension(make_cyclotomic(4), [-6, 11, -6, 1],
+                           [-2, Fraction(11, 2), Fraction(-3, 2)], [0, 1])
+x = ext.element([-1, 1])  # y - 1, a zero divisor
+"""
+
+
+def test_zero_divisor_inverse_raises():
+    scope = {}
+    exec(_SPLIT_L, scope)
+    with pytest.raises(ZeroDivisionError):
+        scope["x"].inverse()
+    # the check is a raise, not an assert: it holds under python -O too
+    script = _SPLIT_L + """
+try:
+    x.inverse()
+except ZeroDivisionError:
+    print("ZeroDivisionError")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "ZeroDivisionError", proc.stderr
 
 
 def test_relative_norm_transitive(builtin):

@@ -1,6 +1,9 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -161,3 +164,22 @@ def test_compact_json_flag(form_file):
                       form_file("h.json", [1, 1, -1])])
     assert code == 0 and text.count("\n") == 1
     json.loads(text)
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first write, as after `| head -1`
+    import cmforms
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmforms", "dgroup", "enumerate",
+             "--max-m", "28", "--p", "3"],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "" and proc.returncode == 1

@@ -26,14 +26,6 @@ def test_det_singular():
     assert linalg.det(A).is_zero()
 
 
-def test_solve():
-    A = _emat([[1, 2], [3, 4]])
-    rhs = [E.from_rational(5), E.from_rational(11)]
-    x = linalg.solve(A, rhs)
-    assert [linalg.sum_prod(row, x) for row in A] == list(rhs)
-    assert x == (E.one(), E.from_rational(2))
-
-
 def test_char_poly_constant_first():
     A = _emat([[2, 1], [1, 2]])  # eigenvalues 1, 3: x^2 - 4x + 3
     assert linalg.char_poly(A, E.one()) == \
