@@ -18,7 +18,7 @@ import sys
 
 from . import calgebra, dgroups, groups, hermitian, serialize
 from .catalog import catalog_entry
-from .field import BudgetExceeded
+from .field import BudgetExceeded, VerificationError
 from .groups import ClosureCapExceeded, UnknownClassError
 from .hermitian import UNKNOWN_EQUIVALENCE
 from .residue import UNKNOWN
@@ -146,7 +146,8 @@ def cmd_dgroup_check(args):
     return CommandResult("ok", payload, list(verdict.trace))
 
 
-def cmd_dgroup_enumerate(args, out):
+def _dgroup_rows(args):
+    """The rows of `dgroup enumerate`, built one at a time."""
     for params in dgroups.enumerate_params(args.max_m):
         row = {"m": params.m, "r": params.r, "s": params.s, "t": params.t,
                "n": params.n, "order": dgroups.order(params),
@@ -154,8 +155,7 @@ def cmd_dgroup_enumerate(args, out):
         if args.p is not None:
             row["verdict"] = dgroups.second_type_verdict(params,
                                                          args.p).status
-        out.write(json.dumps(row) + "\n")
-    return 0
+        yield row
 
 
 def _load_algebra(args):
@@ -171,8 +171,10 @@ def _load_algebra(args):
 def cmd_algebra_check(args):
     algebra, involution = _load_algebra(args)
     X = algebra.X()
-    assert X ** 3 == algebra.element(algebra.alpha_L)
-    assert algebra.reduced_norm(X) == algebra.alpha
+    if X ** 3 != algebra.element(algebra.alpha_L):
+        raise VerificationError("X^3 != alpha")
+    if algebra.reduced_norm(X) != algebra.alpha:
+        raise VerificationError("reduced_norm(X) != alpha")
     trace = ["verified X^3 = alpha and reduced_norm(X) = alpha",
              "verified the involution axioms on all 81 basis pairs"]
     payload = {"alpha": serialize.element_to_json(algebra.alpha),
@@ -313,12 +315,19 @@ def main(argv=None, out=None):
     except SystemExit as e:
         return 2 if e.code else 0
     if getattr(args, "enumerate", False):
-        try:
-            return cmd_dgroup_enumerate(args, out)
-        except Exception as e:
-            result = CommandResult("error", {"message": str(e)})
-            out.write(json.dumps(result.to_json()) + "\n")
-            return 2
+        rows = _dgroup_rows(args)
+        while True:
+            # only building a row is a command error; a failed write
+            # propagates as it is
+            try:
+                row = next(rows, None)
+            except Exception as e:
+                result = CommandResult("error", {"message": str(e)})
+                out.write(json.dumps(result.to_json()) + "\n")
+                return 2
+            if row is None:
+                return 0
+            out.write(json.dumps(row) + "\n")
     try:
         result = args.func(args)
     except (BudgetExceeded, ClosureCapExceeded, UnknownClassError) as e:

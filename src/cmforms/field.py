@@ -21,6 +21,10 @@ class BudgetExceeded(RuntimeError):
     """A bounded search ran out of budget; existence is not refuted."""
 
 
+class VerificationError(RuntimeError):
+    """A computed result failed the exact check that certifies it."""
+
+
 POSITIVE = 1
 NEGATIVE = -1
 ZERO = 0

@@ -5,7 +5,7 @@ pipelines producing admissible invariant forms.
 """
 
 from . import linalg
-from .field import weak_approx_find, POSITIVE, NEGATIVE
+from .field import weak_approx_find, POSITIVE, NEGATIVE, VerificationError
 from .hermitian import (HermitianForm, diagonal_form, direct_sum,
                         is_admissible, twist_determinant, equivalent,
                         NOT_EQUIVALENT, signature_profile)
@@ -94,12 +94,10 @@ def average_form(group, seed=None):
                               linalg.mat_mul(seed.entries, g))
         acc = term if acc is None else linalg.mat_add(acc, term)
     H = HermitianForm(field, acc)
-    for g in group.elements:
-        assert linalg.mat_eq(
-            linalg.mat_mul(group.conj_transpose(g),
-                           linalg.mat_mul(H.entries, g)),
-            H.entries), "averaged form is not invariant"
-    assert all(sig == (n, 0) for sig in signature_profile(H))
+    if not invariant_under(H, group.elements, group.conj_transpose):
+        raise VerificationError("averaged form is not invariant")
+    if any(sig != (n, 0) for sig in signature_profile(H)):
+        raise VerificationError("averaged form is not positive definite")
     return H
 
 
@@ -121,11 +119,12 @@ def embed_first_type(entry, budget=20):
     alpha_coords = weak_approx_find(field.base, pattern, budget)
     alpha = field.element(alpha_coords)
     H = diagonal_form(field, [field.one(), field.one(), alpha])
-    assert is_admissible(H)
+    if not is_admissible(H):
+        raise VerificationError("diag(1, 1, alpha) is not admissible")
     group = MatrixGroup(field, entry.generators)
-    conj = group.conj_transpose
-    assert invariant_under(H, group.elements, conj), \
-        "catalog group does not preserve the admissible form"
+    if not invariant_under(H, group.elements, group.conj_transpose):
+        raise VerificationError(
+            "catalog group does not preserve the admissible form")
     return field, H, group
 
 
@@ -247,15 +246,18 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
         pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
         alpha = field.element(weak_approx_find(field.base, pattern, budget))
     H = direct_sum(positive_block, diagonal_form(field, [alpha]))
-    assert is_admissible(H)
+    if not is_admissible(H):
+        raise VerificationError("embedded form is not admissible")
 
     if class_selector == OTHER_CLASS:
         H = _other_class(H, positive_block, field, norm_budget)
 
     rho = [_embed_int_matrix(M, field, n) for M in rep.matrices]
     conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
-    assert invariant_under(H, rho, conj)
-    assert len(set(_mat_key(g) for g in rho)) == rep.group_order
+    if not invariant_under(H, rho, conj):
+        raise VerificationError("representation does not preserve the form")
+    if len(set(_mat_key(g) for g in rho)) != rep.group_order:
+        raise VerificationError("embedded representation is not faithful")
     return H, rho
 
 
@@ -277,7 +279,9 @@ def _other_class(H_default, positive_block, field, norm_budget):
         verdict = equivalent(H_default, H_prime, norm_budget)
         if verdict == NOT_EQUIVALENT:
             twisted = twist_determinant(positive_block, H_prime)
-            assert equivalent(twisted, H_default, norm_budget) == NOT_EQUIVALENT
+            if equivalent(twisted, H_default, norm_budget) != NOT_EQUIVALENT:
+                raise VerificationError(
+                    "twisted form is not in a second determinant class")
             return twisted
     raise UnknownClassError(
         "no second admissible class certified with the implemented norm test")

@@ -2,15 +2,16 @@
 embeddings, the (dim, signatures, det class) invariant, the equivalence
 decision, admissibility, direct sums, and determinant twisting.
 
-Signatures are counted by Descartes' rule on the characteristic polynomial,
-which is exact here because a hermitian matrix has only real eigenvalues.
+A form is diagonalised once by congruence, P H P^H = diag(d_1, ..., d_n)
+with det P = +-1 (`linalg.congruence_diagonal`).  The pivots d_i lie in F;
+their product is det H, and by Sylvester's law of inertia the signature at
+each real embedding counts the d_i that are positive there.
 """
 
 from fractions import Fraction
 
 from . import linalg
-from .field import FieldElement, POSITIVE, NEGATIVE
-from .polyn import sign_variations
+from .field import FieldElement, POSITIVE, NEGATIVE, VerificationError
 from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN
 
 
@@ -33,23 +34,18 @@ class HermitianForm:
         if any(len(r) != self.dim for r in self.entries):
             raise ValueError("matrix must be square")
         for j in range(self.dim):
-            for k in range(self.dim):
+            for k in range(j, self.dim):
                 if self.entries[j][k] != self.entries[k][j].conjugate():
                     raise ValueError("matrix is not hermitian at (%d,%d)" % (j, k))
-        d = linalg.det(self.entries)
-        if d is None or d.is_zero():
+        pivots = linalg.congruence_diagonal(self.entries,
+                                            FieldElement.conjugate)
+        if not pivots or any(d.is_zero() for d in pivots):
             raise DegenerateFormError("form is degenerate")
-        assert d.is_in_F(), "determinant of a hermitian matrix lies in F"
-        self.det = d
-        self._char_coeffs = None
-
-    def char_poly_coeffs(self):
-        """Coefficients (constant first) of det(xI - H); all lie in F."""
-        if self._char_coeffs is None:
-            coeffs = linalg.char_poly(self.entries, self.field.one())
-            assert all(c.is_in_F() for c in coeffs)
-            self._char_coeffs = coeffs
-        return self._char_coeffs
+        self.pivots = tuple(pivots)
+        det = pivots[0]
+        for d in pivots[1:]:
+            det = det * d
+        self.det = det
 
     def __eq__(self, other):
         return (isinstance(other, HermitianForm) and self.field == other.field
@@ -73,12 +69,9 @@ def diagonal_form(cmfield, diag):
 
 
 def signature_at(H, ell):
-    """(e_+, e_-) of H at the ell-th real embedding.
-
-    Descartes on the characteristic polynomial: with all roots real and
-    nonzero, the sign variations of the coefficient sequence count the
-    positive roots exactly."""
-    e_plus = sign_variations([c.sign_at(ell) for c in H.char_poly_coeffs()])
+    """(e_+, e_-) of H at the ell-th real embedding: by Sylvester's law of
+    inertia, e_+ counts the pivots of H's diagonalisation positive there."""
+    e_plus = sum(1 for d in H.pivots if d.sign_at(ell) == POSITIVE)
     return (e_plus, H.dim - e_plus)
 
 
@@ -184,11 +177,13 @@ def twist_determinant(H_G, H_prime):
     beta = field.one()
     for j in range(H_prime.dim):
         beta = beta * H_prime.entries[j][j]
-    beta = beta / linalg.det(H_G.entries)
+    beta = beta / H_G.det
     # det(H_prime) is negative at the distinguished embedding and positive
     # elsewhere, and det(H_G) is totally positive, so beta keeps that pattern
-    assert beta.sign_at(0) == NEGATIVE
-    assert all(beta.sign_at(ell) == POSITIVE for ell in range(1, field.s))
+    if beta.sign_at(0) != NEGATIVE or any(
+            beta.sign_at(ell) != POSITIVE for ell in range(1, field.s)):
+        raise VerificationError("twisted slot has the wrong sign pattern")
     result = direct_sum(H_G, diagonal_form(field, [beta]))
-    assert is_admissible(result)
+    if not is_admissible(result):
+        raise VerificationError("twisted form is not admissible")
     return result

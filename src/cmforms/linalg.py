@@ -2,7 +2,8 @@
 
 Elements must support +, -, *, unary -, inverse() or /, equality, and
 is_zero().  Matrices are tuples of tuples.  Used both for CM-field
-matrices and for matrices over the cubic extension in the algebra module.
+matrices and for matrices over the cubic extension in the algebra module;
+`congruence_diagonal` and `conj_transpose` also take the involution.
 """
 
 from fractions import Fraction
@@ -84,6 +85,66 @@ def det(A):
             for c in range(col, n):
                 M[r][c] = M[r][c] - f * M[col][c]
     return result if sign == 1 else -result
+
+
+def congruence_diagonal(A, conj):
+    """Pivots d_1..d_n of a congruence P A P^H = diag(d) with det P = +-1.
+
+    A must be hermitian for the involution `conj`; only its entries on and
+    above the diagonal are read.  Each step pivots on the first nonzero
+    diagonal entry of the Schur complement, moved to the front by a
+    symmetric row/column swap.  If that whole diagonal is 0 but row k has an
+    entry h = A[k][j] != 0, the substitution e_k += h e_j makes the pivot
+    2 h conj(h) != 0, so no 2x2 pivots are needed; if row k is 0, its pivot
+    is 0 and A is singular.  Hence prod(d) = det A, and by Sylvester's law
+    of inertia the signs of the d_i give the inertia of A.  Raises
+    ValueError if a pivot is not fixed by `conj`."""
+    n = len(A)
+    M = [list(r) for r in A]
+    for i in range(n):
+        for j in range(i):
+            M[i][j] = conj(M[j][i])
+    pivots = []
+    for k in range(n):
+        row = M[k]
+        p = next((i for i in range(k, n) if not M[i][i].is_zero()), None)
+        if p is None:
+            j = next((j for j in range(k + 1, n) if not row[j].is_zero()),
+                     None)
+            if j is None:
+                pivots.append(row[k])
+                continue
+            h = row[j]
+            norm = h * conj(h)
+            row[k] = norm + norm
+            for c in range(k + 1, n):
+                if not M[j][c].is_zero():
+                    row[c] = row[c] + h * M[j][c]
+                M[c][k] = conj(row[c])
+        elif p != k:
+            M[k], M[p] = M[p], M[k]
+            for r in M:
+                r[k], r[p] = r[p], r[k]
+            row = M[k]
+        d = row[k]
+        if conj(d) != d:
+            raise ValueError("pivot %d is not fixed by the conjugation" % k)
+        pivots.append(d)
+        dinv = None
+        # Schur complement on the upper triangle, lower by conjugation
+        for i in range(k + 1, n):
+            if row[i].is_zero():
+                continue
+            if dinv is None:
+                dinv = d.inverse()
+            f = conj(row[i]) * dinv
+            Mi = M[i]
+            Mi[i] = Mi[i] - f * row[i]
+            for j in range(i + 1, n):
+                if not row[j].is_zero():
+                    Mi[j] = Mi[j] - f * row[j]
+                    M[j][i] = conj(Mi[j])
+    return pivots
 
 
 def inverse(A):

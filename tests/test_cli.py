@@ -7,9 +7,16 @@ import sys
 
 import pytest
 
-from cmforms import diagonal_form, gaussian_field, serialize
+import cmforms
+from cmforms import (HermitianForm, diagonal_form, gaussian_field,
+                     make_cyclotomic, serialize, zeta)
 from cmforms.calgebra import _alg_element_to_json, builtin_example
 from cmforms.cli import main
+
+
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def run(argv):
@@ -168,18 +175,68 @@ def test_compact_json_flag(form_file):
 
 def test_closed_stdout_exits_quietly():
     # the reader is gone before the first write, as after `| head -1`
-    import cmforms
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     r, w = os.pipe()
     os.close(r)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "cmforms", "dgroup", "enumerate",
              "--max-m", "28", "--p", "3"],
-            stdout=w, stderr=subprocess.PIPE, env=env, text=True,
+            stdout=w, stderr=subprocess.PIPE, env=_subprocess_env(), text=True,
             timeout=120)
     finally:
         os.close(w)
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "" and proc.returncode == 1
+
+
+class _BrokenOut:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_enumerate_output_failure_propagates():
+    with pytest.raises(BrokenPipeError) as info:
+        main(["dgroup", "enumerate", "--max-m", "6"], out=_BrokenOut())
+    # raised by the write itself, not from inside an error handler
+    assert info.value.__context__ is None
+    # a failure to build a row is still a command error
+    code, doc = run_json(["dgroup", "enumerate", "--max-m", "6", "--p", "4"])
+    assert code == 2 and doc["status"] == "error"
+
+
+def test_form_commands_same_output_under_optimize(tmp_path):
+    # every check behind the printed answers still runs under -O
+    E5 = make_cyclotomic(5)
+    w, z = E5.gen_F(), zeta(E5, 5)
+    forms = {
+        "qi_a": diagonal_form(gaussian_field(), [1, 1, -1]),
+        "qi_b": diagonal_form(gaussian_field(), [1, 1, -4]),
+        "z5_a": diagonal_form(E5, [E5.one(), E5.one(), 1 + w]),
+        "z5_b": HermitianForm(E5, [[E5.zero(), z, E5.one()],
+                                   [z.conjugate(), E5.zero(), E5.one()],
+                                   [E5.one(), E5.one(), E5.zero()]]),
+    }
+    paths = {}
+    for name, H in forms.items():
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w") as fh:
+            json.dump(serialize.form_to_json(H), fh)
+    argvs = []
+    for a, b in (("qi_a", "qi_b"), ("z5_a", "z5_b")):
+        argvs += [["invariants", "--form", paths[a]],
+                  ["admissible", "--form", paths[b]],
+                  ["equivalent", "--form", paths[a], "--form2", paths[b],
+                   "--budget", "200"]]
+    script = ("import json, sys\n"
+              "from cmforms.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    main(argv)\n")
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable] + flags + ["-c", script, json.dumps(argvs)],
+            capture_output=True, env=_subprocess_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b'"status": "ok"') == len(argvs)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +60,28 @@ def test_embed_first_type_q8():
     assert is_admissible(H)
     assert group.order == 8
     assert invariant_under(H, group.elements, group.conj_transpose)
+
+
+def test_invariance_check_runs_under_optimize():
+    # "verified exact invariance" must not be an assert that -O removes
+    import cmforms
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    script = "\n".join([
+        "import sys",
+        "from cmforms import groups",
+        "from cmforms.catalog import catalog_entry",
+        "if sys.flags.optimize != 1:",
+        "    sys.exit(3)",
+        "groups.invariant_under = lambda *args: False",
+        "groups.embed_first_type(catalog_entry('C2'))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "VerificationError: catalog group does not preserve the "
+        "admissible form")
 
 
 def test_check_table():

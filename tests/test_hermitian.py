@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmforms import (DegenerateFormError, EQUIVALENT, HermitianForm,
                      NOT_EQUIVALENT, diagonal_form, direct_sum, equivalent,
                      gaussian_field, invariants, is_admissible, linalg,
                      make_cyclotomic, signature_at, signature_profile,
                      twist_determinant, zeta)
+from cmforms.polyn import sign_variations
 
 
 def test_hermitian_validation():
@@ -136,3 +138,44 @@ def test_random_congruence_respects_invariants():
             conj_T, linalg.mat_mul(H.entries, T)))
         assert equivalent(H, H2) == EQUIVALENT
         assert invariants(H).sigma() == invariants(H2).sigma()
+
+
+_FIELDS = (gaussian_field(), make_cyclotomic(5))
+_coord = st.integers(-2, 2)
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    """Random hermitian matrices over Q(i) or Q(zeta5), n <= 4; about half
+    have an all-zero diagonal, which needs the e_k += h e_j step."""
+    E = draw(st.sampled_from(_FIELDS))
+    n = draw(st.integers(1, 4))
+    zero_diagonal = draw(st.booleans())
+    coords = st.lists(_coord, min_size=E.s, max_size=E.s)
+    M = [[None] * n for _ in range(n)]
+    for j in range(n):
+        M[j][j] = E.zero() if zero_diagonal else E.element(draw(coords))
+        for k in range(j + 1, n):
+            M[j][k] = E.element(draw(coords), draw(coords))
+            M[k][j] = M[j][k].conjugate()
+    return E, linalg.mat(M)
+
+
+@settings(deadline=None)
+@given(_hermitian_matrices())
+def test_diagonalisation_matches_char_poly_and_det(case):
+    E, M = case
+    det = linalg.det(M)
+    if det.is_zero():
+        with pytest.raises(DegenerateFormError):
+            HermitianForm(E, M)
+        return
+    H = HermitianForm(E, M)
+    assert H.det == det
+    # Descartes: all roots of det(xI - H) are real and nonzero
+    coeffs = linalg.char_poly(M, E.one())
+    descartes = []
+    for ell in range(E.s):
+        e_plus = sign_variations([c.sign_at(ell) for c in coeffs])
+        descartes.append((e_plus, H.dim - e_plus))
+    assert signature_profile(H) == tuple(descartes)
