@@ -4,12 +4,14 @@ X^3 = alpha and X beta = tau(beta) X.
 L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  Arithmetic
 uses that structure directly: tau and the conjugation act through their
-images of y and y^2, an inverse in L is tau(x) tau^2(x) / N_{L/E}(x), and
-an inverse in A comes from Cayley-Hamilton on the reduced characteristic
-polynomial.  The module provides the splitting (regular) representation
-over L, reduced norms, a verified involution of second kind, the
-unitary-group membership predicate and signature computation for
-hermitian elements.
+images of y and y^2, and an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
+Everything else in A goes through the splitting S: A -> Mat(3, L), an
+injective homomorphism (Reiner, Maximal Orders, Sec. 9), by exact
+elimination: reduced norms are det S(x), inverses are read off S(x)^-1,
+and signatures come from one congruence diagonalisation of D S(h), D the
+involution's splitting conjugator.  The module also provides a verified
+involution of second kind and the unitary-group membership predicate
+x* h x = h.
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -20,9 +22,8 @@ import functools
 from fractions import Fraction
 
 from . import linalg, serialize
-from .field import (FieldElement, TotallyRealField, _maxnorm_vectors,
-                    _power, make_cyclotomic)
-from .polyn import sign_variations
+from .field import (FieldElement, POSITIVE, TotallyRealField,
+                    _maxnorm_vectors, _power, make_cyclotomic)
 from .residue import NormResidueVerdict, UNKNOWN
 
 
@@ -91,20 +92,23 @@ class CyclicCubicExtension:
 
     def _validate(self):
         y = self.gen()
-        t = self.tau_of(y)
-        # g(tau(y)) = 0
-        acc = self.from_E(self.g[0])
-        pw = self.one()
-        for k in range(1, 4):
-            pw = pw * t
-            acc = acc + self.from_E(self.g[k]) * pw
-        if not acc.is_zero():
-            raise AlgebraError("tau(y) is not a root of g")
+        t, cy = self.tau_of(y), self.conj_of(y)
+        # g(tau(y)) = 0, and theta(g)(c(y)) = 0 since c is theta-semilinear
+        for root, poly, msg in (
+                (t, self.g, "tau(y) is not a root of g"),
+                (cy, [c.conjugate() for c in self.g],
+                 "c(y) is not a root of theta(g)")):
+            acc = self.from_E(poly[0])
+            pw = self.one()
+            for k in range(1, 4):
+                pw = pw * root
+                acc = acc + self.from_E(poly[k]) * pw
+            if not acc.is_zero():
+                raise AlgebraError(msg)
         if t == y:
             raise AlgebraError("tau must be nontrivial")
         if self.tau_of(self.tau_of(t)) != y:
             raise AlgebraError("tau^3 is not the identity")
-        cy = self.conj_of(y)
         if self.conj_of(cy) != y:
             raise AlgebraError("conjugation is not an involution")
 
@@ -120,6 +124,7 @@ class CyclicCubicExtension:
         c0, c1, c2 = (c.conjugate() for c in x.coeffs)
         return self._combine((c0, zero, zero), (c1, c2), self._conj_y12)
 
+    @functools.cached_property
     def real_subfield(self):
         """K as a totally real field; needs g to have rational coefficients."""
         coeffs = []
@@ -326,25 +331,15 @@ class CyclicAlgebra:
         return d.coeffs[0]
 
     def inverse(self, x):
-        """Cayley-Hamilton: x^-1 = -(x^2 + c2 x + c1) / c0, where
-        t^3 + c2 t^2 + c1 t + c0 is the reduced characteristic polynomial,
-        whose coefficients lie in E (Reiner, Maximal Orders, Sec. 9)."""
-        coeffs = linalg.char_poly(self.splitting_matrix(x), self.ext.one())
-        if not all(c.is_in_E() for c in coeffs):
-            raise AlgebraError("reduced characteristic polynomial is not "
-                               "over E")
-        c0, c1, c2 = (c.coeffs[0] for c in coeffs[:3])
-        if c0.is_zero():
-            raise ZeroDivisionError("element is not invertible")
-        return _scale(x * x + _scale(x, c2) + c1, -c0.inverse())
+        """x^-1 from S(x)^-1 = S(x^-1): row 0 of S(y) is the parts
+        (b0, b1, b2) of y.  Raises ZeroDivisionError if S(x) is singular,
+        i.e. if x is a zero divisor."""
+        inv = linalg.inverse(self.splitting_matrix(x))
+        return AlgebraElement(self, inv[0])
 
     def __eq__(self, other):
         return (isinstance(other, CyclicAlgebra) and self.ext == other.ext
                 and self.alpha == other.alpha)
-
-
-def _scale(x, c):
-    return AlgebraElement(x.algebra, tuple(p * c for p in x.parts))
 
 
 class AlgebraElement:
@@ -385,15 +380,6 @@ class AlgebraElement:
 
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)
-
-    def is_scalar(self):
-        """Scalar means: lies in E (center up to L-part of degree zero)."""
-        return (self.parts[1].is_zero() and self.parts[2].is_zero()
-                and self.parts[0].is_in_E())
-
-    def scalar_value(self):
-        assert self.is_scalar()
-        return self.parts[0].coeffs[0]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement, CubicExtElement)):
@@ -464,14 +450,16 @@ class Involution:
         self.splitting_conjugator = splitting_conjugator
 
     def apply(self, x):
-        E = self.algebra.E
         acc = self.algebra.zero()
         for j in range(3):
             for i in range(3):
                 lam = x.parts[j].coeffs[i]
                 if lam.is_zero():
                     continue
-                acc = acc + _scale(self.images[(i, j)], lam.conjugate())
+                c = lam.conjugate()
+                img = self.images[(i, j)].parts
+                acc = acc + AlgebraElement(self.algebra,
+                                           tuple(p * c for p in img))
         return acc
 
 
@@ -574,43 +562,52 @@ class MembershipVerdict:
 
 
 def unitary_membership(algebra, involution, h, x):
-    """x is in U(h; A) iff h^{-1} x* h x is a central scalar of norm one."""
+    """x is in U(h; A) iff x* h x = h, for h hermitian and invertible.
+
+    This is the predicate "h^-1 x* h x is a central scalar lambda with
+    lambda^3 = 1": x* h x is hermitian, so such a lambda lies in the
+    totally real F, where lambda^3 = 1 forces lambda = 1, the scalar
+    reported for members."""
     if involution.apply(h) != h:
         raise AlgebraError("h is not hermitian under the involution")
-    hinv = algebra.inverse(h)  # raises if not invertible
-    z = hinv * involution.apply(x) * h * x
-    if not z.is_scalar():
-        return MembershipVerdict(NOT_IN_GROUP)
-    lam = z.scalar_value()
-    if lam ** 3 == algebra.E.one():
-        return MembershipVerdict(IN_GROUP, scalar=lam)
+    if algebra.reduced_norm(h).is_zero():
+        raise ZeroDivisionError("element is not invertible")
+    if involution.apply(x) * h * x == h:
+        return MembershipVerdict(IN_GROUP, scalar=algebra.E.one())
     return MembershipVerdict(NOT_IN_GROUP)
 
 
 def splitting_signature(algebra, involution, h):
-    """Signature pairs of the split image of a hermitian h, one pair per
-    real embedding of K, the first being the distinguished one."""
+    """Signature pairs of the hermitian form of h, one pair per real
+    embedding of K, the first being the distinguished one.
+
+    S carries the involution to M -> D^-1 M^H D, D the involution's
+    splitting conjugator, so x* h x = h becomes S(x)^H G S(x) = G for the
+    hermitian matrix G = D S(h) over L.  The pivots of one congruence
+    diagonalisation of G lie in K; by Sylvester's law of inertia their
+    signs at each real embedding give the signature there.  Needs D, so
+    an involution loaded from JSON is refused, and needs F = Q."""
     if involution.apply(h) != h:
         raise AlgebraError("h is not hermitian under the involution")
-    M = algebra.splitting_matrix(h)
-    coeffs = linalg.char_poly(M, algebra.ext.one())
-    K = algebra.ext.real_subfield()
-    rational_rows = []
-    for c in coeffs:
-        if not c.is_conj_fixed():
-            raise AlgebraError("characteristic coefficients must lie in K")
-        row = []
-        for e_coeff in c.coeffs:
-            if not e_coeff.is_rational():
-                raise AlgebraError("characteristic coefficients must lie in K")
-            row.append(e_coeff.as_fraction())
-        rational_rows.append(tuple(row))
-    if all(v == 0 for v in rational_rows[0]):
-        raise AlgebraError("h is degenerate")
+    D = involution.splitting_conjugator
+    if D is None:
+        raise AlgebraError("the involution has no splitting conjugator")
+    ext = algebra.ext
+    G = linalg.mat_mul(D, algebra.splitting_matrix(h))
+    if not linalg.mat_eq(G, linalg.conj_transpose(G, ext.conj_of)):
+        raise AlgebraError("D S(h) is not hermitian")
+    rows = []
+    for d in linalg.congruence_diagonal(G, ext.conj_of):
+        if d.is_zero():
+            raise AlgebraError("h is degenerate")
+        if not all(c.is_rational() for c in d.coeffs):
+            raise AlgebraError("pivots of D S(h) must have rational "
+                               "coordinates")
+        rows.append([c.as_fraction() for c in d.coeffs])
+    K = ext.real_subfield
     out = []
     for ell in range(K.degree):
-        e_plus = sign_variations([K.sign_of_coords(row, ell)
-                                  for row in rational_rows])
+        e_plus = sum(K.sign_of_coords(row, ell) == POSITIVE for row in rows)
         out.append((e_plus, 3 - e_plus))
     return tuple(out)
 

@@ -211,8 +211,7 @@ def cmd_algebra_membership(args):
     if verdict.scalar is not None:
         payload["scalar"] = serialize.element_to_json(verdict.scalar)
     return CommandResult("ok", payload,
-                         ["computed h^-1 x* h x and tested the scalar "
-                          "norm-one condition"])
+                         ["computed x* h x and compared it with h"])
 
 
 # --- parser ------------------------------------------------------------------

@@ -11,6 +11,8 @@ theoretic exclusion for second-type lattices.
 from dataclasses import dataclass
 from math import gcd
 
+from .field import VerificationError
+
 
 class InvalidDGroupError(ValueError):
     pass
@@ -228,7 +230,8 @@ def second_type_verdict(params, p, split=None):
         trace.append("n = 1: group is cyclic of order m")
         return EmbeddabilityVerdict(CYCLIC_POSSIBLE, tuple(trace))
     assert params.n == p
-    assert not faithful_reducible_exists(params, p)
+    if faithful_reducible_exists(params, p):
+        raise VerificationError("a faithful reducible rep exists")
     trace.append("n = p: any rep inside U(p1) x U(p2) splits into degree-1 "
                  "summands, but the group is nonabelian, so no faithful "
                  "reducible rep exists")

@@ -18,6 +18,7 @@ from cmforms.calgebra import (AlgebraError, CyclicAlgebra,
                               make_involution, splitting_signature,
                               unitary_membership, verify_involution)
 from cmforms.field import make_cyclotomic
+from cmforms.polyn import sign_variations
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,10 @@ def test_extension_validation():
     with pytest.raises(AlgebraError):
         # tau(y) = y + 1 is not a root of g
         CyclicCubicExtension(E, [-1, -2, 1, 1], [1, 1], [0, 1])
+    with pytest.raises(AlgebraError, match="c\\(y\\)"):
+        # c(y) = -y is an involution but not a root of theta(g) = g, so c
+        # is not multiplicative
+        CyclicCubicExtension(E, [-1, -2, 1, 1], [-2, 0, 1], [0, -1])
 
 
 def test_extension_field_axioms(builtin):
@@ -247,22 +252,34 @@ def test_involution_requires_matching_beta(builtin):
 
 def test_unitary_membership(builtin):
     algebra, involution = builtin
-    E = algebra.E
-    h = algebra.one()
-    for x in (algebra.one(), -algebra.one()):
-        v = unitary_membership(algebra, involution, h, x)
-        assert v == IN_GROUP and v.scalar == E.one()
+    ext, E = algebra.ext, algebra.E
+    D = involution.splitting_conjugator
+    i = algebra.element(E.sqrt_delta() * Fraction(1, 2))
+    # central elements of norm one lie in every U(h)
+    members = [algebra.one(), -algebra.one(), i, (3 + 4 * i) * Fraction(1, 5)]
     rng = random.Random(6)
-    rejected = 0
-    for _ in range(10):
-        x = _random_A(algebra, rng)
-        if algebra.reduced_norm(x).is_zero():
-            continue
-        if unitary_membership(algebra, involution, h, x) == NOT_IN_GROUP:
-            rejected += 1
-    assert rejected >= 8  # generic elements are not unitary
+    others = [_random_A(algebra, rng) for _ in range(8)]
+    for h in (algebra.one(), algebra.from_L(ext.element([1, 1]))):
+        # matrix oracle: S is injective, so x* h x = h iff
+        # S(x)^H D S(h) S(x) = D S(h)
+        G = linalg.mat_mul(D, algebra.splitting_matrix(h))
+        rejected = 0
+        for x in members + others:
+            S = algebra.splitting_matrix(x)
+            oracle = linalg.mat_eq(G, linalg.mat_mul(
+                linalg.conj_transpose(S, ext.conj_of), linalg.mat_mul(G, S)))
+            v = unitary_membership(algebra, involution, h, x)
+            assert v == (IN_GROUP if oracle else NOT_IN_GROUP)
+            if x in members:
+                assert v == IN_GROUP and v.scalar == E.one()
+            elif v == NOT_IN_GROUP:
+                rejected += 1
+        assert rejected >= 7  # generic elements are not unitary
     with pytest.raises(AlgebraError):
         unitary_membership(algebra, involution, algebra.X(), algebra.one())
+    with pytest.raises(ZeroDivisionError, match="not invertible"):
+        unitary_membership(algebra, involution, algebra.zero(),
+                           algebra.one())
 
 
 def test_membership_closed_under_inverse(builtin):
@@ -292,6 +309,46 @@ def test_splitting_signature(builtin):
         splitting_signature(algebra, involution, algebra.zero())
 
 
+def test_splitting_signature_matches_descartes_oracle(builtin):
+    # the built-in D = diag(5, 1, 1/5) is positive definite, so the
+    # signature of D S(h) is that of the eigenvalues of S(h): Descartes'
+    # rule on its characteristic polynomial, whose coefficients lie in K
+    algebra, involution = builtin
+    star = involution.apply
+    K = algebra.ext.real_subfield
+    h1 = algebra.from_L(algebra.ext.element([1, 1]))
+    rng = random.Random(8)
+    for _ in range(3):
+        x = _random_A(algebra, rng)
+        for h in (x + star(x), star(x) * x, star(x) * h1 * x):
+            if algebra.reduced_norm(h).is_zero():
+                continue
+            coeffs = linalg.char_poly(algebra.splitting_matrix(h),
+                                      algebra.ext.one())
+            rows = [[c.as_fraction() for c in p.coeffs] for p in coeffs]
+            expected = []
+            for ell in range(K.degree):
+                e_plus = sign_variations([K.sign_of_coords(r, ell)
+                                          for r in rows])
+                expected.append((e_plus, 3 - e_plus))
+            assert splitting_signature(algebra, involution, h) == \
+                tuple(expected)
+
+
+def test_splitting_signature_with_indefinite_conjugator(builtin):
+    # beta = 5 eta also has N(beta) = 125 = |alpha|^2, but the conjugates
+    # of eta have mixed signs, so D = diag(tau(beta), 1, 1/tau^2(beta)) is
+    # indefinite and S(h) alone says nothing.  h = 1 and x* x are congruent
+    # and have the signs of the diagonal of D.
+    algebra, _ = builtin
+    ext = algebra.ext
+    involution = verify_involution(make_involution(algebra, ext.gen() * 5))
+    x = algebra.element(ext.element([1, 2]), ext.element([0, 1]), 1)
+    for h in (algebra.one(), involution.apply(x) * x):
+        assert splitting_signature(algebra, involution, h) == \
+            ((2, 1), (2, 1), (1, 2))
+
+
 def test_json_round_trip(builtin):
     algebra, involution = builtin
     obj = algebra_to_json(algebra, involution)
@@ -300,3 +357,7 @@ def test_json_round_trip(builtin):
     assert algebra2 == algebra
     for key in involution.images:
         assert involution2.images[key] == involution.images[key]
+    # the wire format carries no splitting conjugator, so no signature
+    # can be certified for a loaded involution
+    with pytest.raises(AlgebraError, match="splitting conjugator"):
+        splitting_signature(algebra2, involution2, algebra2.one())

@@ -158,6 +158,7 @@ def test_algebra_norm_and_membership(tmp_path):
     assert code == 0
     assert doc["payload"]["status"] == "InGroup"
     assert doc["payload"]["scalar"] == ["1", "0"]
+    assert doc["trace"] == ["computed x* h x and compared it with h"]
 
 
 def test_error_on_missing_file():

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cmforms
 from cmforms import dgroups
 from cmforms.dgroups import (CYCLIC_POSSIBLE, EXCLUDED_BY_AMITSUR,
                              EXCLUDED_BY_REDUCIBILITY, InvalidDGroupError,
@@ -101,6 +105,23 @@ def test_verdicts():
     assert v.trace
     with pytest.raises(ValueError):
         second_type_verdict(validate(7, 2), 3, split=(3, 0))
+
+
+def test_reducibility_check_holds_under_python_O():
+    # the check behind ExcludedByReducibility is a raise, not an assert
+    script = """
+from cmforms import dgroups, field
+dgroups.faithful_reducible_exists = lambda params, p: True
+try:
+    dgroups.second_type_verdict(dgroups.validate(7, 2), 3)
+except field.VerificationError:
+    print("VerificationError")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "VerificationError", proc.stderr
 
 
 def test_verdict_independent_of_split():
