@@ -4,7 +4,7 @@ cyclic algebras with involutions of second kind.
 """
 
 from .field import (BudgetExceeded, CMField, FieldElement, FieldError,
-                    TotallyRealField, NEGATIVE, POSITIVE, ZERO,
+                    TotallyRealField, NEGATIVE, POSITIVE, Verdict, ZERO,
                     cyclotomic_field_containing, gaussian_field,
                     make_cyclotomic, rationals, validate_sign_pattern,
                     weak_approx_find, zeta)

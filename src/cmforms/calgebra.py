@@ -10,8 +10,9 @@ injective homomorphism (Reiner, Maximal Orders, Sec. 9), by exact
 elimination: reduced norms are det S(x), inverses are read off S(x)^-1,
 and signatures come from one congruence diagonalisation of D S(h), D the
 involution's splitting conjugator.  The module also provides a verified
-involution of second kind and the unitary-group membership predicate
-x* h x = h.
+involution of second kind, the unitary-group membership predicate
+x* h x = h and a bounded division search, both answering with a
+`field.Verdict` (the membership scalar, the norm witness).
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -19,12 +20,13 @@ involution built from beta = 5 (N_{K/Q}(5) = 125 = alpha * theta(alpha)).
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 from . import linalg, serialize
-from .field import (FieldElement, POSITIVE, TotallyRealField,
-                    _maxnorm_vectors, _power, make_cyclotomic)
-from .residue import NormResidueVerdict, UNKNOWN
+from .field import (FieldElement, POSITIVE, TotallyRealField, Verdict,
+                    _candidates, _power, make_cyclotomic)
+from .residue import UNKNOWN
 
 
 class AlgebraError(ValueError):
@@ -400,34 +402,22 @@ NOT_DIVISION = "NotDivision"
 def is_division_candidate(algebra, budget=10 ** 4):
     """Bounded search for gamma in L with N_{L/E}(gamma) = alpha.
 
-    A witness certifies NotDivision (alpha is a norm, so the algebra has
-    zero divisors); exhaustion yields Unknown since no complete local test
-    is implemented here."""
-    ext = algebra.ext
+    Tries the first `budget` candidates up to max-norm 8.  A witness
+    certifies NotDivision (alpha is a norm, so the algebra has zero
+    divisors) and is the Verdict's `witness`; exhaustion yields Unknown
+    since no complete local test is implemented here."""
     E = algebra.E
     s = E.s
-    dim = 3 * 2 * s
-    count = 0
-    bound = 1
-    while count < budget and bound <= 8:
-        shell = _maxnorm_vectors(dim, bound)
-        if (2 * bound + 1) ** dim <= 300000:
-            # simplest candidates first: small L1 norm, positive leading signs
-            shell = sorted(shell, key=lambda c: (sum(abs(v) for v in c),
-                                                 tuple(-v for v in c)))
-        for coords in shell:
-            count += 1
-            parts = []
-            for k in range(3):
-                chunk = coords[k * 2 * s:(k + 1) * 2 * s]
-                parts.append(E.element(chunk[:s], chunk[s:]))
-            gamma = ext.element(parts)
-            if gamma.relative_norm() == algebra.alpha:
-                return NormResidueVerdict(NOT_DIVISION, witness=gamma)
-            if count >= budget:
-                break
-        bound += 1
-    return NormResidueVerdict(UNKNOWN)
+    # simplest candidates first: small L1 norm, positive leading signs
+    candidates = _candidates(6 * s, 8, key=lambda c: (
+        sum(abs(v) for v in c), tuple(-v for v in c)))
+    for c in itertools.islice(candidates, max(budget, 0)):
+        # three E-coordinates (a, b) of gamma over the basis 1, y, y^2 of L
+        gamma = algebra.ext.element([E.element(c[k:k + s], c[k + s:k + 2 * s])
+                                     for k in range(0, 6 * s, 2 * s)])
+        if gamma.relative_norm() == algebra.alpha:
+            return Verdict(NOT_DIVISION, witness=gamma)
+    return Verdict(UNKNOWN)
 
 
 # --- involutions of second kind -------------------------------------------
@@ -546,19 +536,7 @@ IN_GROUP = "InGroup"
 NOT_IN_GROUP = "NotInGroup"
 
 
-class MembershipVerdict:
-    def __init__(self, status, scalar=None):
-        self.status = status
-        self.scalar = scalar
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.status == other
-        return isinstance(other, MembershipVerdict) and \
-            self.status == other.status and self.scalar == other.scalar
-
-    def __repr__(self):
-        return "MembershipVerdict(%s)" % self.status
+MembershipVerdict = Verdict  # the former class name, kept public
 
 
 def unitary_membership(algebra, involution, h, x):
@@ -573,8 +551,8 @@ def unitary_membership(algebra, involution, h, x):
     if algebra.reduced_norm(h).is_zero():
         raise ZeroDivisionError("element is not invertible")
     if involution.apply(x) * h * x == h:
-        return MembershipVerdict(IN_GROUP, scalar=algebra.E.one())
-    return MembershipVerdict(NOT_IN_GROUP)
+        return Verdict(IN_GROUP, scalar=algebra.E.one())
+    return Verdict(NOT_IN_GROUP)
 
 
 def splitting_signature(algebra, involution, h):

@@ -20,7 +20,6 @@ from . import calgebra, dgroups, groups, hermitian, serialize
 from .catalog import catalog_entry
 from .field import BudgetExceeded, VerificationError
 from .groups import ClosureCapExceeded, UnknownClassError
-from .hermitian import UNKNOWN_EQUIVALENCE
 from .residue import UNKNOWN
 
 
@@ -73,7 +72,7 @@ def cmd_equivalent(args):
     H1 = _load_form(args.form)
     H2 = _load_form(args.form2)
     verdict = hermitian.equivalent(H1, H2, args.budget)
-    status = "unknown" if verdict == UNKNOWN_EQUIVALENCE else "ok"
+    status = "unknown" if verdict == UNKNOWN else "ok"
     trace = ["compared dimensions, signature profiles and determinant "
              "classes"]
     return CommandResult(status, {"verdict": verdict}, trace)
@@ -139,23 +138,25 @@ def cmd_dgroup_check(args):
         p1, p2 = (int(v) for v in args.split.split(","))
         split = (p1, p2)
     verdict = dgroups.second_type_verdict(params, args.p, split)
-    payload = {"m": params.m, "r": params.r, "s": params.s, "t": params.t,
-               "n": params.n, "order": dgroups.order(params),
-               "cyclic": dgroups.is_cyclic(params),
-               "verdict": verdict.status}
-    return CommandResult("ok", payload, list(verdict.trace))
+    return CommandResult("ok", _dgroup_row(params, verdict),
+                         list(verdict.trace))
+
+
+def _dgroup_row(params, verdict=None):
+    """The JSON row of one metacyclic group, with its verdict if given."""
+    row = {"m": params.m, "r": params.r, "s": params.s, "t": params.t,
+           "n": params.n, "order": dgroups.order(params),
+           "cyclic": dgroups.is_cyclic(params)}
+    if verdict is not None:
+        row["verdict"] = verdict.status
+    return row
 
 
 def _dgroup_rows(args):
     """The rows of `dgroup enumerate`, built one at a time."""
     for params in dgroups.enumerate_params(args.max_m):
-        row = {"m": params.m, "r": params.r, "s": params.s, "t": params.t,
-               "n": params.n, "order": dgroups.order(params),
-               "cyclic": dgroups.is_cyclic(params)}
-        if args.p is not None:
-            row["verdict"] = dgroups.second_type_verdict(params,
-                                                         args.p).status
-        yield row
+        yield _dgroup_row(params, None if args.p is None else
+                          dgroups.second_type_verdict(params, args.p))
 
 
 def _load_algebra(args):
@@ -184,7 +185,7 @@ def cmd_algebra_check(args):
         verdict = calgebra.is_division_candidate(algebra,
                                                  args.division_budget)
         payload["division"] = verdict.status
-        if verdict.status == UNKNOWN:
+        if verdict == UNKNOWN:
             status = "unknown"
             trace.append("norm-witness search exhausted the budget")
         else:

@@ -5,13 +5,14 @@ order of r mod m.
 Elements carry the normal form X^a Y^b, 0 <= a < m, 0 <= b < n.  These are
 the noncyclic finite groups that can sit inside division algebras of odd
 prime degree, and the verdict machinery reproduces the representation-
-theoretic exclusion for second-type lattices.
+theoretic exclusion for second-type lattices.  `second_type_verdict`
+answers with a `field.Verdict` whose `trace` records the argument.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
-from .field import VerificationError
+from .field import VerificationError, Verdict
 
 
 class InvalidDGroupError(ValueError):
@@ -78,9 +79,8 @@ def identity():
     return (0, 0)
 
 
-def elements(params):
-    """Closure of {X, Y} under multiply; must agree with the normal forms."""
-    gens = [(1 % params.m, 0), (0, 1 % params.n)]
+def _generated(params, gens):
+    """The subgroup generated by gens: products of them until none is new."""
     seen = {identity()}
     frontier = [identity()]
     while frontier:
@@ -93,6 +93,11 @@ def elements(params):
                     new.append(p)
         frontier = new
     return sorted(seen)
+
+
+def elements(params):
+    """Closure of {X, Y} under multiply; must agree with the normal forms."""
+    return _generated(params, [(1 % params.m, 0), (0, 1 % params.n)])
 
 
 def element_order(params, x):
@@ -121,32 +126,14 @@ def commutator_subgroup(params):
     elems = elements(params)
     inv = {}
     for g in elems:
-        if g in inv:
-            continue
-        p = g
-        prev = identity()
+        # g^-1 = g^(k-1) for g of order k
+        inv[g], p = identity(), g
         while p != identity():
-            prev, p = p, multiply(params, p, g)
-        inv[g] = prev if g != identity() else identity()
-    comms = set()
-    for g in elems:
-        for h in elems:
-            c = multiply(params, multiply(params, g, h),
-                         multiply(params, inv[g], inv[h]))
-            comms.add(c)
-    # close under multiplication
-    seen = set(comms) | {identity()}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in comms:
-                p = multiply(params, a, b)
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return sorted(seen)
+            inv[g], p = p, multiply(params, p, g)
+    comms = {multiply(params, multiply(params, g, h),
+                      multiply(params, inv[g], inv[h]))
+             for g in elems for h in elems}
+    return _generated(params, sorted(comms))
 
 
 def irreducible_degrees(params):
@@ -199,16 +186,7 @@ def faithful_reducible_exists(params, p):
     return len(commutator_subgroup(params)) == 1
 
 
-@dataclass
-class EmbeddabilityVerdict:
-    status: str
-    trace: tuple
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.status == other
-        return isinstance(other, EmbeddabilityVerdict) and \
-            self.status == other.status
+EmbeddabilityVerdict = Verdict  # the former class name, kept public
 
 
 def second_type_verdict(params, p, split=None):
@@ -225,17 +203,17 @@ def second_type_verdict(params, p, split=None):
     if not amitsur_filter(params, p):
         trace.append("n does not divide p: excluded by the division-algebra "
                      "subgroup classification")
-        return EmbeddabilityVerdict(EXCLUDED_BY_AMITSUR, tuple(trace))
+        return Verdict(EXCLUDED_BY_AMITSUR, trace=trace)
     if params.n == 1:
         trace.append("n = 1: group is cyclic of order m")
-        return EmbeddabilityVerdict(CYCLIC_POSSIBLE, tuple(trace))
+        return Verdict(CYCLIC_POSSIBLE, trace=trace)
     assert params.n == p
     if faithful_reducible_exists(params, p):
         raise VerificationError("a faithful reducible rep exists")
     trace.append("n = p: any rep inside U(p1) x U(p2) splits into degree-1 "
                  "summands, but the group is nonabelian, so no faithful "
                  "reducible rep exists")
-    return EmbeddabilityVerdict(EXCLUDED_BY_REDUCIBILITY, tuple(trace))
+    return Verdict(EXCLUDED_BY_REDUCIBILITY, trace=trace)
 
 
 def enumerate_params(max_m):

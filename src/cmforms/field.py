@@ -25,6 +25,33 @@ class VerificationError(RuntimeError):
     """A computed result failed the exact check that certifies it."""
 
 
+class Verdict(str):
+    """A decision's status string, which it compares, hashes and
+    json-serialises as, carrying the certificate: a `witness`, an
+    `obstruction` (the refuting place or invariant), a membership `scalar`
+    or a `trace` of the argument.  Unknown carries none."""
+
+    __slots__ = ("_status", "witness", "obstruction", "scalar", "trace")
+
+    def __new__(cls, status, witness=None, obstruction=None, scalar=None,
+                trace=()):
+        self = super().__new__(cls, status)
+        # .status hands back this string; str(self) would copy per call
+        self._status = str(status)
+        self.witness = witness
+        self.obstruction = obstruction
+        self.scalar = scalar
+        self.trace = tuple(trace)
+        return self
+
+    @property
+    def status(self):
+        return self._status
+
+    def __repr__(self):
+        return "Verdict(%s)" % self
+
+
 POSITIVE = 1
 NEGATIVE = -1
 ZERO = 0
@@ -356,7 +383,8 @@ def zeta(field, r):
     while p != one:
         p = p * z0
         k += 1
-        assert k <= 16 * (2 * field.s + 1), "defining root is not torsion"
+        if k > 16 * (2 * field.s + 1):
+            raise FieldError("defining root is not torsion")
     if k % r:
         raise FieldError("field contains no primitive %d-th root" % r)
     return z0 ** (k // r)
@@ -386,21 +414,32 @@ def validate_sign_pattern(field, pattern):
 def weak_approx_find(field, pattern, budget=20):
     """Element of F with prescribed signs at every real embedding.
 
-    Enumerates integer coordinate vectors by increasing max-norm; a failure
-    is always a budget artifact, never a nonexistence claim.
+    Tries integer coordinate vectors up to max-norm `budget`; a failure is
+    always a budget artifact, never a nonexistence claim.
     """
     pattern = validate_sign_pattern(field, pattern)
     s = field.degree
-    for norm in range(1, budget + 1):
-        for coords in _maxnorm_vectors(s, norm):
-            signs = tuple(field.sign_of_coords(coords, ell) for ell in range(s))
-            if signs == pattern:
-                return _frac_tuple(coords)
+    for coords in _candidates(s, budget):
+        signs = tuple(field.sign_of_coords(coords, ell) for ell in range(s))
+        if signs == pattern:
+            return _frac_tuple(coords)
     raise BudgetExceeded("no sign-pattern witness with max-norm <= %d" % budget)
 
 
-def _maxnorm_vectors(s, norm):
-    rng = range(-norm, norm + 1)
-    for v in itertools.product(rng, repeat=s):
-        if max(abs(x) for x in v) == norm:
-            yield v
+_SORT_LIMIT = 300000
+
+
+def _candidates(dim, max_norm=None, key=None):
+    """Nonzero integer vectors of length dim, the one enumerator behind every
+    bounded search: shells of max-norm 1, 2, ... (up to max_norm), each in
+    lexicographic order, or sorted by `key` while the cube [-n, n]^dim has
+    at most _SORT_LIMIT points.  Callers take budgets with islice."""
+    norm = 0
+    while max_norm is None or norm < max_norm:
+        norm += 1
+        rng = range(-norm, norm + 1)
+        shell = (v for v in itertools.product(rng, repeat=dim)
+                 if max(map(abs, v)) == norm)
+        if key is not None and (2 * norm + 1) ** dim <= _SORT_LIMIT:
+            shell = sorted(shell, key=key)
+        yield from shell

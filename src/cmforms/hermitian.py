@@ -11,7 +11,8 @@ each real embedding counts the d_i that are positive there.
 from fractions import Fraction
 
 from . import linalg
-from .field import FieldElement, POSITIVE, NEGATIVE, VerificationError
+from .field import (FieldElement, POSITIVE, NEGATIVE, VerificationError,
+                    Verdict)
 from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN
 
 
@@ -115,20 +116,24 @@ def _squarefree_kernel(q):
 
 
 def equivalent(H1, H2, budget=10 ** 4):
-    """Theorem-of-classification decision: compare the invariant triples."""
+    """Theorem-of-classification decision: compare the invariant triples.
+
+    The Verdict carries the `is_norm` witness or obstruction for det H1 /
+    det H2, or the differing ("dimension", ...) or ("signatures", ...)."""
     if H1.field != H2.field:
         raise ValueError("forms live over different CM fields")
     if H1.dim != H2.dim:
-        return NOT_EQUIVALENT
-    if signature_profile(H1) != signature_profile(H2):
-        return NOT_EQUIVALENT
-    ratio = H1.det / H2.det
-    verdict = is_norm(ratio, H1.field, budget)
-    if verdict.status == IS_NORM:
-        return EQUIVALENT
-    if verdict.status == IS_NOT_NORM:
-        return NOT_EQUIVALENT
-    return UNKNOWN_EQUIVALENCE
+        return Verdict(NOT_EQUIVALENT,
+                       obstruction=("dimension", H1.dim, H2.dim))
+    prof1, prof2 = signature_profile(H1), signature_profile(H2)
+    if prof1 != prof2:
+        return Verdict(NOT_EQUIVALENT,
+                       obstruction=("signatures", prof1, prof2))
+    verdict = is_norm(H1.det / H2.det, H1.field, budget)
+    status = {IS_NORM: EQUIVALENT,
+              IS_NOT_NORM: NOT_EQUIVALENT}.get(verdict, UNKNOWN_EQUIVALENCE)
+    return Verdict(status, witness=verdict.witness,
+                   obstruction=verdict.obstruction)
 
 
 def is_admissible(H):

@@ -21,10 +21,6 @@ def mat_add(A, B):
     return mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
 
-def mat_neg(A):
-    return mat([[-a for a in r] for r in A])
-
-
 def mat_scale(A, s):
     return mat([[s * a for a in r] for r in A])
 
@@ -45,10 +41,6 @@ def mat_mul(A, B):
 
 def mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def transpose(A):
-    return tuple(zip(*A))
 
 
 def conj_transpose(A, conj):

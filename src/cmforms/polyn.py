@@ -55,7 +55,8 @@ def pmul(p, q):
 
 def pdivmod(p, q):
     """Euclidean division; q must be nonzero."""
-    assert q, "division by zero polynomial"
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
     r = list(p)
     d = degree(q)
     lead = q[-1]

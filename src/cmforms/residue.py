@@ -4,32 +4,24 @@ Over F = Q the question "is d a norm from E = Q(sqrt(delta))?" is decided
 completely by Hilbert symbols at 2, infinity and the primes meeting d or
 delta.  Over larger totally real F we fall back on a bounded witness
 search and the archimedean obstruction, reporting Unknown otherwise.
+
+`is_norm` answers with a `field.Verdict`: IsNorm carries a witness x with
+N(x) = d when the search finds one, IsNotNorm the obstructing place.
 """
 
 from fractions import Fraction
+import itertools
 from math import isqrt
 
-from .field import FieldElement, NEGATIVE, _maxnorm_vectors
+from .field import FieldElement, NEGATIVE, Verdict, _candidates
+from .polyn import peval
 
 
 IS_NORM = "IsNorm"
 IS_NOT_NORM = "IsNotNorm"
 UNKNOWN = "Unknown"
 
-
-class NormResidueVerdict:
-    def __init__(self, status, witness=None, obstruction=None):
-        self.status = status
-        self.witness = witness          # element of E when decided IsNorm
-        self.obstruction = obstruction  # descriptor when decided IsNotNorm
-
-    def __repr__(self):
-        return "NormResidueVerdict(%s)" % self.status
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.status == other
-        return isinstance(other, NormResidueVerdict) and self.status == other.status
+NormResidueVerdict = Verdict  # the former class name, kept public
 
 
 def _factor_support(*fracs):
@@ -56,8 +48,10 @@ def _val(q, p):
     return v
 
 
-def _unit_part(q, p):
-    return q / Fraction(p) ** _val(q, p)
+def _unit_residue(q, p, m):
+    """The p-adic unit part of a nonzero Fraction q, as an integer mod m."""
+    u = q / Fraction(p) ** _val(q, p)
+    return u.numerator * pow(u.denominator, -1, m) % m
 
 
 def _legendre(a, p):
@@ -69,36 +63,30 @@ def _legendre(a, p):
 
 
 def hilbert_symbol(a, b, p):
-    """Hilbert symbol (a, b)_p for nonzero rationals; p = 0 means infinity."""
+    """Hilbert symbol (a, b)_p for nonzero rationals; p = 0 means infinity.
+
+    Serre, A Course in Arithmetic, III.1.2: with a = p^alpha u and
+    b = p^beta v, the symbol at odd p is (-1)^(alpha beta (p-1)/2)
+    (u/p)^beta (v/p)^alpha, and at 2 it is (-1)^e with
+    e = eps(u) eps(v) + alpha omega(v) + beta omega(u), eps(u) = (u-1)/2
+    and omega(u) = (u^2-1)/8 for the units reduced mod 8."""
     a, b = Fraction(a), Fraction(b)
-    assert a != 0 and b != 0
+    if a == 0 or b == 0:
+        raise ValueError("the Hilbert symbol needs nonzero arguments")
     if p == 0:
         return -1 if (a < 0 and b < 0) else 1
-    if p == 2:
-        alpha, beta = _val(a, 2), _val(b, 2)
-        u = _unit_part(a, 2)
-        v = _unit_part(b, 2)
-        # reduce units mod 8 via integer representatives
-        uu = (u.numerator * pow(u.denominator, -1, 8)) % 8
-        vv = (v.numerator * pow(v.denominator, -1, 8)) % 8
-        eps_u = (uu - 1) // 2 % 2
-        eps_v = (vv - 1) // 2 % 2
-        omega_u = (uu * uu - 1) // 8 % 2
-        omega_v = (vv * vv - 1) // 8 % 2
-        e = eps_u * eps_v + alpha * omega_v + beta * omega_u
-        return -1 if e % 2 else 1
     alpha, beta = _val(a, p), _val(b, p)
-    u = _unit_part(a, p)
-    v = _unit_part(b, p)
-    uu = (u.numerator * pow(u.denominator, -1, p)) % p
-    vv = (v.numerator * pow(v.denominator, -1, p)) % p
-    s = 1
-    if alpha % 2 and beta % 2:
-        s *= _legendre(-1, p) * _legendre(uu, p) * _legendre(vv, p)
-    elif alpha % 2:
-        s *= _legendre(vv, p)
-    elif beta % 2:
-        s *= _legendre(uu, p)
+    if p == 2:
+        u, v = _unit_residue(a, 2, 8), _unit_residue(b, 2, 8)
+        e = ((u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+             + beta * ((u * u - 1) // 8))
+        return -1 if e % 2 else 1
+    u, v = _unit_residue(a, p, p), _unit_residue(b, p, p)
+    s = _legendre(-1, p) if alpha % 2 and beta % 2 else 1
+    if alpha % 2:
+        s *= _legendre(v, p)
+    if beta % 2:
+        s *= _legendre(u, p)
     return s
 
 
@@ -110,7 +98,8 @@ def rational_is_norm(d, delta):
     support of d and delta plus {2, infinity} suffices.
     """
     d, delta = Fraction(d), Fraction(delta)
-    assert d != 0
+    if d == 0:
+        raise ValueError("d must be nonzero")
     for p in [0, 2] + _factor_support(d, delta):
         if hilbert_symbol(delta, d, p) != 1:
             return False, p
@@ -127,25 +116,14 @@ def _is_rational_square(q):
 
 
 def rational_norm_witness(d, cmfield, budget=10 ** 4):
-    """Bounded search for x in E with N(x) = d * (rational square)."""
-    count = 0
-    bound = 1
-    while count < budget:
-        for p, q in _maxnorm_vectors(2, bound):
-            if q < 0:
-                continue
-            count += 1
-            x = cmfield.element([Fraction(p)], [Fraction(q)])
-            n = x.relative_norm()
-            if not n.is_rational():
-                continue
-            ratio = n.as_fraction() / d
-            r = _is_rational_square(ratio)
-            if r:
-                return x / r
-            if count >= budget:
-                return None
-        bound += 1
+    """Bounded search for x in E = Q(sqrt(delta)) with N(x) = d * (rational
+    square), over the first `budget` candidates p + q*sqrt(delta), q >= 0."""
+    candidates = (v for v in _candidates(2) if v[1] >= 0)
+    for p, q in itertools.islice(candidates, max(budget, 0)):
+        x = cmfield.element([Fraction(p)], [Fraction(q)])
+        r = _is_rational_square(x.relative_norm().as_fraction() / d)
+        if r:
+            return x / r
     return None
 
 
@@ -162,43 +140,31 @@ def is_norm(d, cmfield, budget=10 ** 4):
     # archimedean obstruction: relative norms are totally positive
     for ell in range(cmfield.s):
         if d.sign_at(ell) == NEGATIVE:
-            return NormResidueVerdict(IS_NOT_NORM,
-                                      obstruction=("real place", ell))
+            return Verdict(IS_NOT_NORM, obstruction=("real place", ell))
 
     if cmfield.s == 1:
-        dq = Fraction(d.a[0])
+        dq = d.a[0]
         # delta as a rational (degree-one base)
-        base_root = -cmfield.base.min_poly[0]
-        from .polyn import peval
-        deltaq = peval(cmfield.delta, base_root)
+        deltaq = peval(cmfield.delta, -cmfield.base.min_poly[0])
         ok, bad_p = rational_is_norm(dq, deltaq)
         if not ok:
-            return NormResidueVerdict(IS_NOT_NORM, obstruction=("prime", bad_p))
+            return Verdict(IS_NOT_NORM, obstruction=("prime", bad_p))
         witness = rational_norm_witness(dq, cmfield, budget)
-        return NormResidueVerdict(IS_NORM, witness=witness)
+        return Verdict(IS_NORM, witness=witness)
 
     # general F: bounded witness search only
     witness = _general_witness_search(d, cmfield, budget)
-    if witness is not None:
-        return NormResidueVerdict(IS_NORM, witness=witness)
-    return NormResidueVerdict(UNKNOWN)
+    return Verdict(UNKNOWN if witness is None else IS_NORM, witness=witness)
 
 
 def _general_witness_search(d, cmfield, budget):
     s = cmfield.s
     dinv = d.inverse()
-    count = 0
-    bound = 1
-    while count < budget and bound <= 6:
-        for coords in _maxnorm_vectors(2 * s, bound):
-            count += 1
-            x = cmfield.element(coords[:s], coords[s:])
-            ratio = x.relative_norm() * dinv
-            if ratio.is_rational():
-                r = _is_rational_square(ratio.as_fraction())
-                if r:
-                    return x / r
-            if count >= budget:
-                break
-        bound += 1
+    for coords in itertools.islice(_candidates(2 * s, 6), max(budget, 0)):
+        x = cmfield.element(coords[:s], coords[s:])
+        ratio = x.relative_norm() * dinv
+        if ratio.is_rational():
+            r = _is_rational_square(ratio.as_fraction())
+            if r:
+                return x / r
     return None

@@ -1,0 +1,34 @@
+"""Errors on caller input are raised, not asserted: each case below must
+raise the same error under `python -O` as without it, and never hang."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cmforms
+
+CASES = [
+    ("from cmforms.residue import hilbert_symbol\n"
+     "hilbert_symbol(0, 1, 3)", "ValueError"),
+    ("from cmforms.residue import rational_is_norm\n"
+     "rational_is_norm(0, -1)", "ValueError"),
+    ("from cmforms.field import CMField, rationals, zeta\n"
+     "zeta(CMField(rationals(), [-2]), 4)", "FieldError"),
+    ("from fractions import Fraction\n"
+     "from cmforms.polyn import pdivmod\n"
+     "pdivmod((Fraction(1), Fraction(1)), ())", "ZeroDivisionError"),
+]
+
+
+@pytest.mark.parametrize("code, error", CASES, ids=[
+    "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod"])
+def test_caller_input_errors_under_python_O(code, error):
+    script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
+        % "".join("    %s\n" % line for line in code.splitlines())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == error, proc.stderr

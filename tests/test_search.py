@@ -1,0 +1,113 @@
+"""The bounded-search enumerator and the budget accounting of its callers."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from cmforms import (UNKNOWN, builtin_example, gaussian_field,
+                     is_division_candidate, is_norm)
+from cmforms import calgebra, field
+from cmforms.field import FieldElement, _candidates, make_cyclotomic
+from cmforms.residue import rational_norm_witness
+
+
+def _brute_force(dim, max_norm, key=None):
+    """All nonzero vectors of [-max_norm, max_norm]^dim, ordered by
+    max-norm and then lexicographically or by key."""
+    rng = range(-max_norm, max_norm + 1)
+    vecs = [v for v in itertools.product(rng, repeat=dim) if any(v)]
+
+    def order(v):
+        return (max(map(abs, v)), key(v) if key else v)
+    return sorted(vecs, key=order)
+
+
+def _l1(v):
+    return (sum(map(abs, v)), tuple(-x for x in v))
+
+
+@pytest.mark.parametrize("dim, max_norm", [(1, 4), (2, 3), (3, 2), (4, 2)])
+def test_candidates_match_brute_force(dim, max_norm):
+    assert list(_candidates(dim, max_norm)) == _brute_force(dim, max_norm)
+    assert list(_candidates(dim, max_norm, key=_l1)) == \
+        _brute_force(dim, max_norm, key=_l1)
+    # without max_norm the walk goes on into the next shell
+    n = len(_brute_force(dim, max_norm))
+    more = list(itertools.islice(_candidates(dim), n + 1))
+    assert more[:n] == _brute_force(dim, max_norm)
+    assert max(map(abs, more[n])) == max_norm + 1
+
+
+def test_candidates_sort_only_small_shells(monkeypatch):
+    # shell 2 in dimension 2 spans a 5x5 cube, shell 3 a 7x7 one
+    monkeypatch.setattr(field, "_SORT_LIMIT", 30)
+    walk = list(_candidates(2, 3, key=_l1))
+    sorted_part = _brute_force(2, 2, key=_l1)
+    assert walk[:len(sorted_part)] == sorted_part
+    shell3 = [v for v in _brute_force(2, 3) if max(map(abs, v)) == 3]
+    assert walk[len(sorted_part):] == shell3
+
+
+def test_candidates_empty_without_shells():
+    assert list(_candidates(3, 0)) == []
+
+
+@pytest.fixture(scope="module")
+def builtin():
+    return builtin_example()
+
+
+@pytest.mark.parametrize("budget", [1, 50, 800])
+def test_division_search_spends_its_budget(builtin, monkeypatch, budget):
+    algebra, _ = builtin
+    calls = []
+    rel = calgebra.CubicExtElement.relative_norm
+
+    def counted(self):
+        calls.append(1)
+        return rel(self)
+    monkeypatch.setattr(calgebra.CubicExtElement, "relative_norm", counted)
+    assert is_division_candidate(algebra, budget=budget) == UNKNOWN
+    assert len(calls) == budget
+
+
+def _record_candidates(monkeypatch):
+    """Coordinates of every E-element whose relative norm is taken outside
+    FieldElement.inverse: the candidates a norm-witness search tries."""
+    tried, depth = [], []
+    rel, inv = FieldElement.relative_norm, FieldElement.inverse
+
+    def recorded(self):
+        if not depth:
+            tried.append(tuple(int(c) for c in self.a + self.b))
+        return rel(self)
+
+    def inverse(self):
+        depth.append(1)
+        try:
+            return inv(self)
+        finally:
+            depth.pop()
+    monkeypatch.setattr(FieldElement, "relative_norm", recorded)
+    monkeypatch.setattr(FieldElement, "inverse", inverse)
+    return tried
+
+
+def test_rational_norm_search_skips_negative_q(monkeypatch):
+    # 3 is no norm from Q(i): the search tries exactly its first 40
+    # candidates p + q i, those with q < 0 skipped and not counted
+    E = gaussian_field()
+    tried = _record_candidates(monkeypatch)
+    assert rational_norm_witness(Fraction(3), E, budget=40) is None
+    assert tried == [v for v in _brute_force(2, 4) if v[1] >= 0][:40]
+
+
+def test_general_norm_search_spends_its_budget(monkeypatch):
+    E8 = make_cyclotomic(8)
+    # d = 3 + sqrt(2) has norm 7 to Q; the primes over 7 in Q(sqrt 2) are
+    # inert in Q(zeta8), so d (valuation 1 there) is no norm: Unknown
+    d = E8.element([3, 1])
+    tried = _record_candidates(monkeypatch)
+    assert is_norm(d, E8, budget=300) == UNKNOWN
+    assert tried == _brute_force(4, 2)[:300]
