@@ -77,8 +77,10 @@ class CyclicCubicExtension:
 
     def element(self, coeffs):
         cs = [self._coerce(c) for c in coeffs]
+        if len(cs) > 3:
+            raise AlgebraError("an element of L has at most 3 coordinates")
         cs += [self.E.zero()] * (3 - len(cs))
-        return CubicExtElement(self, tuple(cs[:3]))
+        return CubicExtElement(self, tuple(cs))
 
     def from_E(self, x):
         return self.element([self._coerce(x)])
@@ -486,7 +488,7 @@ def make_involution(algebra, beta):
     return Involution(algebra, images, splitting_conjugator=conjugator)
 
 
-def verify_involution(inv, samples=None):
+def verify_involution(inv):
     """Check the involution axioms exhaustively on basis pairs.
 
     Raises naming the failing pair; returns the involution on success."""
@@ -516,11 +518,8 @@ def verify_involution(inv, samples=None):
         D = inv.splitting_conjugator
         Dinv = linalg.inverse(D)
         ext = algebra.ext
-        if samples is None:
-            samples = [algebra.one(), algebra.X(),
-                       algebra.from_L(ext.gen()),
-                       algebra.X() + algebra.from_L(ext.gen() ** 2)]
-        for x in samples:
+        for x in (algebra.one(), algebra.X(), algebra.from_L(ext.gen()),
+                  algebra.X() + algebra.from_L(ext.gen() ** 2)):
             lhs = algebra.splitting_matrix(star(x))
             ct = linalg.conj_transpose(algebra.splitting_matrix(x),
                                        ext.conj_of)
@@ -596,8 +595,16 @@ def _ext_element_to_json(x):
     return [serialize.element_to_json(c) for c in x.coeffs]
 
 
+def _exactly(n, arr, what):
+    """arr as a list, refused unless it has exactly n entries."""
+    if not isinstance(arr, list) or len(arr) != n:
+        raise AlgebraError("%s must be a list of %d entries" % (what, n))
+    return arr
+
+
 def _ext_element_from_json(ext, arr):
-    return ext.element([serialize.element_from_json(ext.E, c) for c in arr])
+    return ext.element([serialize.element_from_json(ext.E, c)
+                        for c in _exactly(3, arr, "an element of L")])
 
 
 def _alg_element_to_json(x):
@@ -605,9 +612,9 @@ def _alg_element_to_json(x):
 
 
 def _alg_element_from_json(algebra, arr):
-    return AlgebraElement(algebra,
-                          tuple(_ext_element_from_json(algebra.ext, p)
-                                for p in arr))
+    parts = _exactly(3, arr, "an algebra element")
+    return AlgebraElement(algebra, tuple(_ext_element_from_json(algebra.ext, p)
+                                         for p in parts))
 
 
 def algebra_to_json(algebra, involution=None):
@@ -638,7 +645,8 @@ def algebra_from_json(obj):
     if "involution" in obj:
         images = {}
         labels = [(i, j) for j in range(3) for i in range(3)]
-        for label, arr in zip(labels, obj["involution"]):
+        for label, arr in zip(labels, _exactly(9, obj["involution"],
+                                               "the involution images")):
             images[label] = _alg_element_from_json(algebra, arr)
         involution = verify_involution(Involution(algebra, images))
     return algebra, involution

@@ -1,16 +1,17 @@
 """Built-in catalog of finite subgroups of U(2) x U(1) with exact
 cyclotomic generator matrices.
 
-Entries are accepted by machine verification (closure size and exact
-unitarity), not provenance.  `build_catalog` is the only source of the
-entries; `catalog()` builds them once per process and shares the result.
+Entries are accepted by machine verification (`verify_entry`), not
+provenance.  `build_catalog` is the only source of the entries;
+`catalog()` builds them once per process and shares the result.
 """
 
 import functools
 
-from . import linalg, serialize
+from . import linalg
 from .field import cyclotomic_field_containing
-from .groups import MatrixGroup
+from .groups import MatrixGroup, invariant_under
+from .hermitian import diagonal_form
 
 
 class CatalogEntry:
@@ -25,16 +26,15 @@ class CatalogEntry:
         return "CatalogEntry(%s, order=%d)" % (self.name, self.expected_order)
 
 
-def verify_entry(entry, cap=10 ** 4):
-    """Closure has the expected order and every element is unitary."""
-    group = MatrixGroup(entry.field, entry.generators, cap)
+def verify_entry(entry):
+    """Closure of the expected order, every element unitary: fixes I_3."""
+    group = MatrixGroup(entry.field, entry.generators)
     if group.order != entry.expected_order:
         raise ValueError("%s: closure order %d != expected %d"
                          % (entry.name, group.order, entry.expected_order))
-    ident = linalg.identity(3, entry.field.one(), entry.field.zero())
-    for g in group.elements:
-        if not linalg.mat_eq(linalg.mat_mul(group.conj_transpose(g), g), ident):
-            raise ValueError("%s: non-unitary element" % entry.name)
+    if not invariant_under(diagonal_form(entry.field, [1, 1, 1]),
+                           group.elements, group.conj_transpose):
+        raise ValueError("%s: non-unitary element" % entry.name)
     return group
 
 
@@ -56,6 +56,16 @@ def _diag2(a, b):
 def _u2_j(field):
     one, zero = field.one(), field.zero()
     return ((zero, one), (-one, zero))
+
+
+def _2t_gens(field, i):
+    """Generators i, j and omega = (-1 + i + j + k)/2 of the binary
+    tetrahedral group 2T, for i a square root of -1 in field; i and j
+    generate Q8."""
+    one = field.one()
+    omega = (((-1 + i) / 2, (1 + i) / 2), ((-1 + i) / 2, (-1 - i) / 2))
+    return [_block(field, u2, one)
+            for u2 in (_diag2(i, -i), _u2_j(field), omega)]
 
 
 def build_catalog():
@@ -82,12 +92,11 @@ def build_catalog():
 
     # quaternion group Q8 over Q(i)
     f4, i = cyclotomic_field_containing(4)
-    q8_gens = [_block(f4, _diag2(i, -i), f4.one()),
-               _block(f4, _u2_j(f4), f4.one())]
-    entries.append(CatalogEntry("Q8", 4, f4, q8_gens, 8))
+    t_gens = _2t_gens(f4, i)
+    entries.append(CatalogEntry("Q8", 4, f4, t_gens[:2], 8))
     entries.append(CatalogEntry(
         "Q8xU1_4", 4, f4,
-        q8_gens + [_block(f4, _diag2(f4.one(), f4.one()), i)], 32))
+        t_gens[:2] + [_block(f4, _diag2(f4.one(), f4.one()), i)], 32))
 
     # binary dihedral 2D_n of order 4n: <diag(z_{2n}, z_{2n}^{-1}), j>
     for n in [3, 4, 5, 6]:
@@ -97,25 +106,13 @@ def build_catalog():
             [_block(f, _diag2(z2n, z2n.inverse()), f.one()),
              _block(f, _u2_j(f), f.one())], 4 * n))
 
-    # binary tetrahedral 2T over Q(i): quaternion units plus
-    # omega = (-1 + i + j + k)/2
-    half = lambda x: x / 2
-    omega = ((half(-1 + i), half(1 + i)),
-             (half(-1 + i), half(-1 - i)))
-    t_gens = [_block(f4, _diag2(i, -i), f4.one()),
-              _block(f4, _u2_j(f4), f4.one()),
-              _block(f4, omega, f4.one())]
+    # binary tetrahedral 2T over Q(i)
     entries.append(CatalogEntry("2T", 4, f4, t_gens, 24))
 
     # binary octahedral 2O over Q(zeta_8): 2T plus diag(zeta_8, zeta_8^{-1})
     f8, z8 = cyclotomic_field_containing(8)
-    i8 = z8 ** 2
-    omega8 = (((-1 + i8) / 2, (1 + i8) / 2),
-              ((-1 + i8) / 2, (-1 - i8) / 2))
-    o_gens = [_block(f8, _diag2(i8, -i8), f8.one()),
-              _block(f8, _u2_j(f8), f8.one()),
-              _block(f8, omega8, f8.one()),
-              _block(f8, _diag2(z8, z8.inverse()), f8.one())]
+    o_gens = _2t_gens(f8, z8 ** 2) + [
+        _block(f8, _diag2(z8, z8.inverse()), f8.one())]
     entries.append(CatalogEntry("2O", 8, f8, o_gens, 48))
 
     # binary icosahedral 2I over Q(zeta_5), Klein's generator pair:
@@ -131,19 +128,6 @@ def build_catalog():
     entries.append(CatalogEntry("2I", 5, f5, i_gens, 120))
 
     return entries
-
-
-def entry_to_json(entry):
-    obj = serialize.group_to_json(entry.field, entry.generators)
-    obj.update({"name": entry.name, "cyclotomic_r": entry.cyclotomic_r,
-                "expected_order": entry.expected_order})
-    return obj
-
-
-def entry_from_json(obj):
-    f, gens = serialize.group_from_json(obj)
-    return CatalogEntry(obj["name"], obj["cyclotomic_r"], f, gens,
-                        obj["expected_order"])
 
 
 @functools.cache

@@ -226,15 +226,12 @@ def build_parser():
                    help="compact single-line JSON output")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_budgets(sp, norm=False, closure=False):
+    def add_budgets(sp, norm=False):
         sp.add_argument("--budget", type=int, default=20,
                         help="weak-approximation max-norm budget")
         if norm:
             sp.add_argument("--norm-budget", type=int, default=10 ** 4,
                             help="norm-witness search budget")
-        if closure:
-            sp.add_argument("--closure-cap", type=int, default=10 ** 4,
-                            help="group closure element cap")
 
     sp = sub.add_parser("invariants", help="form invariants")
     sp.add_argument("--form", required=True)

@@ -6,13 +6,17 @@ Elements carry the normal form X^a Y^b, 0 <= a < m, 0 <= b < n.  These are
 the noncyclic finite groups that can sit inside division algebras of odd
 prime degree, and the verdict machinery reproduces the representation-
 theoretic exclusion for second-type lattices.  `second_type_verdict`
-answers with a `field.Verdict` whose `trace` records the argument.
+answers with a `field.Verdict` whose `trace` records the argument; p is
+proved prime by a deterministic Miller-Rabin test (p < 3.3e24), and
+subgroups come from the product closure of `groups`.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .field import VerificationError, Verdict
+from .groups import _closure
 
 
 class InvalidDGroupError(ValueError):
@@ -34,8 +38,6 @@ class DGroupParams:
 
 
 def _mult_order(r, m):
-    if m == 1:
-        return 1
     o, x = 1, r % m
     while x != 1:
         x = (x * r) % m
@@ -52,9 +54,9 @@ def validate(m, r):
         raise InvalidDGroupError("need r < m")
     if gcd(m, r) != 1:
         raise InvalidDGroupError("need gcd(m, r) = 1")
-    s = gcd(r - 1, m) if m > 1 else 1
     if m == 1:
         return DGroupParams(1, 1, 1, 1, 1)
+    s = gcd(r - 1, m)
     return DGroupParams(m, r, s, m // s, _mult_order(r, m))
 
 
@@ -80,19 +82,10 @@ def identity():
 
 
 def _generated(params, gens):
-    """The subgroup generated by gens: products of them until none is new."""
-    seen = {identity()}
-    frontier = [identity()]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                p = multiply(params, e, g)
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return sorted(seen)
+    """The subgroup generated by gens, sorted, by a product closure capped
+    at the group order; an element (a, b) is its own key (tuple(x) is x)."""
+    return sorted(_closure(identity(), gens, partial(multiply, params),
+                           tuple, order(params)))
 
 
 def elements(params):
@@ -170,8 +163,27 @@ def amitsur_filter(params, p):
     return p % params.n == 0
 
 
+# Sorenson and Webster (2015): below _MR_BOUND, a strong probable prime to
+# every base in _MR_BASES is prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _check_odd_prime(p):
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(p ** 0.5) + 1, 2)):
+    """Refuse p unless Miller-Rabin over _MR_BASES proves it an odd prime."""
+    if p in _MR_BASES[1:]:
+        return
+    if p < 3 or p % 2 == 0:
+        raise ValueError("p must be an odd prime")
+    if p >= _MR_BOUND:
+        raise ValueError("p must be below %d to be proved prime" % _MR_BOUND)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # p - 1 = d 2^s, d odd: base a witnesses that p is composite unless
+    # a^d = 1 or a^(d 2^k) = -1 for some k < s
+    if any(pow(a, d, p) != 1 and all(pow(a, d << k, p) != p - 1
+                                     for k in range(s)) for a in _MR_BASES):
         raise ValueError("p must be an odd prime")
 
 

@@ -83,14 +83,12 @@ class TotallyRealField:
             raise FieldError("minimal polynomial is not squarefree")
         self.min_poly = p
         self.degree = polyn.degree(p)
-        if polyn.count_real_roots(p) != self.degree:
+        # one isolating interval per distinct real root
+        self._isolators = polyn.isolate_real_roots(p)
+        if len(self._isolators) != self.degree:
             raise FieldError("polynomial is not totally real")
         if not _skip_irreducibility and not _is_irreducible(p):
             raise FieldError("minimal polynomial is reducible over Q")
-        self._isolators = polyn.isolate_real_roots(p)
-
-    def isolator(self, ell):
-        return self._isolators[ell]
 
     def _refine(self, ell):
         lo, hi = self._isolators[ell]

@@ -1,7 +1,12 @@
-"""Finite matrix groups over a CM field: closure from generators, the
-group-average construction of invariant positive definite forms, the
-regular representation of an abstract group, and the two embedding
-pipelines producing admissible invariant forms.
+"""Finite matrix groups over a CM field and their admissible invariant forms.
+
+One breadth-first product closure, `_closure`, backs `closure`,
+`MatrixGroup` and the metacyclic groups of `dgroups`.  Both embedding
+pipelines close a positive block with the one negative slot alpha of
+`_with_negative_slot`: `embed_first_type` forms diag(1, 1, alpha) for a
+catalog group, `regular_embed` the group-averaged block of a regular
+representation plus alpha, in the default determinant class or, twisted
+by `_other_class`, in a second one.
 """
 
 from . import linalg
@@ -23,28 +28,34 @@ def _mat_key(M):
     return tuple((x.a, x.b) for row in M for x in row)
 
 
-def closure(generators, cap=10 ** 4):
-    """Breadth-first product closure; exact matrix equality throughout."""
-    gens = [linalg.mat(g) for g in generators]
-    field = gens[0][0][0].field
-    n = len(gens[0])
-    ident = linalg.identity(n, field.one(), field.zero())
-    elems = {_mat_key(ident): ident}
-    frontier = [ident]
+def _closure(identity, gens, mul, key, cap):
+    """Breadth-first product closure: every product of gens reached from
+    identity, in the order found and told apart by key; raises
+    ClosureCapExceeded on reaching more than cap elements."""
+    elems = {key(identity): identity}
+    frontier = [identity]
     while frontier:
         new = []
-        for M in frontier:
+        for x in frontier:
             for g in gens:
-                P = linalg.mat_mul(M, g)
-                k = _mat_key(P)
+                p = mul(x, g)
+                k = key(p)
                 if k not in elems:
                     if len(elems) >= cap:
                         raise ClosureCapExceeded(
                             "closure exceeded cap %d" % cap)
-                    elems[k] = P
-                    new.append(P)
+                    elems[k] = p
+                    new.append(p)
         frontier = new
     return list(elems.values())
+
+
+def closure(generators, cap=10 ** 4):
+    """Product closure of matrices; exact matrix equality throughout."""
+    gens = [linalg.mat(g) for g in generators]
+    field = gens[0][0][0].field
+    ident = linalg.identity(len(gens[0]), field.one(), field.zero())
+    return _closure(ident, gens, linalg.mat_mul, _mat_key, cap)
 
 
 class MatrixGroup:
@@ -75,28 +86,19 @@ class MatrixGroup:
         return linalg.conj_transpose(M, lambda x: x.conjugate())
 
 
-def average_form(group, seed=None):
-    """The group-average of a positive definite seed: sum_g g^H S g.
+def average_form(group):
+    """The group average sum_g g^H g of the identity form.
 
     The output is invariant under every group element (verified) and
     positive definite at every real embedding."""
-    field = group.field
-    n = group.dim
-    if seed is None:
-        seed = diagonal_form(field, [1] * n)
-    if seed.dim != n:
-        raise ValueError("seed dimension mismatch")
-    if any(sig != (n, 0) for sig in signature_profile(seed)):
-        raise ValueError("seed must be positive definite at every embedding")
     acc = None
     for g in group.elements:
-        term = linalg.mat_mul(group.conj_transpose(g),
-                              linalg.mat_mul(seed.entries, g))
+        term = linalg.mat_mul(group.conj_transpose(g), g)
         acc = term if acc is None else linalg.mat_add(acc, term)
-    H = HermitianForm(field, acc)
+    H = HermitianForm(group.field, acc)
     if not invariant_under(H, group.elements, group.conj_transpose):
         raise VerificationError("averaged form is not invariant")
-    if any(sig != (n, 0) for sig in signature_profile(H)):
+    if any(sig != (group.dim, 0) for sig in signature_profile(H)):
         raise VerificationError("averaged form is not positive definite")
     return H
 
@@ -108,19 +110,26 @@ def invariant_under(H, matrices, conj):
         for g in matrices)
 
 
+def _with_negative_slot(block, budget):
+    """(block + (alpha), alpha): alpha in F from weak approximation,
+    negative at the distinguished embedding and positive at the others,
+    the sum verified admissible."""
+    field = block.field
+    pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
+    alpha = field.element(weak_approx_find(field.base, pattern, budget))
+    H = direct_sum(block, diagonal_form(field, [alpha]))
+    if not is_admissible(H):
+        raise VerificationError("block + (alpha) is not admissible")
+    return H, alpha
+
+
 def embed_first_type(entry, budget=20):
     """Realize a catalog group inside a first-type admissible pair.
 
-    Picks a totally-positive-except-first element alpha by weak
-    approximation, forms diag(1, 1, alpha), and verifies admissibility and
+    Forms diag(1, 1, alpha) with the negative slot alpha and verifies
     exact invariance under the whole group."""
     field = entry.field
-    pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
-    alpha_coords = weak_approx_find(field.base, pattern, budget)
-    alpha = field.element(alpha_coords)
-    H = diagonal_form(field, [field.one(), field.one(), alpha])
-    if not is_admissible(H):
-        raise VerificationError("diag(1, 1, alpha) is not admissible")
+    H, _ = _with_negative_slot(diagonal_form(field, [1, 1]), budget)
     group = MatrixGroup(field, entry.generators)
     if not invariant_under(H, group.elements, group.conj_transpose):
         raise VerificationError(
@@ -140,8 +149,7 @@ def check_table(table):
     for row in table:
         if len(row) != n or sorted(row) != list(range(n)):
             raise NotAGroupError("rows must be permutations of 0..n-1")
-    cols = list(zip(*table))
-    for col in cols:
+    for col in zip(*table):
         if sorted(col) != list(range(n)):
             raise NotAGroupError("columns must be permutations of 0..n-1")
     e = next((i for i in range(n)
@@ -149,9 +157,7 @@ def check_table(table):
              None)
     if e is None:
         raise NotAGroupError("no identity element")
-    for i in range(n):
-        if not any(table[i][j] == e for j in range(n)):
-            raise NotAGroupError("element %d has no inverse" % i)
+    # each row is a permutation and so contains e: inverses exist
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -192,29 +198,17 @@ def regular_rep(table):
     """Left regular representation by permutation matrices."""
     check_table(table)
     n = len(table)
-    mats = []
-    for g in range(n):
-        M = [[0] * n for _ in range(n)]
-        for h in range(n):
-            M[table[g][h]][h] = 1
-        mats.append(M)
-    return IntegralRep(table, mats)
+    # g sends the basis vector e_h to e_{gh}
+    return IntegralRep(table, [[[int(table[g][h] == i) for h in range(n)]
+                                for i in range(n)] for g in range(n)])
 
 
 def _embed_int_matrix(M, field, n):
     """View an m x m integer matrix inside GL(n; E), padded by identity."""
     m = len(M)
-    one, zero = field.one(), field.zero()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < m and j < m:
-                row.append(field.from_rational(M[i][j]))
-            else:
-                row.append(one if i == j else zero)
-        rows.append(row)
-    return linalg.mat(rows)
+    return linalg.mat([[field.from_rational(M[i][j] if i < m and j < m
+                                            else int(i == j))
+                        for j in range(n)] for i in range(n)])
 
 
 DEFAULT_CLASS = "default"
@@ -239,49 +233,28 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
     pad = n - 1 - rep.m
     positive_block = H_G if pad == 0 else direct_sum(
         H_G, diagonal_form(field, [1] * pad))
-
-    if field.s == 1:
-        alpha = field.from_rational(-1)
-    else:
-        pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
-        alpha = field.element(weak_approx_find(field.base, pattern, budget))
-    H = direct_sum(positive_block, diagonal_form(field, [alpha]))
-    if not is_admissible(H):
-        raise VerificationError("embedded form is not admissible")
-
+    H, alpha = _with_negative_slot(positive_block, budget)
     if class_selector == OTHER_CLASS:
-        H = _other_class(H, positive_block, field, norm_budget)
+        H = _other_class(H, positive_block, alpha, norm_budget)
 
     rho = [_embed_int_matrix(M, field, n) for M in rep.matrices]
-    conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
-    if not invariant_under(H, rho, conj):
+    if not invariant_under(H, rho, group.conj_transpose):
         raise VerificationError("representation does not preserve the form")
     if len(set(_mat_key(g) for g in rho)) != rep.group_order:
         raise VerificationError("embedded representation is not faithful")
     return H, rho
 
 
-def _other_class(H_default, positive_block, field, norm_budget):
-    """Find a diagonal admissible form in a different determinant class and
-    twist the positive block by its determinant."""
-    n = H_default.dim
-    candidates = [-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15]
-    for c in candidates:
-        if field.s == 1:
-            tail = field.from_rational(c)
-        else:
-            pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
-            tail = field.element(weak_approx_find(field.base, pattern)) \
-                * field.from_rational(-c)
-        H_prime = diagonal_form(field, [1] * (n - 1) + [tail])
-        if not is_admissible(H_prime):
-            continue
-        verdict = equivalent(H_default, H_prime, norm_budget)
-        if verdict == NOT_EQUIVALENT:
-            twisted = twist_determinant(positive_block, H_prime)
-            if equivalent(twisted, H_default, norm_budget) != NOT_EQUIVALENT:
-                raise VerificationError(
-                    "twisted form is not in a second determinant class")
+def _other_class(H_default, positive_block, alpha, norm_budget):
+    """positive_block twisted into the determinant class of
+    H' = diag(1, ..., 1, -c alpha) for the first c in -1, -2, -3, ..., -15
+    whose twist is certified not equivalent to H_default."""
+    field = alpha.field
+    for c in [-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15]:
+        tail = alpha * field.from_rational(-c)
+        H_prime = diagonal_form(field, [1] * positive_block.dim + [tail])
+        twisted = twist_determinant(positive_block, H_prime)
+        if equivalent(H_default, twisted, norm_budget) == NOT_EQUIVALENT:
             return twisted
     raise UnknownClassError(
         "no second admissible class certified with the implemented norm test")

@@ -1,8 +1,8 @@
 import pytest
 
-from cmforms import linalg
-from cmforms.catalog import (build_catalog, catalog, catalog_entry,
-                             entry_from_json, entry_to_json, verify_entry)
+from cmforms.catalog import (CatalogEntry, _block, build_catalog, catalog,
+                             catalog_entry, verify_entry)
+from cmforms.field import cyclotomic_field_containing
 
 
 def test_catalog_has_expected_entries():
@@ -35,13 +35,14 @@ def test_generators_are_block_diagonal():
             assert g[2][0].is_zero() and g[2][1].is_zero()
 
 
-def test_json_round_trip():
-    e = catalog_entry("2I")
-    e2 = entry_from_json(entry_to_json(e))
-    assert e2.name == e.name and e2.expected_order == e.expected_order
-    assert e2.field == e.field
-    assert all(linalg.mat_eq(a, b)
-               for a, b in zip(e.generators, e2.generators))
+def test_verify_entry_rejects_non_unitary_element():
+    # [[0, 2], [1/2, 0]] squares to 1, so the closure has the claimed
+    # order 2, but it does not preserve diag(1, 1, 1)
+    f, _ = cyclotomic_field_containing(4)
+    two, half = f.from_rational(2), f.from_rational(1) / 2
+    bad = _block(f, ((f.zero(), two), (half, f.zero())), f.one())
+    with pytest.raises(ValueError, match="bad: non-unitary element"):
+        verify_entry(CatalogEntry("bad", 4, f, [bad], 2))
 
 
 def test_catalog_is_built_once():

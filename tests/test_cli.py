@@ -10,7 +10,8 @@ import pytest
 import cmforms
 from cmforms import (HermitianForm, diagonal_form, gaussian_field,
                      make_cyclotomic, serialize, zeta)
-from cmforms.calgebra import _alg_element_to_json, builtin_example
+from cmforms.calgebra import (_alg_element_to_json, algebra_to_json,
+                              builtin_example)
 from cmforms.cli import main
 
 
@@ -159,6 +160,79 @@ def test_algebra_norm_and_membership(tmp_path):
     assert doc["payload"]["status"] == "InGroup"
     assert doc["payload"]["scalar"] == ["1", "0"]
     assert doc["trace"] == ["computed x* h x and compared it with h"]
+
+
+def _write(tmp_path, name, obj):
+    p = tmp_path / name
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def test_algebra_json_of_the_wrong_length_is_refused(tmp_path):
+    # extra coordinates, parts or involution images are an error, never
+    # silently dropped
+    algebra, involution = builtin_example()
+    seven = [["7", "0"], ["0", "0"], ["0", "0"]]
+    h = _write(tmp_path, "h.json", _alg_element_to_json(algebra.one()))
+    x = _alg_element_to_json(-algebra.one())
+    code, doc = run_json(["algebra", "membership", "--h", h, "--x",
+                          _write(tmp_path, "x.json", x)])
+    assert code == 0 and doc["payload"]["status"] == "InGroup"
+    code, doc = run_json(["algebra", "membership", "--h", h, "--x",
+                          _write(tmp_path, "x4.json", x + [seven])])
+    assert code == 2 and "an algebra element" in doc["payload"]["message"]
+    code, doc = run_json(["algebra", "membership", "--h", h, "--x",
+                          _write(tmp_path, "x2.json", x[:2])])
+    assert code == 2 and "an algebra element" in doc["payload"]["message"]
+    y = _alg_element_to_json(algebra.X())
+    y[1].append(["7", "0"])
+    code, doc = run_json(["algebra", "norm", "--element",
+                          _write(tmp_path, "y.json", y)])
+    assert code == 2 and "an element of L" in doc["payload"]["message"]
+
+    spec = algebra_to_json(algebra, involution)
+    code, doc = run_json(["algebra", "check", "--spec",
+                          _write(tmp_path, "spec.json", spec)])
+    assert code == 0 and doc["payload"]["verified"] is True
+    long_tau = dict(spec, tau=spec["tau"] + [["1", "0"]])
+    code, doc = run_json(["algebra", "check", "--spec",
+                          _write(tmp_path, "tau.json", long_tau)])
+    assert code == 2 and "at most 3" in doc["payload"]["message"]
+    for n in (8, 10):
+        images = (spec["involution"] * 2)[:n]
+        code, doc = run_json(["algebra", "check", "--spec",
+                              _write(tmp_path, "inv%d.json" % n,
+                                     dict(spec, involution=images))])
+        assert code == 2
+        assert "involution images" in doc["payload"]["message"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--m", "7", "--r", "2", "--p", "1000000000000000003"], 0),
+    (["check", "--m", "7", "--r", "2",
+      "--p", str((10 ** 9 + 7) * (10 ** 9 + 9))], 2),
+    (["enumerate", "--max-m", "4", "--p", "1000000000000000003"], 0),
+    (["check", "--m", "7", "--r", "2", "--p", str(10 ** 25 + 13)], 2),
+])
+def test_dgroup_large_p_is_decided_quickly(argv, code):
+    # primality by trial division up to sqrt(p) would run for minutes here
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforms", "--json", "dgroup"] + argv,
+        capture_output=True, env=_subprocess_env(), text=True, timeout=30)
+    assert proc.returncode == code, proc.stdout
+    if code == 2:
+        assert "p must be" in json.loads(proc.stdout)["payload"]["message"]
+
+
+def test_budget_zero_is_unknown_in_both_embeddings(tmp_path):
+    # no weak-approximation candidate at max-norm 0, also over Q(i)
+    code, doc = run_json(["embed-first-type", "C2", "--budget", "0"])
+    assert code == 3 and doc["status"] == "unknown"
+    tp = _write(tmp_path, "c2.json", [[0, 1], [1, 0]])
+    fp = _write(tmp_path, "qi.json", serialize.field_to_json(gaussian_field()))
+    code, doc = run_json(["regular-embed", "--table", tp, "--field", fp,
+                          "--n", "3", "--budget", "0"])
+    assert code == 3 and doc["status"] == "unknown"
 
 
 def test_error_on_missing_file():

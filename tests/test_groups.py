@@ -2,14 +2,16 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from cmforms import (ClosureCapExceeded, DEFAULT_CLASS, MatrixGroup,
                      NOT_EQUIVALENT, NotAGroupError, OTHER_CLASS,
-                     average_form, check_table, closure, embed_first_type,
-                     equivalent, gaussian_field, invariant_under,
-                     is_admissible, linalg, regular_embed, regular_rep,
+                     UnknownClassError, average_form, check_table, closure,
+                     diagonal_form, embed_first_type, equivalent,
+                     gaussian_field, groups, invariant_under, is_admissible,
+                     linalg, make_cyclotomic, regular_embed, regular_rep,
                      signature_profile, zeta)
 from cmforms.catalog import catalog_entry
 from cmforms.groups import _mat_key
@@ -132,3 +134,35 @@ def test_regular_embed_dimension_check():
     rep = regular_rep(_cyclic_table(3))
     with pytest.raises(ValueError):
         regular_embed(rep, E, 3)  # needs n >= m + 1 = 4
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Calls of weak_approx_find and equivalent made from groups."""
+    calls = {"weak_approx_find": 0, "equivalent": 0}
+    for name in calls:
+        def wrapper(*args, _orig=getattr(groups, name), _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(groups, name, wrapper)
+    return calls
+
+
+def test_other_class_unknown_builds_the_slot_once(counted):
+    # over Q(zeta8) no candidate class is certified within the budget: one
+    # weak-approximation search for the slot, one decision per candidate
+    with pytest.raises(UnknownClassError):
+        regular_embed(regular_rep(_cyclic_table(2)), make_cyclotomic(8), 3,
+                      OTHER_CLASS, norm_budget=200)
+    assert counted == {"weak_approx_find": 1, "equivalent": 11}
+
+
+def test_other_class_is_decided_on_the_returned_form(counted):
+    # det H_default = -4; c = -1 and -2 give det -1 and -2, ratios 4 and 2
+    # that are norms from Q(i); c = -3 is the first other class, the
+    # averaged block 2 I_2 twisted by beta = -3/4
+    E = gaussian_field()
+    H, _ = regular_embed(regular_rep(_cyclic_table(2)), E, 3, OTHER_CLASS)
+    assert counted == {"weak_approx_find": 1, "equivalent": 3}
+    assert H == diagonal_form(E, [2, 2, Fraction(-3, 4)])
+    assert H.det == E.from_rational(-3)
