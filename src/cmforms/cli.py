@@ -8,7 +8,8 @@ it exits 1 without a traceback when its reader closes stdout early (as
 `| head` does).
 
 Budgets: weak-approximation max-norm 20, norm-witness search 10^4
-candidates, closure cap 10^4 elements; all adjustable by flags.
+candidates, closure cap 10^4 elements; all adjustable by flags, which,
+like `--max-m`, refuse a negative value (exit 2).
 """
 
 import argparse
@@ -226,12 +227,19 @@ def build_parser():
                    help="compact single-line JSON output")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def nonnegative(text):
+        """The type of every budget, cap and bound flag."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+        return value
+
     def add_budgets(sp, norm=False):
-        sp.add_argument("--budget", type=int, default=20,
+        sp.add_argument("--budget", type=nonnegative, default=20,
                         help="weak-approximation max-norm budget")
         if norm:
-            sp.add_argument("--norm-budget", type=int, default=10 ** 4,
-                            help="norm-witness search budget")
+            sp.add_argument("--norm-budget", type=nonnegative,
+                            default=10 ** 4, help="norm-witness search budget")
 
     sp = sub.add_parser("invariants", help="form invariants")
     sp.add_argument("--form", required=True)
@@ -240,7 +248,7 @@ def build_parser():
     sp = sub.add_parser("equivalent", help="decide equivalence of two forms")
     sp.add_argument("--form", required=True)
     sp.add_argument("--form2", required=True)
-    sp.add_argument("--budget", type=int, default=10 ** 4,
+    sp.add_argument("--budget", type=nonnegative, default=10 ** 4,
                     help="norm-witness search budget")
     sp.set_defaults(func=cmd_equivalent)
 
@@ -250,7 +258,7 @@ def build_parser():
 
     sp = sub.add_parser("average", help="group-average an invariant form")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--closure-cap", type=int, default=10 ** 4)
+    sp.add_argument("--closure-cap", type=nonnegative, default=10 ** 4)
     sp.set_defaults(func=cmd_average)
 
     sp = sub.add_parser("embed-first-type",
@@ -279,7 +287,7 @@ def build_parser():
     spc.add_argument("--split", help="p1,p2 with p1+p2=p")
     spc.set_defaults(func=cmd_dgroup_check)
     spe = dsub.add_parser("enumerate")
-    spe.add_argument("--max-m", type=int, required=True)
+    spe.add_argument("--max-m", type=nonnegative, required=True)
     spe.add_argument("--p", type=int)
     spe.set_defaults(func=None, enumerate=True)
 
@@ -292,7 +300,8 @@ def build_parser():
         spa.add_argument("--spec", help="algebra spec JSON "
                                         "(default: built-in example)")
         if name == "check":
-            spa.add_argument("--division-budget", type=int, default=0,
+            spa.add_argument("--division-budget", type=nonnegative,
+                             default=0,
                              help="run the norm-witness division search")
         if name == "norm":
             spa.add_argument("--element", required=True)

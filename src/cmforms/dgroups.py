@@ -230,9 +230,6 @@ def second_type_verdict(params, p, split=None):
 
 def enumerate_params(max_m):
     """All valid (m, r) with 1 <= m <= max_m."""
-    out = [validate(1, 1)]
-    for m in range(2, max_m + 1):
-        for r in range(1, m):
-            if gcd(m, r) == 1:
-                out.append(validate(m, r))
-    return out
+    # m = 1 has the one parameter r = 1, every larger m each r < m
+    return [validate(m, r) for m in range(1, max_m + 1)
+            for r in range(1, max(m, 2)) if gcd(m, r) == 1]

@@ -12,8 +12,8 @@ by `_other_class`, in a second one.
 from . import linalg
 from .field import weak_approx_find, POSITIVE, NEGATIVE, VerificationError
 from .hermitian import (HermitianForm, diagonal_form, direct_sum,
-                        is_admissible, twist_determinant, equivalent,
-                        NOT_EQUIVALENT, signature_profile)
+                        is_admissible, _twist, equivalent, NOT_EQUIVALENT,
+                        signature_profile)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -246,14 +246,11 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
 
 
 def _other_class(H_default, positive_block, alpha, norm_budget):
-    """positive_block twisted into the determinant class of
-    H' = diag(1, ..., 1, -c alpha) for the first c in -1, -2, -3, ..., -15
-    whose twist is certified not equivalent to H_default."""
-    field = alpha.field
-    for c in [-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15]:
-        tail = alpha * field.from_rational(-c)
-        H_prime = diagonal_form(field, [1] * positive_block.dim + [tail])
-        twisted = twist_determinant(positive_block, H_prime)
+    """positive_block (verified positive definite by `average_form`) twisted
+    to determinant c*alpha for the first c in 1, 2, 3, 5, ..., 15 whose
+    twist is certified not equivalent to H_default."""
+    for c in [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15]:
+        twisted = _twist(positive_block, alpha * c)
         if equivalent(H_default, twisted, norm_budget) == NOT_EQUIVALENT:
             return twisted
     raise UnknownClassError(

@@ -158,33 +158,29 @@ def direct_sum(H1, H2):
     return HermitianForm(H1.field, rows)
 
 
-def _is_diagonal(H):
-    return all(H.entries[i][j].is_zero()
-               for i in range(H.dim) for j in range(H.dim) if i != j)
-
-
 def twist_determinant(H_G, H_prime):
     """Append the slot beta = det(H_prime)/det(H_G), matching determinants.
 
-    H_G must be positive definite at every embedding, H_prime a diagonal
-    admissible form of dimension dim(H_G) + 1.  The result is admissible,
-    invariant under anything fixing H_G, and has determinant exactly
-    det(H_prime), hence lies in H_prime's class."""
-    if not _is_diagonal(H_prime):
-        raise ValueError("H_prime must be diagonal")
+    H_G must be positive definite at every embedding, H_prime an admissible
+    form of dimension dim(H_G) + 1.  The result is admissible, invariant
+    under anything fixing H_G, and has determinant exactly det(H_prime),
+    hence lies in H_prime's class."""
     if H_prime.dim != H_G.dim + 1:
         raise ValueError("dimension mismatch: need dim(H_prime) = dim(H_G)+1")
     if not is_admissible(H_prime):
         raise ValueError("H_prime must be admissible")
     if any(sig != (H_G.dim, 0) for sig in signature_profile(H_G)):
         raise ValueError("H_G must be positive definite at every embedding")
+    return _twist(H_G, H_prime.det)
+
+
+def _twist(H_G, det):
+    """H_G + (beta) with beta = det/det(H_G), for H_G positive definite and
+    det negative at the distinguished embedding and positive elsewhere (the
+    determinant of an admissible form); the result has determinant det."""
     field = H_G.field
-    beta = field.one()
-    for j in range(H_prime.dim):
-        beta = beta * H_prime.entries[j][j]
-    beta = beta / H_G.det
-    # det(H_prime) is negative at the distinguished embedding and positive
-    # elsewhere, and det(H_G) is totally positive, so beta keeps that pattern
+    beta = det / H_G.det
+    # det(H_G) is totally positive, so beta keeps det's sign pattern
     if beta.sign_at(0) != NEGATIVE or any(
             beta.sign_at(ell) != POSITIVE for ell in range(1, field.s)):
         raise VerificationError("twisted slot has the wrong sign pattern")

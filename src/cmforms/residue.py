@@ -2,8 +2,10 @@
 
 Over F = Q the question "is d a norm from E = Q(sqrt(delta))?" is decided
 completely by Hilbert symbols at 2, infinity and the primes meeting d or
-delta.  Over larger totally real F we fall back on a bounded witness
-search and the archimedean obstruction, reporting Unknown otherwise.
+delta.  Over larger totally real F we fall back on the archimedean
+obstruction and a bounded witness search, reporting Unknown otherwise.
+One search, `_norm_witness`, serves every base field: over Q it only
+supplies the witness of a decided IsNorm.
 
 `is_norm` answers with a `field.Verdict`: IsNorm carries a witness x with
 N(x) = d when the search finds one, IsNotNorm the obstructing place.
@@ -14,7 +16,6 @@ import itertools
 from math import isqrt
 
 from .field import FieldElement, NEGATIVE, Verdict, _candidates
-from .polyn import peval
 
 
 IS_NORM = "IsNorm"
@@ -115,15 +116,25 @@ def _is_rational_square(q):
     return None
 
 
-def rational_norm_witness(d, cmfield, budget=10 ** 4):
-    """Bounded search for x in E = Q(sqrt(delta)) with N(x) = d * (rational
-    square), over the first `budget` candidates p + q*sqrt(delta), q >= 0."""
-    candidates = (v for v in _candidates(2) if v[1] >= 0)
-    for p, q in itertools.islice(candidates, max(budget, 0)):
-        x = cmfield.element([Fraction(p)], [Fraction(q)])
-        r = _is_rational_square(x.relative_norm().as_fraction() / d)
-        if r:
-            return x / r
+def _norm_witness(d, cmfield, budget):
+    """x in E with N(x) = d, or None, from the first `budget` candidates
+    x = a + b*sqrt(delta) of `_candidates(2s)`: wherever N(x) = r^2 * d for
+    a rational r, x/r is a witness.  x and its conjugate have the same
+    norm, so a candidate whose b has a negative first nonzero coordinate
+    is skipped and not counted."""
+    s = cmfield.s
+    k = next(j for j, c in enumerate(d.a) if c)
+    candidates = (v for v in _candidates(2 * s)
+                  if next((c for c in v[s:] if c), 0) >= 0)
+    for coords in itertools.islice(candidates, max(budget, 0)):
+        x = cmfield.element(coords[:s], coords[s:])
+        n = x.relative_norm().a
+        # N(x) = q * d for a rational q, compared in F-coordinates
+        q = n[k] / d.a[k]
+        if all(nj == q * dj for nj, dj in zip(n, d.a)):
+            r = _is_rational_square(q)
+            if r:
+                return x / r
     return None
 
 
@@ -142,29 +153,12 @@ def is_norm(d, cmfield, budget=10 ** 4):
         if d.sign_at(ell) == NEGATIVE:
             return Verdict(IS_NOT_NORM, obstruction=("real place", ell))
 
+    # over Q the Hilbert symbols decide, and the search only adds a witness
     if cmfield.s == 1:
-        dq = d.a[0]
-        # delta as a rational (degree-one base)
-        deltaq = peval(cmfield.delta, -cmfield.base.min_poly[0])
-        ok, bad_p = rational_is_norm(dq, deltaq)
+        ok, bad_p = rational_is_norm(d.a[0], cmfield.delta[0])
         if not ok:
             return Verdict(IS_NOT_NORM, obstruction=("prime", bad_p))
-        witness = rational_norm_witness(dq, cmfield, budget)
-        return Verdict(IS_NORM, witness=witness)
-
-    # general F: bounded witness search only
-    witness = _general_witness_search(d, cmfield, budget)
-    return Verdict(UNKNOWN if witness is None else IS_NORM, witness=witness)
-
-
-def _general_witness_search(d, cmfield, budget):
-    s = cmfield.s
-    dinv = d.inverse()
-    for coords in itertools.islice(_candidates(2 * s, 6), max(budget, 0)):
-        x = cmfield.element(coords[:s], coords[s:])
-        ratio = x.relative_norm() * dinv
-        if ratio.is_rational():
-            r = _is_rational_square(ratio.as_fraction())
-            if r:
-                return x / r
-    return None
+    witness = _norm_witness(d, cmfield, budget)
+    if witness is None and cmfield.s > 1:
+        return Verdict(UNKNOWN)
+    return Verdict(IS_NORM, witness=witness)

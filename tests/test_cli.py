@@ -132,6 +132,26 @@ def test_dgroup_enumerate_json_lines():
     assert any(row["verdict"] == "CyclicPossible" for row in rows)
 
 
+def test_dgroup_enumerate_below_one_prints_no_rows():
+    assert run(["dgroup", "enumerate", "--max-m", "0", "--p", "3"]) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed-first-type", "C2", "--budget", "-1"],
+    ["equivalent", "--form", "h1.json", "--form2", "h2.json",
+     "--budget", "-1"],
+    ["regular-embed", "--table", "t.json", "--field", "f.json", "--n", "3",
+     "--norm-budget", "-1"],
+    ["average", "--group", "g.json", "--closure-cap", "-1"],
+    ["algebra", "check", "--division-budget", "-3"],
+    ["dgroup", "enumerate", "--max-m", "-4"],
+], ids=lambda argv: "%s %s" % (argv[0], argv[-2]))
+def test_negative_budgets_are_refused(capsys, argv):
+    # refused while parsing, before any input file is read
+    assert run(argv) == (2, "")
+    assert "must be >= 0, got %s" % argv[-1] in capsys.readouterr().err
+
+
 def test_algebra_check():
     code, doc = run_json(["algebra", "check"])
     assert code == 0 and doc["payload"]["verified"] is True

@@ -50,6 +50,12 @@ def test_enumeration_matches_order():
         assert len(dgroups.elements(p)) == dgroups.order(p)
 
 
+def test_enumeration_starts_at_m_one():
+    assert [(p.m, p.r) for p in enumerate_params(3)] == \
+        [(1, 1), (2, 1), (3, 1), (3, 2)]
+    assert enumerate_params(0) == [] and enumerate_params(-4) == []
+
+
 def test_element_order_against_brute_force():
     p = validate(8, 3)
     for x in dgroups.elements(p):

@@ -10,9 +10,9 @@ from cmforms import (ClosureCapExceeded, DEFAULT_CLASS, MatrixGroup,
                      NOT_EQUIVALENT, NotAGroupError, OTHER_CLASS,
                      UnknownClassError, average_form, check_table, closure,
                      diagonal_form, embed_first_type, equivalent,
-                     gaussian_field, groups, invariant_under, is_admissible,
-                     linalg, make_cyclotomic, regular_embed, regular_rep,
-                     signature_profile, zeta)
+                     gaussian_field, groups, hermitian, invariant_under,
+                     is_admissible, linalg, make_cyclotomic, regular_embed,
+                     regular_rep, signature_profile, zeta)
 from cmforms.catalog import catalog_entry
 from cmforms.groups import _mat_key
 
@@ -166,3 +166,20 @@ def test_other_class_is_decided_on_the_returned_form(counted):
     assert counted == {"weak_approx_find": 1, "equivalent": 3}
     assert H == diagonal_form(E, [2, 2, Fraction(-3, 4)])
     assert H.det == E.from_rational(-3)
+
+
+def test_other_class_builds_no_h_prime(monkeypatch):
+    # the default form takes three forms (the averaged block, the slot
+    # alpha and their sum), and each of the 11 candidate twists two more
+    # (its slot and the sum); no H' = diag(1, ..., 1, c alpha) is built
+    made = []
+    init = hermitian.HermitianForm.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+    monkeypatch.setattr(hermitian.HermitianForm, "__init__", counted)
+    with pytest.raises(UnknownClassError):
+        regular_embed(regular_rep(_cyclic_table(2)), make_cyclotomic(8), 3,
+                      OTHER_CLASS, norm_budget=200)
+    assert len(made) == 3 + 2 * 11

@@ -119,6 +119,21 @@ def test_twist_determinant():
     assert equivalent(twisted, H_other) == EQUIVALENT
 
 
+def test_twist_determinant_into_a_non_diagonal_form():
+    # H' = T^H diag(1, 1, -3) T with T unipotent: only det H' matters
+    E = gaussian_field()
+    i = zeta(E, 4)
+    one, zero = E.one(), E.zero()
+    T = linalg.mat([[one, i, 2 - i], [zero, one, 1 + i], [zero, zero, one]])
+    conj_T = linalg.conj_transpose(T, lambda x: x.conjugate())
+    H_prime = HermitianForm(E, linalg.mat_mul(
+        conj_T, linalg.mat_mul(diagonal_form(E, [1, 1, -3]).entries, T)))
+    assert any(not H_prime.entries[0][k].is_zero() for k in (1, 2))
+    twisted = twist_determinant(diagonal_form(E, [1, 2]), H_prime)
+    assert twisted.det == H_prime.det == E.from_rational(-3)
+    assert equivalent(twisted, H_prime) == EQUIVALENT
+
+
 def test_random_congruence_respects_invariants():
     random.seed(7)
     E = gaussian_field()

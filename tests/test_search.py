@@ -1,15 +1,15 @@
 """The bounded-search enumerator and the budget accounting of its callers."""
 
 import itertools
-from fractions import Fraction
+import random
 
 import pytest
 
-from cmforms import (UNKNOWN, builtin_example, gaussian_field,
+from cmforms import (IS_NORM, UNKNOWN, builtin_example, gaussian_field,
                      is_division_candidate, is_norm)
 from cmforms import calgebra, field
 from cmforms.field import FieldElement, _candidates, make_cyclotomic
-from cmforms.residue import rational_norm_witness
+from cmforms.residue import _norm_witness
 
 
 def _brute_force(dim, max_norm, key=None):
@@ -99,7 +99,7 @@ def test_rational_norm_search_skips_negative_q(monkeypatch):
     # candidates p + q i, those with q < 0 skipped and not counted
     E = gaussian_field()
     tried = _record_candidates(monkeypatch)
-    assert rational_norm_witness(Fraction(3), E, budget=40) is None
+    assert _norm_witness(E.from_rational(3), E, budget=40) is None
     assert tried == [v for v in _brute_force(2, 4) if v[1] >= 0][:40]
 
 
@@ -110,4 +110,25 @@ def test_general_norm_search_spends_its_budget(monkeypatch):
     d = E8.element([3, 1])
     tried = _record_candidates(monkeypatch)
     assert is_norm(d, E8, budget=300) == UNKNOWN
-    assert tried == _brute_force(4, 2)[:300]
+    # x and its conjugate have one norm: a candidate whose sqrt(delta)-part
+    # leads with a negative coordinate is skipped and not counted
+    assert tried == [v for v in _brute_force(4, 2)
+                     if _leads_nonnegative(v[2:])][:300]
+
+
+def _leads_nonnegative(b):
+    return next((c for c in b if c), 0) >= 0
+
+
+def test_norm_search_decides_small_norms_over_q_zeta5():
+    # independent oracle: d = N(x) is a norm by construction, so a budget
+    # of 300 (all of max-norm 1 and most of max-norm 2 up to conjugation)
+    # must find a witness for every small x
+    E5 = make_cyclotomic(5)
+    box = [v for v in itertools.product(range(-2, 3), repeat=4) if any(v)]
+    sample = random.Random(5).sample(box, 59) + [(0, -2, -2, -1)]
+    for v in sample:
+        d = E5.element(v[:2], v[2:]).relative_norm()
+        verdict = is_norm(d, E5, budget=300)
+        assert verdict == IS_NORM, v
+        assert verdict.witness.relative_norm() == d
