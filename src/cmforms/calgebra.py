@@ -5,14 +5,16 @@ L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  Arithmetic
 uses that structure directly: tau and the conjugation act through their
 images of y and y^2, and an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
-Everything else in A goes through the splitting S: A -> Mat(3, L), an
-injective homomorphism (Reiner, Maximal Orders, Sec. 9), by exact
-elimination: reduced norms are det S(x), inverses are read off S(x)^-1,
-and signatures come from one congruence diagonalisation of D S(h), D the
-involution's splitting conjugator.  The module also provides a verified
-involution of second kind, the unitary-group membership predicate
-x* h x = h and a bounded division search, both answering with a
-`field.Verdict` (the membership scalar, the norm witness).
+The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
+injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
+A goes through it: a product xy is row 0 of S(x) S(y), reduced norms are
+det S(x), inverses are read off S(x)^-1 by exact elimination, and
+signatures come from one congruence diagonalisation of D S(h), D the
+involution's splitting conjugator.  The nine E-basis elements y^i X^j have
+one order, _LABELS.  The module also provides a verified involution of
+second kind, the unitary-group membership predicate x* h x = h and a
+bounded division search, both answering with a `field.Verdict` (the
+membership scalar, the norm witness).
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -207,14 +209,8 @@ class CubicExtElement:
     def __pow__(self, k):
         return _power(self, k, self.ext.one(), CubicExtElement.inverse)
 
-    def tau(self):
-        return self.ext.tau_of(self)
-
-    def conj(self):
-        return self.ext.conj_of(self)
-
     def _norm_and_adjugate(self):
-        t = self.tau()
+        t = self.ext.tau_of(self)
         adj = t * self.ext.tau_of(t)
         n = self * adj
         if not n.is_in_E():
@@ -231,9 +227,6 @@ class CubicExtElement:
     def is_in_E(self):
         return self.coeffs[1].is_zero() and self.coeffs[2].is_zero()
 
-    def is_conj_fixed(self):
-        return self.conj() == self
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             other = self.ext.from_E(other)
@@ -248,6 +241,11 @@ class CubicExtElement:
 
 
 # --- the algebra ----------------------------------------------------------
+
+# the labels (i, j) of the E-basis elements y^i X^j, j-major: the order of
+# basis() and of the involution images on the wire
+_LABELS = tuple((i, j) for j in range(3) for i in range(3))
+
 
 class CyclicAlgebra:
     """A(L/E, tau, alpha) with relations X^3 = alpha, X b = tau(b) X."""
@@ -291,41 +289,31 @@ class CyclicAlgebra:
         return self.element(None, self.ext.one())
 
     def basis(self):
-        """The nine E-basis elements y^i X^j, ordered j-major."""
+        """The nine E-basis elements y^i X^j, in _LABELS order."""
         y = self.ext.gen()
-        out = []
-        for j in range(3):
-            for i in range(3):
-                parts = [self.ext.zero()] * 3
-                parts[j] = y ** i
-                out.append(AlgebraElement(self, tuple(parts)))
-        return out
+        return [self.element(*[y ** i if k == j else None for k in range(3)])
+                for i, j in _LABELS]
 
     def multiply(self, x, y):
-        b, c = x.parts, y.parts
-        tau = self.ext.tau_of
-        tc = [list(c), [tau(v) for v in c]]
-        tc.append([tau(v) for v in tc[1]])
+        """Row 0 of S(x) S(y) = S(xy), the parts of xy: the sum of
+        b_k * (row k of S(y)) over the nonzero parts b_k of x."""
         out = [self.ext.zero()] * 3
-        for i in range(3):
-            if b[i].is_zero():
-                continue
-            for j in range(3):
-                term = b[i] * tc[i][j]
-                if i + j >= 3:
-                    term = term * self.alpha
-                out[(i + j) % 3] = out[(i + j) % 3] + term
+        for b, row in zip(x.parts, self.splitting_matrix(y)):
+            if not b.is_zero():
+                out = [u + b * v for u, v in zip(out, row)]
         return AlgebraElement(self, tuple(out))
 
     def splitting_matrix(self, x):
         """Image in Mat(3; L): entry (r, c) is tau^r(b_{(c - r) mod 3}) for
-        x = b0 + b1 X + b2 X^2, times alpha when c < r."""
+        x = b0 + b1 X + b2 X^2, times alpha when c < r.  This is the one
+        statement of the relations X^3 = alpha and X b = tau(b) X."""
         rows = [x.parts]
         for _ in range(2):
             rows.append([self.ext.tau_of(b) for b in rows[-1]])
         M = [[rows[r][(c - r) % 3] for c in range(3)] for r in range(3)]
         for r, c in ((1, 0), (2, 0), (2, 1)):
-            M[r][c] = M[r][c] * self.alpha
+            if not M[r][c].is_zero():
+                M[r][c] = M[r][c] * self.alpha
         return linalg.mat(M)
 
     def reduced_norm(self, x):
@@ -404,14 +392,14 @@ NOT_DIVISION = "NotDivision"
 def is_division_candidate(algebra, budget=10 ** 4):
     """Bounded search for gamma in L with N_{L/E}(gamma) = alpha.
 
-    Tries the first `budget` candidates up to max-norm 8.  A witness
-    certifies NotDivision (alpha is a norm, so the algebra has zero
-    divisors) and is the Verdict's `witness`; exhaustion yields Unknown
-    since no complete local test is implemented here."""
+    Tries the first `budget` candidates; the budget alone bounds the walk.
+    A witness certifies NotDivision (alpha is a norm, so the algebra has
+    zero divisors) and is the Verdict's `witness`; exhaustion yields
+    Unknown since no complete local test is implemented here."""
     E = algebra.E
     s = E.s
     # simplest candidates first: small L1 norm, positive leading signs
-    candidates = _candidates(6 * s, 8, key=lambda c: (
+    candidates = _candidates(6 * s, key=lambda c: (
         sum(abs(v) for v in c), tuple(-v for v in c)))
     for c in itertools.islice(candidates, max(budget, 0)):
         # three E-coordinates (a, b) of gamma over the basis 1, y, y^2 of L
@@ -437,21 +425,19 @@ class Involution:
     def __init__(self, algebra, images, splitting_conjugator=None):
         self.algebra = algebra
         self.images = dict(images)
-        if sorted(self.images) != [(i, j) for i in range(3) for j in range(3)]:
+        if set(self.images) != set(_LABELS):
             raise InvolutionError("need images for all nine basis elements")
         self.splitting_conjugator = splitting_conjugator
 
     def apply(self, x):
         acc = self.algebra.zero()
-        for j in range(3):
-            for i in range(3):
-                lam = x.parts[j].coeffs[i]
-                if lam.is_zero():
-                    continue
-                c = lam.conjugate()
-                img = self.images[(i, j)].parts
-                acc = acc + AlgebraElement(self.algebra,
-                                           tuple(p * c for p in img))
+        for i, j in _LABELS:
+            lam = x.parts[j].coeffs[i]
+            if lam.is_zero():
+                continue
+            c = lam.conjugate()
+            img = self.images[(i, j)].parts
+            acc = acc + AlgebraElement(self.algebra, tuple(p * c for p in img))
         return acc
 
 
@@ -463,22 +449,18 @@ def make_involution(algebra, beta):
     ext = algebra.ext
     if not isinstance(beta, CubicExtElement):
         beta = ext.from_E(beta)
-    if not beta.is_conj_fixed():
+    if ext.conj_of(beta) != beta:
         raise InvolutionError("beta must be fixed by the conjugation on L")
-    lhs = beta * beta.tau() * beta.tau().tau()
-    rhs = algebra.alpha * algebra.alpha.conjugate()
-    if not (lhs.is_in_E() and lhs.coeffs[0] == rhs):
+    if beta.relative_norm() != algebra.alpha * algebra.alpha.conjugate():
         raise InvolutionError(
             "need N_{K/F}(beta) = alpha * theta(alpha) for a second-kind "
             "involution")
-    gamma = beta * algebra.alpha_L.inverse()
+    gamma = beta * algebra.alpha.inverse()
     Xstar = algebra.element(None, None, gamma)  # gamma * X^2
     y = ext.gen()
-    images = {}
-    for i in range(3):
-        li = algebra.from_L(ext.conj_of(y ** i))
-        for j in range(3):
-            images[(i, j)] = (Xstar ** j) * li if j else li
+    conj_y = [algebra.from_L(ext.conj_of(y ** i)) for i in range(3)]
+    images = {(i, j): (Xstar ** j) * conj_y[i] if j else conj_y[i]
+              for i, j in _LABELS}
     tb = ext.tau_of(beta)
     conjugator = linalg.mat([
         [tb, ext.zero(), ext.zero()],
@@ -494,17 +476,16 @@ def verify_involution(inv):
     Raises naming the failing pair; returns the involution on success."""
     algebra = inv.algebra
     basis = algebra.basis()
-    labels = [(i, j) for j in range(3) for i in range(3)]
     star = inv.apply
     stars = [star(a) for a in basis]
     # anti-multiplicativity on all 81 pairs
-    for (la, a, sa) in zip(labels, basis, stars):
-        for (lb, b, sb) in zip(labels, basis, stars):
+    for (la, a, sa) in zip(_LABELS, basis, stars):
+        for (lb, b, sb) in zip(_LABELS, basis, stars):
             if star(a * b) != sb * sa:
                 raise InvolutionError(
                     "(xy)* != y* x* at basis pair %s, %s" % (la, lb))
     # involutivity on the basis
-    for (la, a, sa) in zip(labels, basis, stars):
+    for (la, a, sa) in zip(_LABELS, basis, stars):
         if star(sa) != a:
             raise InvolutionError("(x*)* != x at basis element %s" % (la,))
     # restriction to E is theta
@@ -627,9 +608,8 @@ def algebra_to_json(algebra, involution=None):
         "alpha": serialize.element_to_json(algebra.alpha),
     }
     if involution is not None:
-        obj["involution"] = [
-            _alg_element_to_json(involution.images[(i, j)])
-            for j in range(3) for i in range(3)]
+        obj["involution"] = [_alg_element_to_json(involution.images[label])
+                             for label in _LABELS]
     return obj
 
 
@@ -643,11 +623,9 @@ def algebra_from_json(obj):
     algebra = CyclicAlgebra(ext, serialize.element_from_json(E, obj["alpha"]))
     involution = None
     if "involution" in obj:
-        images = {}
-        labels = [(i, j) for j in range(3) for i in range(3)]
-        for label, arr in zip(labels, _exactly(9, obj["involution"],
-                                               "the involution images")):
-            images[label] = _alg_element_from_json(algebra, arr)
+        arrs = _exactly(9, obj["involution"], "the involution images")
+        images = {label: _alg_element_from_json(algebra, arr)
+                  for label, arr in zip(_LABELS, arrs)}
         involution = verify_involution(Involution(algebra, images))
     return algebra, involution
 

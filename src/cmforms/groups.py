@@ -147,7 +147,9 @@ def check_table(table):
     """Validate a multiplication table (list of rows of indices)."""
     n = len(table)
     for row in table:
-        if len(row) != n or sorted(row) != list(range(n)):
+        # a bool or float equals an index but is not one
+        if (len(row) != n or sorted(row) != list(range(n))
+                or any(type(v) is not int for v in row)):
             raise NotAGroupError("rows must be permutations of 0..n-1")
     for col in zip(*table):
         if sorted(col) != list(range(n)):

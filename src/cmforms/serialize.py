@@ -1,9 +1,10 @@
 """Shared JSON wire formats.
 
-Rationals are "p/q" strings.  A field is {"min_poly": [ints, constant
-first], "delta": [rationals]}.  Elements of E are flat coordinate arrays
-of length 2s (F-part then sqrt(delta)-part).  Forms and groups carry their
-field inline.
+Rationals are ints or "p/q" strings; floats, booleans and null are
+refused, since a double is not the rational it was written as.  A field
+is {"min_poly": [ints, constant first], "delta": [rationals]}.  Elements
+of E are flat coordinate arrays of length 2s (F-part then sqrt(delta)-
+part).  Forms and groups carry their field inline.
 """
 
 from fractions import Fraction
@@ -20,7 +21,12 @@ def frac_to_str(q):
 
 
 def frac_from_str(s):
-    return Fraction(s)
+    """The one reader of a number on the wire: an int that is not a bool,
+    or a string that Fraction parses."""
+    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+        return Fraction(s)
+    raise ValueError("a rational must be an int or a \"p/q\" string, "
+                     "got %r" % (s,))
 
 
 def field_to_json(cmfield):
@@ -31,7 +37,7 @@ def field_to_json(cmfield):
 
 
 def field_from_json(obj):
-    base = TotallyRealField([Fraction(c) for c in obj["min_poly"]])
+    base = TotallyRealField([frac_from_str(c) for c in obj["min_poly"]])
     return CMField(base, [frac_from_str(c) for c in obj["delta"]])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -361,3 +362,48 @@ def test_json_round_trip(builtin):
     # can be certified for a loaded involution
     with pytest.raises(AlgebraError, match="splitting conjugator"):
         splitting_signature(algebra2, involution2, algebra2.one())
+
+
+def _product_oracle(algebra, x, y):
+    """xy from the defining relations alone, not from S:
+    (y^i X^j)(y^k X^l) = y^i tau^j(y^k) X^{j+l}, times alpha when
+    j + l >= 3, extended bilinearly over E."""
+    ext = algebra.ext
+    gen = ext.gen()
+    parts = [ext.zero()] * 3
+    for j in range(3):
+        for i in range(3):
+            lam = x.parts[j].coeffs[i]
+            for l in range(3):
+                for k in range(3):
+                    mu = y.parts[l].coeffs[k]
+                    if lam.is_zero() or mu.is_zero():
+                        continue
+                    t = gen ** k
+                    for _ in range(j):
+                        t = ext.tau_of(t)
+                    term = gen ** i * t * (lam * mu)
+                    if j + l >= 3:
+                        term = term * algebra.alpha
+                    parts[(j + l) % 3] = parts[(j + l) % 3] + term
+    return algebra.element(*parts)
+
+
+def test_product_matches_the_defining_relations(builtin):
+    algebra, _ = builtin
+    basis = algebra.basis()
+    for a in basis:
+        for b in basis:
+            assert a * b == _product_oracle(algebra, a, b)
+    rng = random.Random(9)
+    for _ in range(20):
+        x, y = _random_A(algebra, rng), _random_A(algebra, rng)
+        assert x * y == _product_oracle(algebra, x, y)
+
+
+def test_builtin_json_is_unchanged(builtin):
+    # pins the wire format, including the j-major order of the nine
+    # involution images
+    text = json.dumps(algebra_to_json(*builtin), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7e8a2cf387ce37fb734ed2eccaa040b821a848bb0803307ce3de3b1518a0ebe5"

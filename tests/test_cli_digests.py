@@ -5,7 +5,9 @@ A refactor that must keep the CLI output unchanged re-runs this set
 instead of a hand comparison.  Each case is (argv as one space-separated
 string, exit code, digest).  An argument "@kind:spec" names an input file
 written once per module: "@table:k" the cyclic group of order k,
-"@field:r" Q(zeta_r), "@form:a,b,c" the diagonal form over Q(i).
+"@field:r" Q(zeta_r), "@form:a,b,c" the diagonal form over Q(i),
+"@alg:name" an element of the built-in cyclic algebra from _ALG_ELEMENTS
+and "@spec:builtin" the built-in algebra with its involution.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import json
 import pytest
 
 from cmforms import diagonal_form, gaussian_field, make_cyclotomic, serialize
+from cmforms.calgebra import (_alg_element_to_json, algebra_to_json,
+                              builtin_example)
 from cmforms.cli import main
 
 
@@ -22,11 +26,27 @@ def _cyclic_table(k):
     return [[(a + b) % k for b in range(k)] for a in range(k)]
 
 
+def _alg_elements(algebra):
+    ext = algebra.ext
+    one = algebra.one()
+    return {
+        "one": one,
+        "minus_one": -one,
+        "X": algebra.X(),
+        # 1 + 2 eta + eta X + X^2: neither central nor unitary for h = 1
+        "mixed": algebra.element(ext.element([1, 2]), ext.element([0, 1]),
+                                 1),
+    }
+
+
 _WRITERS = {
     "table": lambda spec: {"table": _cyclic_table(int(spec))},
     "field": lambda spec: serialize.field_to_json(make_cyclotomic(int(spec))),
     "form": lambda spec: serialize.form_to_json(diagonal_form(
         gaussian_field(), [int(d) for d in spec.split(",")])),
+    "alg": lambda spec: _alg_element_to_json(
+        _alg_elements(builtin_example()[0])[spec]),
+    "spec": lambda spec: algebra_to_json(*builtin_example()),
 }
 
 
@@ -158,6 +178,18 @@ CASES = [
      '23b1f652010fdb649b5741305c6e5f60431dbe5c199576d4fc5a2203bf270f57'),
     ('algebra check --division-budget 300', 3,
      '72caf60ec1492e7018c28fe61542bf7e395e870c08a2aa427da9fe41d94298f6'),
+    ('algebra check', 0,
+     '1ac6001619ff7276bb3ee75452617243c50cde57a916262c30f176ff154b5954'),
+    ('algebra norm --element @alg:X', 0,
+     'b534950d7147002357690da33dd2510d999f04ed1085e9cfd502aa7fe0d66031'),
+    ('algebra norm --element @alg:mixed', 0,
+     '2af45495b4618cb1e8ca465666e2ee84f2a43ca295aee11860a16eee648acaa6'),
+    ('algebra membership --h @alg:one --x @alg:minus_one', 0,
+     '973c3e11bec4b46176bc6287a720b39fe5810e1e0233c5c2afa196ffa25125e1'),
+    ('algebra membership --h @alg:one --x @alg:mixed', 0,
+     '01b93ec2cd3ca6f1e36d5c42105a99a43d3a23d147c545115959dbeffda0b678'),
+    ('algebra check --spec @spec:builtin', 0,
+     '1ac6001619ff7276bb3ee75452617243c50cde57a916262c30f176ff154b5954'),
 ]
 
 
