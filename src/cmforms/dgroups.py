@@ -7,8 +7,8 @@ the noncyclic finite groups that can sit inside division algebras of odd
 prime degree, and the verdict machinery reproduces the representation-
 theoretic exclusion for second-type lattices.  `second_type_verdict`
 answers with a `field.Verdict` whose `trace` records the argument; p is
-proved prime by a deterministic Miller-Rabin test (p < 3.3e24), and
-subgroups come from the product closure of `groups`.
+proved prime by the deterministic Miller-Rabin test of `residue._is_prime`
+(p < 3.3e24), and subgroups come from the product closure of `groups`.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ from math import gcd
 
 from .field import VerificationError, Verdict
 from .groups import _closure
+from .residue import _MR_BASES, _MR_BOUND, _is_prime
 
 
 class InvalidDGroupError(ValueError):
@@ -163,27 +164,13 @@ def amitsur_filter(params, p):
     return p % params.n == 0
 
 
-# Sorenson and Webster (2015): below _MR_BOUND, a strong probable prime to
-# every base in _MR_BASES is prime.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
 def _check_odd_prime(p):
-    """Refuse p unless Miller-Rabin over _MR_BASES proves it an odd prime."""
+    """Refuse p unless `residue._is_prime` proves it an odd prime."""
     if p in _MR_BASES[1:]:
         return
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    if p >= _MR_BOUND:
+    if p >= _MR_BOUND and p % 2:
         raise ValueError("p must be below %d to be proved prime" % _MR_BOUND)
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    # p - 1 = d 2^s, d odd: base a witnesses that p is composite unless
-    # a^d = 1 or a^(d 2^k) = -1 for some k < s
-    if any(pow(a, d, p) != 1 and all(pow(a, d << k, p) != p - 1
-                                     for k in range(s)) for a in _MR_BASES):
+    if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
 
 

@@ -4,11 +4,13 @@ and certified sign evaluation at every real embedding.
 Elements of E carry two coordinate vectors over the power basis of F:
 x = a + b*sqrt(delta).  Elements of F are the ones with b = 0.  All sign
 decisions go through exact interval refinement against the stored root
-isolators; zero testing is exact coordinate comparison.
+isolators; zero testing is exact coordinate comparison.  The isolators
+also prove the minimal polynomial irreducible (`_is_irreducible`).
 """
 
 from fractions import Fraction
 import itertools
+from math import ceil, floor
 
 from . import polyn
 
@@ -87,7 +89,7 @@ class TotallyRealField:
         self._isolators = polyn.isolate_real_roots(p)
         if len(self._isolators) != self.degree:
             raise FieldError("polynomial is not totally real")
-        if not _skip_irreducibility and not _is_irreducible(p):
+        if not (_skip_irreducibility or _is_irreducible(p, self._isolators)):
             raise FieldError("minimal polynomial is reducible over Q")
 
     def _refine(self, ell):
@@ -126,15 +128,33 @@ class TotallyRealField:
         return "TotallyRealField(%s)" % (list(map(str, self.min_poly)),)
 
 
-def _is_irreducible(p):
-    deg = polyn.degree(p)
-    if deg == 1:
-        return True
-    import sympy
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(p))
-    return sympy.Poly(expr, x).is_irreducible
+def _is_irreducible(p, isolators):
+    """Is the monic, squarefree, totally real p in Z[x] irreducible?
+
+    Gauss's lemma: p is reducible iff prod_{alpha in S} (x - alpha) is in
+    Z[x] for a set S of at most deg(p)/2 of its roots.  Interval arithmetic
+    over local copies of the root `isolators` encloses that product's
+    coefficients.  An interval with no integer excludes S.  If each holds
+    exactly one integer, the product, if integral, is that polynomial q,
+    so p mod q decides.  Otherwise the intervals of S are refined."""
+    n, iv = polyn.degree(p), list(isolators)
+    for S in itertools.chain.from_iterable(itertools.combinations(
+            range(n), k) for k in range(1, n // 2 + 1)):
+        while True:
+            box = [(1, 1)]  # coefficient intervals, constant first
+            for lo, hi in (iv[j] for j in S):
+                # times (x - alpha) with alpha in [lo, hi]
+                ends = [(-a * lo, -a * hi, -b * lo, -b * hi) for a, b in box]
+                box = [(a + min(e), b + max(e)) for (a, b), e in
+                       zip([(0, 0)] + box, ends + [(0,)])]
+            lows, highs = zip(*((ceil(a), floor(b)) for a, b in box))
+            if lows == highs and not polyn.pmod(p, polyn.trim(lows)):
+                return False
+            if lows == highs or any(a > b for a, b in zip(lows, highs)):
+                break
+            for j in S:
+                iv[j] = polyn.refine_isolator(p, *iv[j])
+    return True
 
 
 class CMField:

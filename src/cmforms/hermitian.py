@@ -9,11 +9,12 @@ each real embedding counts the d_i that are positive there.
 """
 
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .field import (FieldElement, POSITIVE, NEGATIVE, VerificationError,
                     Verdict)
-from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN
+from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN, _factor
 
 
 EQUIVALENT = "Equivalent"
@@ -105,14 +106,9 @@ def invariants(H):
 
 
 def _squarefree_kernel(q):
-    import sympy
-    sign = -1 if q < 0 else 1
-    n = abs(q.numerator * q.denominator)
-    k = 1
-    for p, e in sympy.factorint(n).items():
-        if e % 2:
-            k *= p
-    return Fraction(sign * k)
+    odd = [p for p, e in _factor(abs(q.numerator * q.denominator)).items()
+           if e % 2]
+    return Fraction((-1 if q < 0 else 1) * prod(odd))
 
 
 def equivalent(H1, H2, budget=10 ** 4):

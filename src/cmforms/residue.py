@@ -9,11 +9,15 @@ supplies the witness of a decided IsNorm.
 
 `is_norm` answers with a `field.Verdict`: IsNorm carries a witness x with
 N(x) = d when the search finds one, IsNotNorm the obstructing place.
+The prime supports come from `_factor`: trial division, Brent's rho and a
+Miller-Rabin proof of primality below 3.3e24; sympy factors only a
+cofactor beyond that bound.
 """
 
+from collections import Counter
 from fractions import Fraction
 import itertools
-from math import isqrt
+from math import gcd, isqrt
 
 from .field import FieldElement, NEGATIVE, Verdict, _candidates
 
@@ -25,27 +29,88 @@ UNKNOWN = "Unknown"
 NormResidueVerdict = Verdict  # the former class name, kept public
 
 
+# Sorenson and Webster (2015): below _MR_BOUND, a strong probable prime to
+# every base in _MR_BASES is prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Is n a strong probable prime to every base in _MR_BASES?  A proof
+    for n < _MR_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n - 1 = d 2^s, d odd: base a witnesses that n is composite unless
+    # a^d = 1 or a^(d 2^k) = -1 for some k < s
+    return not any(pow(a, d, n) != 1 and all(pow(a, d << k, n) != n - 1
+                                             for k in range(s))
+                   for a in _MR_BASES)
+
+
+def _rho_split(n):
+    """A proper factor of the odd composite n by Brent's rho (Cohen, GTM
+    138, 8.5): batched gcds, and the next c when a gcd comes out as n."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x, k = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g, k = gcd(q, n), k + 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _factor(n):
+    """{prime: exponent} for an integer n >= 1: trial division below 50,
+    then cofactors that `_is_prime` proves prime or `_rho_split` splits.
+    sympy factors a cofactor >= _MR_BOUND, where that proof stops."""
+    if n < 1:
+        raise ValueError("can only factor an integer n >= 1, got %r" % (n,))
+    out = Counter()
+    for p in _MR_BASES + (43, 47):
+        while n % p == 0:
+            n, out[p] = n // p, out[p] + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m >= _MR_BOUND:
+            import sympy
+            out.update(sympy.factorint(m))
+        elif _is_prime(m):
+            out[m] += 1
+        else:
+            g = _rho_split(m)
+            stack += [g, m // g]
+    return dict(out)
+
+
 def _factor_support(*fracs):
-    import sympy
-    primes = set()
-    for q in fracs:
-        for n in (q.numerator, q.denominator):
-            primes.update(sympy.factorint(abs(n)).keys())
-    primes.discard(1)
-    return sorted(primes)
+    return sorted({p for q in fracs for n in (q.numerator, q.denominator)
+                   for p in _factor(abs(n))})
 
 
 def _val(q, p):
     """p-adic valuation of a nonzero Fraction."""
-    v = 0
-    n = q.numerator
+    v, n, d = 0, q.numerator, q.denominator
     while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
+        n, v = n // p, v + 1
     while d % p == 0:
-        d //= p
-        v -= 1
+        d, v = d // p, v - 1
     return v
 
 
@@ -56,11 +121,7 @@ def _unit_residue(q, p, m):
 
 
 def _legendre(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return 0 if a % p == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
 
 
 def hilbert_symbol(a, b, p):
@@ -108,11 +169,10 @@ def rational_is_norm(d, delta):
 
 
 def _is_rational_square(q):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+    if q >= 0:
+        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+        if rn * rn == q.numerator and rd * rd == q.denominator:
+            return Fraction(rn, rd)
     return None
 
 

@@ -1,13 +1,15 @@
 """Shared JSON wire formats.
 
-Rationals are ints or "p/q" strings; floats, booleans and null are
-refused, since a double is not the rational it was written as.  A field
+Rationals are ints or strings "[+-]p", "[+-]p/q" or "[+-]p.q" in ASCII
+digits.  Floats, booleans, null and other strings ("1e9", "1_0", " 7")
+are refused: a double is not the rational it was written as.  A field
 is {"min_poly": [ints, constant first], "delta": [rationals]}.  Elements
 of E are flat coordinate arrays of length 2s (F-part then sqrt(delta)-
 part).  Forms and groups carry their field inline.
 """
 
 from fractions import Fraction
+import re
 
 from .field import TotallyRealField, CMField
 from .hermitian import HermitianForm
@@ -20,13 +22,19 @@ def frac_to_str(q):
         else str(q.numerator)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/(?P<den>[0-9]+)|\.[0-9]+)?")
+
+
 def frac_from_str(s):
     """The one reader of a number on the wire: an int that is not a bool,
-    or a string that Fraction parses."""
-    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+    or a string of ASCII digits, "p/q" or an exact decimal "p.q"."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m and m["den"] is not None and not m["den"].strip("0"):
+        raise ValueError("zero denominator in %r" % (s,))
+    if m or (isinstance(s, int) and not isinstance(s, bool)):
         return Fraction(s)
-    raise ValueError("a rational must be an int or a \"p/q\" string, "
-                     "got %r" % (s,))
+    raise ValueError("a rational must be an int or a \"p/q\" string "
+                     "(or \"p\", \"p.q\"), got %r" % (s,))
 
 
 def field_to_json(cmfield):

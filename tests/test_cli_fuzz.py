@@ -15,6 +15,7 @@ so the run takes a few seconds.
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,3 +295,71 @@ def test_ints_and_rational_strings_still_parse():
     assert E == gaussian_field()
     x = serialize.element_from_json(E, [1, "-1/10"])
     assert x == E.element([1], ["-1/10"])
+
+
+# --- number strings that Fraction reads but the wire refuses ------------
+
+def _exponent(v, data):
+    return v + data.draw(st.sampled_from(["e0", "e3", "E-2", "e1000000"]))
+
+
+def _underscore(v, data):
+    # "1_" before the first digit: "-3/4" becomes "-1_3/4"
+    i = next(k for k, ch in enumerate(v) if ch.isdigit())
+    return v[:i] + "1_" + v[i:]
+
+
+def _whitespace(v, data):
+    pad = data.draw(st.sampled_from([" ", "\t", "\n", "  "]))
+    where = data.draw(st.sampled_from(["before", "after", "both"]))
+    return (pad if where != "after" else "") + v + \
+        (pad if where != "before" else "")
+
+
+@pytest.mark.parametrize("spoil", [_exponent, _underscore, _whitespace],
+                         ids=["exponent", "underscore", "whitespace"])
+def test_a_spoilt_number_string_exits_2_naming_it(spoil, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz_strings") / "form.json")
+
+    @settings(max_examples=30, deadline=2000, derandomize=True,
+              database=None)
+    @given(base=_form_docs(), data=st.data())
+    def check(base, data):
+        doc = copy.deepcopy(base)
+        leaves = [p for p, v in _nodes(doc)
+                  if not isinstance(v, (dict, list))]
+        leaf = data.draw(st.sampled_from(leaves))
+        bad = spoil(str(_get(doc, leaf)), data)
+        _get(doc, leaf[:-1])[leaf[-1]] = bad
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, result = _run(["invariants", "--form", path])
+        assert code == 2, (leaf, bad, result)
+        assert result["status"] == "error", (leaf, bad, result)
+        assert repr(bad) in result["payload"]["message"], (bad, result)
+
+    check()
+
+
+def _form_with_coordinate(tmp_path, coord):
+    doc = serialize.form_to_json(diagonal_form(gaussian_field(), [1, -1]))
+    doc["entries"][0][0][0] = coord
+    p = tmp_path / "form.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_a_huge_exponent_is_refused_at_once(tmp_path):
+    path = _form_with_coordinate(tmp_path, "1e1000000")
+    start = time.perf_counter()
+    code, result = _run(["invariants", "--form", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "'1e1000000'" in result["payload"]["message"]
+
+
+@pytest.mark.parametrize("coord", ["1/0", "-3/000"])
+def test_a_zero_denominator_has_its_own_message(tmp_path, coord):
+    code, result = _run(["invariants", "--form",
+                         _form_with_coordinate(tmp_path, coord)])
+    assert code == 2
+    assert result["payload"]["message"] == "zero denominator in %r" % coord
