@@ -9,7 +9,7 @@ The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
 A goes through it: a product xy is row 0 of S(x) S(y), reduced norms are
 det S(x), inverses are read off S(x)^-1 by exact elimination, and
-signatures come from one congruence diagonalisation of D S(h), D the
+signatures are those of the `hermitian.HermitianForm` D S(h) over L, D the
 involution's splitting conjugator.  The nine E-basis elements y^i X^j have
 one order, _LABELS.  The module also provides a verified involution of
 second kind, the unitary-group membership predicate x* h x = h and a
@@ -26,8 +26,9 @@ import itertools
 from fractions import Fraction
 
 from . import linalg, serialize
-from .field import (FieldElement, POSITIVE, TotallyRealField, Verdict,
-                    _candidates, _power, make_cyclotomic)
+from .field import (Element, FieldElement, TotallyRealField, Verdict,
+                    _candidates, make_cyclotomic)
+from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
 
@@ -98,7 +99,7 @@ class CyclicCubicExtension:
 
     def _validate(self):
         y = self.gen()
-        t, cy = self.tau_of(y), self.conj_of(y)
+        t, cy = self.tau_of(y), y.conjugate()
         # g(tau(y)) = 0, and theta(g)(c(y)) = 0 since c is theta-semilinear
         for root, poly, msg in (
                 (t, self.g, "tau(y) is not a root of g"),
@@ -115,7 +116,7 @@ class CyclicCubicExtension:
             raise AlgebraError("tau must be nontrivial")
         if self.tau_of(self.tau_of(t)) != y:
             raise AlgebraError("tau^3 is not the identity")
-        if self.conj_of(cy) != y:
+        if cy.conjugate() != y:
             raise AlgebraError("conjugation is not an involution")
 
     # --- field maps -------------------------------------------------------
@@ -125,14 +126,12 @@ class CyclicCubicExtension:
         return self._combine((x.coeffs[0], zero, zero), x.coeffs[1:],
                              self._tau_y12)
 
-    def conj_of(self, x):
-        zero = self.E.zero()
-        c0, c1, c2 = (c.conjugate() for c in x.coeffs)
-        return self._combine((c0, zero, zero), (c1, c2), self._conj_y12)
-
     @functools.cached_property
     def real_subfield(self):
-        """K as a totally real field; needs g to have rational coefficients."""
+        """K as a totally real field, Q[y]/(g); needs F = Q, where K has
+        degree 3, and g to have rational coefficients."""
+        if self.E.s > 1:
+            raise AlgebraError("K extraction needs F = Q")
         coeffs = []
         for c in self.g:
             if not c.is_rational():
@@ -140,13 +139,18 @@ class CyclicCubicExtension:
             coeffs.append(c.as_fraction())
         return TotallyRealField(coeffs)
 
+    @property
+    def s(self):
+        """The degree of K, its number of real places; needs F = Q."""
+        return self.real_subfield.degree
+
     def __eq__(self, other):
         return (isinstance(other, CyclicCubicExtension) and self.E == other.E
                 and self.g == other.g and self.tau_poly == other.tau_poly
                 and self.conj_poly == other.conj_poly)
 
 
-class CubicExtElement:
+class CubicExtElement(Element):
     """c0 + c1*y + c2*y^2 with E coefficients."""
 
     __slots__ = ("ext", "coeffs")
@@ -171,12 +175,6 @@ class CubicExtElement:
 
     def __neg__(self):
         return CubicExtElement(self.ext, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -206,8 +204,22 @@ class CubicExtElement:
     def __truediv__(self, other):
         return self * self._check(other).inverse()
 
-    def __pow__(self, k):
-        return _power(self, k, self.ext.one(), CubicExtElement.inverse)
+    def conjugate(self):
+        """The conjugation of L, theta-semilinear."""
+        zero = self.ext.E.zero()
+        c0, c1, c2 = (c.conjugate() for c in self.coeffs)
+        return self.ext._combine((c0, zero, zero), (c1, c2),
+                                 self.ext._conj_y12)
+
+    def sign_at(self, ell):
+        """Certified sign at the ell-th real place of K; the element must
+        lie in K and have rational coordinates, and F must be Q."""
+        if self.conjugate() != self:
+            raise AlgebraError("sign_at requires an element of K")
+        if not all(c.is_rational() for c in self.coeffs):
+            raise AlgebraError("sign_at requires rational coordinates")
+        return self.ext.real_subfield.sign_of_coords(
+            [c.as_fraction() for c in self.coeffs], ell)
 
     def _norm_and_adjugate(self):
         t = self.ext.tau_of(self)
@@ -334,7 +346,7 @@ class CyclicAlgebra:
                 and self.alpha == other.alpha)
 
 
-class AlgebraElement:
+class AlgebraElement(Element):
     __slots__ = ("algebra", "parts")
 
     def __init__(self, algebra, parts):
@@ -358,17 +370,14 @@ class AlgebraElement:
     def __neg__(self):
         return AlgebraElement(self.algebra, tuple(-a for a in self.parts))
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
     def __mul__(self, other):
         return self.algebra.multiply(self, self._check(other))
 
     def __rmul__(self, other):
         return self._check(other) * self
 
-    def __pow__(self, k):
-        return _power(self, k, self.algebra.one(), self.algebra.inverse)
+    def inverse(self):
+        return self.algebra.inverse(self)
 
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)
@@ -449,7 +458,7 @@ def make_involution(algebra, beta):
     ext = algebra.ext
     if not isinstance(beta, CubicExtElement):
         beta = ext.from_E(beta)
-    if ext.conj_of(beta) != beta:
+    if beta.conjugate() != beta:
         raise InvolutionError("beta must be fixed by the conjugation on L")
     if beta.relative_norm() != algebra.alpha * algebra.alpha.conjugate():
         raise InvolutionError(
@@ -458,7 +467,7 @@ def make_involution(algebra, beta):
     gamma = beta * algebra.alpha.inverse()
     Xstar = algebra.element(None, None, gamma)  # gamma * X^2
     y = ext.gen()
-    conj_y = [algebra.from_L(ext.conj_of(y ** i)) for i in range(3)]
+    conj_y = [algebra.from_L((y ** i).conjugate()) for i in range(3)]
     images = {(i, j): (Xstar ** j) * conj_y[i] if j else conj_y[i]
               for i, j in _LABELS}
     tb = ext.tau_of(beta)
@@ -503,7 +512,7 @@ def verify_involution(inv):
                   algebra.X() + algebra.from_L(ext.gen() ** 2)):
             lhs = algebra.splitting_matrix(star(x))
             ct = linalg.conj_transpose(algebra.splitting_matrix(x),
-                                       ext.conj_of)
+                                       CubicExtElement.conjugate)
             rhs = linalg.mat_mul(Dinv, linalg.mat_mul(ct, D))
             if not linalg.mat_eq(lhs, rhs):
                 raise InvolutionError("splitting compatibility fails")
@@ -541,33 +550,19 @@ def splitting_signature(algebra, involution, h):
 
     S carries the involution to M -> D^-1 M^H D, D the involution's
     splitting conjugator, so x* h x = h becomes S(x)^H G S(x) = G for the
-    hermitian matrix G = D S(h) over L.  The pivots of one congruence
-    diagonalisation of G lie in K; by Sylvester's law of inertia their
-    signs at each real embedding give the signature there.  Needs D, so
-    an involution loaded from JSON is refused, and needs F = Q."""
+    hermitian matrix G = D S(h) over L, whose signatures
+    `signature_profile` reads.  Needs D, so an involution loaded from JSON
+    is refused, and so is F != Q."""
     if involution.apply(h) != h:
         raise AlgebraError("h is not hermitian under the involution")
     D = involution.splitting_conjugator
     if D is None:
         raise AlgebraError("the involution has no splitting conjugator")
-    ext = algebra.ext
     G = linalg.mat_mul(D, algebra.splitting_matrix(h))
-    if not linalg.mat_eq(G, linalg.conj_transpose(G, ext.conj_of)):
-        raise AlgebraError("D S(h) is not hermitian")
-    rows = []
-    for d in linalg.congruence_diagonal(G, ext.conj_of):
-        if d.is_zero():
-            raise AlgebraError("h is degenerate")
-        if not all(c.is_rational() for c in d.coeffs):
-            raise AlgebraError("pivots of D S(h) must have rational "
-                               "coordinates")
-        rows.append([c.as_fraction() for c in d.coeffs])
-    K = ext.real_subfield
-    out = []
-    for ell in range(K.degree):
-        e_plus = sum(K.sign_of_coords(row, ell) == POSITIVE for row in rows)
-        out.append((e_plus, 3 - e_plus))
-    return tuple(out)
+    try:
+        return signature_profile(HermitianForm(algebra.ext, G))
+    except DegenerateFormError:
+        raise AlgebraError("h is degenerate") from None
 
 
 # --- JSON wire format -------------------------------------------------------

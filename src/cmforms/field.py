@@ -103,9 +103,8 @@ class TotallyRealField:
             return ZERO
         if ell < 0 or ell >= self.degree:
             raise FieldError("embedding index out of range")
-        if self.degree == 1:
-            v = polyn.peval(coords, -self.min_poly[0])
-            return ZERO if v == 0 else (POSITIVE if v > 0 else NEGATIVE)
+        if len(coords) > self.degree:
+            raise FieldError("coordinate vector too long")
         # coords has degree < deg(min_poly) and min_poly is irreducible, so
         # the value at the root is nonzero; refinement must terminate.
         while True:
@@ -136,10 +135,11 @@ def _is_irreducible(p, isolators):
     over local copies of the root `isolators` encloses that product's
     coefficients.  An interval with no integer excludes S.  If each holds
     exactly one integer, the product, if integral, is that polynomial q,
-    so p mod q decides.  Otherwise the intervals of S are refined."""
+    so p mod q decides.  Otherwise the intervals of S are refined.  Only
+    the sizes of S that `_factor_sizes` leaves are tried."""
     n, iv = polyn.degree(p), list(isolators)
     for S in itertools.chain.from_iterable(itertools.combinations(
-            range(n), k) for k in range(1, n // 2 + 1)):
+            range(n), k) for k in _factor_sizes(p)):
         while True:
             box = [(1, 1)]  # coefficient intervals, constant first
             for lo, hi in (iv[j] for j in S):
@@ -155,6 +155,30 @@ def _is_irreducible(p, isolators):
             for j in S:
                 iv[j] = polyn.refine_isolator(p, *iv[j])
     return True
+
+
+def _factor_sizes(p):
+    """The degrees k <= deg(p)/2 that a factor in Z[x] of the monic p can
+    have.  Such a factor is, mod a prime q that leaves p squarefree, a
+    product of irreducible factors of p mod q, so k is a sum of some of
+    their degrees; the first five such q of _SMALL_PRIMES are used."""
+    n = polyn.degree(p)
+    sizes, used = set(range(1, n // 2 + 1)), 0
+    for q in _SMALL_PRIMES:
+        if used == 5 or not sizes:
+            break
+        degrees = polyn.factor_degrees_mod(p, q)
+        if degrees is None:
+            continue
+        used += 1
+        sums = {0}
+        for d in degrees:
+            sums |= {t + d for t in sums}
+        sizes &= sums
+    return sorted(sizes)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 class CMField:
@@ -236,7 +260,33 @@ def _pad(coords, s):
     return c + [Fraction(0)] * (s - len(c))
 
 
-class FieldElement:
+class Element:
+    """The protocol of the elements of E, L and A: -, reversed - and ** from
+    a type's own +, unary -, *, inverse() and _check (its coercion of
+    scalars).  A is noncommutative, so no / is derived."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-self._check(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, k):
+        """Square-and-multiply; a negative k inverts first."""
+        x = self.inverse() if k < 0 else self
+        out, k = self._check(1), abs(k)
+        while k:
+            if k & 1:
+                out = out * x
+            k >>= 1
+            if k:
+                x = x * x
+        return out
+
+
+class FieldElement(Element):
     """a + b*sqrt(delta) with a, b coordinate vectors over the basis of F."""
 
     __slots__ = ("field", "a", "b")
@@ -266,12 +316,6 @@ class FieldElement:
         return FieldElement(self.field, tuple(-x for x in self.a),
                             tuple(-x for x in self.b))
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
         o = self._check(other)
         f = self.field
@@ -296,9 +340,6 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         return self._check(other) * self.inverse()
-
-    def __pow__(self, k):
-        return _power(self, k, self.field.one(), FieldElement.inverse)
 
     # --- structure ------------------------------------------------------
 
@@ -344,20 +385,6 @@ class FieldElement:
     def __repr__(self):
         return "FieldElement(a=%s, b=%s)" % (list(map(str, self.a)),
                                              list(map(str, self.b)))
-
-
-def _power(x, k, one, inverse):
-    """x**k by square-and-multiply; a negative k inverts x first."""
-    if k < 0:
-        x, k = inverse(x), -k
-    out = one
-    while k:
-        if k & 1:
-            out = out * x
-        k >>= 1
-        if k:
-            x = x * x
-    return out
 
 
 # --- constructions -------------------------------------------------------

@@ -51,10 +51,22 @@ def _closure(identity, gens, mul, key, cap):
 
 
 def closure(generators, cap=10 ** 4):
-    """Product closure of matrices; exact matrix equality throughout."""
+    """Product closure of matrices; exact matrix equality throughout.
+    The generators must be square matrices of one size."""
     gens = [linalg.mat(g) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator (use the identity "
+                         "for the trivial group)")
+    n = len(gens[0])
+    for k, g in enumerate(gens):
+        widths = sorted({len(row) for row in g})
+        if not n or len(g) != n or widths != [n]:
+            raise ValueError(
+                "generator %d is %d x %s; generators must be nonempty square "
+                "matrices of one size (generator 0 has %d rows)"
+                % (k, len(g), "/".join(map(str, widths)) or "0", n))
     field = gens[0][0][0].field
-    ident = linalg.identity(len(gens[0]), field.one(), field.zero())
+    ident = linalg.identity(n, field.one(), field.zero())
     return _closure(ident, gens, linalg.mat_mul, _mat_key, cap)
 
 
@@ -62,13 +74,10 @@ class MatrixGroup:
     """A finite group of invertible matrices over E, closed by construction."""
 
     def __init__(self, cmfield, generators, cap=10 ** 4):
-        if not generators:
-            raise ValueError("need at least one generator (use the identity "
-                             "for the trivial group)")
         self.field = cmfield
         self.generators = [linalg.mat(g) for g in generators]
-        self.dim = len(self.generators[0])
         self.elements = closure(self.generators, cap)
+        self.dim = len(self.generators[0])
         self.order = len(self.elements)
 
     @classmethod

@@ -6,6 +6,9 @@ A form is diagonalised once by congruence, P H P^H = diag(d_1, ..., d_n)
 with det P = +-1 (`linalg.congruence_diagonal`).  The pivots d_i lie in F;
 their product is det H, and by Sylvester's law of inertia the signature at
 each real embedding counts the d_i that are positive there.
+
+The entries may also lie in the CM field L of `calgebra`, with K in place
+of F: a form reads only conjugate(), sign_at and the field's s.
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ class DegenerateFormError(ValueError):
 
 
 class HermitianForm:
-    """A nondegenerate hermitian matrix over E = F(sqrt(delta))."""
+    """A nondegenerate hermitian matrix over E = F(sqrt(delta)), or over L."""
 
     def __init__(self, cmfield, entries):
         self.field = cmfield
@@ -40,7 +43,7 @@ class HermitianForm:
                 if self.entries[j][k] != self.entries[k][j].conjugate():
                     raise ValueError("matrix is not hermitian at (%d,%d)" % (j, k))
         pivots = linalg.congruence_diagonal(self.entries,
-                                            FieldElement.conjugate)
+                                            lambda x: x.conjugate())
         if not pivots or any(d.is_zero() for d in pivots):
             raise DegenerateFormError("form is degenerate")
         self.pivots = tuple(pivots)

@@ -108,9 +108,9 @@ def is_squarefree(p):
 
 def interval_eval(p, lo, hi):
     """Exact interval Horner: returns (lo, hi) enclosing p([lo, hi])."""
-    a, b = Fraction(0), Fraction(0)
+    a = b = Fraction(p[-1] if p else 0)
     lo, hi = Fraction(lo), Fraction(hi)
-    for c in reversed(p):
+    for c in reversed(p[:-1]):
         prods = (a * lo, a * hi, b * lo, b * hi)
         a, b = min(prods) + c, max(prods) + c
     return a, b
@@ -194,10 +194,82 @@ def refine_isolator(p, lo, hi):
     return mid, hi
 
 
+# --- integer polynomials mod a prime q (int lists, constant first) -------
+
+def _mod_q(a, q):
+    a = [int(c) % q for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_q(a, b, q):
+    """(quotient, remainder) of a by the nonzero b over F_q."""
+    a, nb = list(a), len(b)
+    quot = [0] * max(len(a) - nb + 1, 0)
+    inv = pow(b[-1], -1, q)
+    for i in range(len(a) - nb, -1, -1):
+        c = quot[i] = a[i + nb - 1] * inv % q
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] = (a[i + j] - c * bj) % q
+    return _mod_q(quot, q), _mod_q(a[:nb - 1], q)
+
+
+def _gcd_q(a, b, q):
+    while b:
+        a, b = b, _divmod_q(a, b, q)[1]
+    return a
+
+
+def _mulmod_q(a, b, f, q):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _divmod_q(_mod_q(out, q), f, q)[1]
+
+
+def _powmod_q(a, e, f, q):
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod_q(out, a, f, q)
+        e >>= 1
+        if e:
+            a = _mulmod_q(a, a, f, q)
+    return out
+
+
+def factor_degrees_mod(p, q):
+    """Degrees of the irreducible factors of the monic p in Z[x] mod the
+    prime q, by distinct-degree factorisation, or None if p mod q is not
+    squarefree (q divides the discriminant)."""
+    f = _mod_q(p, q)
+    if len(_gcd_q(f, _mod_q(pderiv(p), q), q)) > 1:
+        return None
+    degrees, h, d = [], [0, 1], 0  # h = x^(q^d) mod f
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod_q(h, q, f, q)
+        # gcd(x^(q^d) - x, f) is the product of the factors of degree d
+        hx = h + [0] * (2 - len(h))
+        hx[1] -= 1
+        g = _gcd_q(f, _mod_q(hx, q), q)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _divmod_q(f, g, q)[0]
+            h = _divmod_q(h, f, q)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n):
     """n-th cyclotomic polynomial over Q, constant first."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("cyclotomic(n) needs n >= 1")
     p = tuple([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -214,7 +286,8 @@ def real_cyclotomic(r):
     Uses Phi_r(z) = z^d * Psi(z + 1/z) with d = phi(r)/2, peeled off
     leading coefficient by leading coefficient.
     """
-    assert r >= 3
+    if r < 3:
+        raise ValueError("real_cyclotomic(r) needs r >= 3")
     phi = cyclotomic(r)
     d = degree(phi) // 2
     rem = list(phi) + [Fraction(0)] * 4

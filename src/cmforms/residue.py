@@ -19,7 +19,8 @@ from fractions import Fraction
 import itertools
 from math import gcd, isqrt
 
-from .field import FieldElement, NEGATIVE, Verdict, _candidates
+from .field import (FieldElement, NEGATIVE, Verdict, _SMALL_PRIMES,
+                    _candidates)
 
 
 IS_NORM = "IsNorm"
@@ -31,7 +32,7 @@ NormResidueVerdict = Verdict  # the former class name, kept public
 
 # Sorenson and Webster (2015): below _MR_BOUND, a strong probable prime to
 # every base in _MR_BASES is prime.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES = _SMALL_PRIMES[:13]  # the primes up to 41
 _MR_BOUND = 3317044064679887385961981
 
 
@@ -82,7 +83,7 @@ def _factor(n):
     if n < 1:
         raise ValueError("can only factor an integer n >= 1, got %r" % (n,))
     out = Counter()
-    for p in _MR_BASES + (43, 47):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             n, out[p] = n // p, out[p] + 1
     stack = [n] if n > 1 else []

@@ -65,8 +65,39 @@ def test_extension_field_axioms(builtin):
     assert ext.tau_of(ext.tau_of(ext.tau_of(y))) == y
     # conjugation fixes y and inverts i
     i = ext.from_E(ext.E.sqrt_delta())
-    assert ext.conj_of(y) == y
-    assert ext.conj_of(i) == -i
+    assert y.conjugate() == y
+    assert i.conjugate() == -i
+
+
+def test_signs_at_the_real_places_of_K(builtin):
+    algebra, _ = builtin
+    ext = algebra.ext
+    y = ext.gen()
+    # eta = 2cos(2 pi k/7): -1.80, -0.45, 1.25 in the order of K's places
+    assert ext.s == 3
+    assert [y.sign_at(ell) for ell in range(3)] == [-1, -1, 1]
+    assert [(1 + y).sign_at(ell) for ell in range(3)] == [-1, 1, 1]
+    assert ext.zero().sign_at(0) == 0
+    with pytest.raises(AlgebraError, match="element of K"):
+        ext.from_E(ext.E.sqrt_delta()).sign_at(0)
+    # over Q(zeta5) the E-coordinates of a K-element may be irrational
+    E5 = make_cyclotomic(5)
+    ext5 = CyclicCubicExtension(E5, [-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    with pytest.raises(AlgebraError, match="rational coordinates"):
+        ext5.from_E(E5.gen_F()).sign_at(0)
+
+
+def test_K_is_refused_over_a_larger_F():
+    # over Q(zeta5), K = F(eta) has degree 6, not the 3 of Q[y]/(g)
+    E5 = make_cyclotomic(5)
+    ext5 = CyclicCubicExtension(E5, [-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    algebra = CyclicAlgebra(ext5, E5.one())
+    involution = make_involution(algebra, ext5.one())
+    for attempt in (lambda: ext5.s, lambda: ext5.gen().sign_at(0),
+                    lambda: splitting_signature(algebra, involution,
+                                                algebra.one())):
+        with pytest.raises(AlgebraError, match="F = Q"):
+            attempt()
 
 
 def test_extension_over_qzeta5():
@@ -83,8 +114,8 @@ def test_extension_over_qzeta5():
         x, y = ext.element([e(), e(), e()]), ext.element([e(), e(), e()])
         assert x * x.inverse() == ext.one()
         assert ext.tau_of(x * y) == ext.tau_of(x) * ext.tau_of(y)
-        assert ext.conj_of(x * y) == ext.conj_of(x) * ext.conj_of(y)
-        assert ext.conj_of(ext.conj_of(x)) == x
+        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        assert x.conjugate().conjugate() == x
         assert (x * y).relative_norm() == \
             x.relative_norm() * y.relative_norm()
 
@@ -268,7 +299,8 @@ def test_unitary_membership(builtin):
         for x in members + others:
             S = algebra.splitting_matrix(x)
             oracle = linalg.mat_eq(G, linalg.mat_mul(
-                linalg.conj_transpose(S, ext.conj_of), linalg.mat_mul(G, S)))
+                linalg.conj_transpose(S, lambda b: b.conjugate()),
+                linalg.mat_mul(G, S)))
             v = unitary_membership(algebra, involution, h, x)
             assert v == (IN_GROUP if oracle else NOT_IN_GROUP)
             if x in members:

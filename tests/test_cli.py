@@ -82,6 +82,20 @@ def test_average_round_trip(tmp_path):
     assert H.dim == 3
 
 
+@pytest.mark.parametrize("rows, shape", [
+    ([[0, 1, 0], [1, 0, 0]], "generator 0 is 2 x 3"),
+    ([[0, 1, 0], [1, 0], [0, 0, 1]], "generator 0 is 3 x 2/3"),
+], ids=["2x3", "ragged"])
+def test_average_refuses_non_square_generators(tmp_path, rows, shape):
+    E = gaussian_field()
+    g = [[E.from_rational(c) for c in row] for row in rows]
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(serialize.group_to_json(E, [g])))
+    code, doc = run_json(["average", "--group", str(p)])
+    assert code == 2 and doc["status"] == "error"
+    assert shape in doc["payload"]["message"]
+
+
 def test_embed_first_type():
     code, doc = run_json(["embed-first-type", "Q8"])
     assert code == 0

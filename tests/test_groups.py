@@ -43,6 +43,20 @@ def test_closure_cap():
         closure([g], cap=50)
 
 
+@pytest.mark.parametrize("gens, shape", [
+    ([[[0, 1, 0], [1, 0, 0]]], "generator 0 is 2 x 3"),
+    ([[[0, 1, 0], [1, 0], [0, 0, 1]]], "generator 0 is 3 x 2/3"),
+    ([[[1, 0], [0, 1]], [[1]]], "generator 1 is 1 x 1"),
+    ([], "need at least one generator"),
+], ids=["2x3", "ragged", "two sizes", "none"])
+def test_closure_refuses_non_square_generators(gens, shape):
+    E = gaussian_field()
+    gens = [[[E.from_rational(c) for c in row] for row in g] for g in gens]
+    for build in (closure, lambda g: MatrixGroup(E, g)):
+        with pytest.raises(ValueError, match=shape):
+            build(gens)
+
+
 def test_matrix_group_orders():
     q8 = catalog_entry("Q8")
     group = MatrixGroup(q8.field, q8.generators)

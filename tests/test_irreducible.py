@@ -1,5 +1,6 @@
 """The irreducibility proof of `field._is_irreducible`, which reads the
-root isolators, against sympy's `Poly.is_irreducible` as oracle."""
+root isolators, against sympy's `Poly.is_irreducible` as oracle, and the
+factor degrees mod q that prune it against sympy's factorisation mod q."""
 
 from fractions import Fraction
 import random
@@ -8,7 +9,8 @@ import pytest
 import sympy
 
 from cmforms import polyn
-from cmforms.field import FieldError, TotallyRealField, _is_irreducible
+from cmforms.field import (FieldError, TotallyRealField, _factor_sizes,
+                           _is_irreducible)
 
 
 def _from_ints(*coeffs):
@@ -73,11 +75,34 @@ def test_named_irreducible_quartics(coeffs):
     assert TotallyRealField(list(coeffs)).degree == 4
 
 
-@pytest.mark.parametrize("r", [5, 7, 9, 11, 13, 15, 16, 20])
+@pytest.mark.parametrize("r", [5, 7, 9, 11, 13, 15, 16, 20, 31, 41])
 def test_real_cyclotomic_polynomials_are_irreducible(r):
     p = polyn.real_cyclotomic(r)
-    assert _decide(p)
+    assert _decide(p) and _sympy_irreducible(p)
     assert TotallyRealField(p).min_poly == p
+
+
+@pytest.mark.parametrize("r", [31, 41])
+def test_factor_degrees_alone_prove_degree_15_and_20(r):
+    # no size of S is left to try, so no subset of 15 or 20 roots is
+    # enumerated (2^14 and 2^19 sets before the filter)
+    assert _factor_sizes(polyn.real_cyclotomic(r)) == []
+
+
+def test_factor_degrees_mod_match_sympy():
+    rng = random.Random(41)
+    x = sympy.Symbol("x")
+    for _ in range(60):
+        p = _from_ints(*[rng.randint(-20, 20)
+                         for _ in range(rng.randint(1, 8))], 1)
+        for q in (2, 3, 5, 7, 11):
+            P = sympy.Poly([int(c) for c in reversed(p)], x, modulus=q)
+            got = polyn.factor_degrees_mod(p, q)
+            if sympy.gcd(P, P.diff(x)).degree() > 0:
+                assert got is None
+                continue
+            assert sorted(got) == sorted(
+                f.degree() for f, _ in P.factor_list()[1])
 
 
 @pytest.mark.parametrize("p", [

@@ -19,11 +19,22 @@ CASES = [
     ("from fractions import Fraction\n"
      "from cmforms.polyn import pdivmod\n"
      "pdivmod((Fraction(1), Fraction(1)), ())", "ZeroDivisionError"),
+    ("from cmforms.polyn import cyclotomic\n"
+     "cyclotomic(0)", "ValueError"),
+    ("from cmforms.polyn import real_cyclotomic\n"
+     "real_cyclotomic(2)", "ValueError"),
+    # the minimal polynomial vanishes at the root: refused, not refined
+    # forever
+    ("from cmforms import polyn\n"
+     "from cmforms.field import TotallyRealField\n"
+     "F = TotallyRealField(polyn.real_cyclotomic(5))\n"
+     "F.sign_of_coords(F.min_poly, 0)", "FieldError"),
 ]
 
 
 @pytest.mark.parametrize("code, error", CASES, ids=[
-    "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod"])
+    "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod", "cyclotomic",
+    "real_cyclotomic", "sign_of_coords"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())
