@@ -7,14 +7,16 @@ uses that structure directly: tau and the conjugation act through their
 images of y and y^2, and an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
-A goes through it: a product xy is row 0 of S(x) S(y), reduced norms are
-det S(x), inverses are read off S(x)^-1 by exact elimination, and
-signatures are those of the `hermitian.HermitianForm` D S(h) over L, D the
-involution's splitting conjugator.  The nine E-basis elements y^i X^j have
-one order, _LABELS.  The module also provides a verified involution of
-second kind, the unitary-group membership predicate x* h x = h and a
-bounded division search, both answering with a `field.Verdict` (the
-membership scalar, the norm witness).
+A goes through it: a product xy is row 0 of S(x) S(y), built only from the
+rows of S(y) that a nonzero part of x selects; the reduced norm det S(x)
+and the inverse adj S(x) / det S(x) come from the cofactors of column 0
+of S(x), one adjugate row; and signatures are those of the
+`hermitian.HermitianForm` D S(h) over L, D the involution's splitting
+conjugator.  The nine E-basis elements y^i X^j have one order, _LABELS.
+The module also provides a verified involution of second kind, the
+unitary-group membership predicate x* h x = h and a bounded division
+search, both answering with a `field.Verdict` (the membership scalar, the
+norm witness).
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -178,16 +180,17 @@ class CubicExtElement(Element):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            # E-scalar: scale the coordinates
-            return CubicExtElement(self.ext,
-                                   tuple(c * other for c in self.coeffs))
+            # E-scalar: scale the nonzero coordinates
+            return CubicExtElement(self.ext, tuple(
+                c if c.is_zero() else c * other for c in self.coeffs))
         o = self._check(other)
         E = self.ext.E
         prod = [E.zero()] * 5
+        right = [(j, b) for j, b in enumerate(o.coeffs) if not b.is_zero()]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in right:
                 prod[i + j] = prod[i + j] + a * b
         return self.ext._combine(prod[:3], prod[3:], self.ext._y34)
 
@@ -308,38 +311,63 @@ class CyclicAlgebra:
 
     def multiply(self, x, y):
         """Row 0 of S(x) S(y) = S(xy), the parts of xy: the sum of
-        b_k * (row k of S(y)) over the nonzero parts b_k of x."""
+        b_k * (row k of S(y)) over the nonzero parts b_k of x.  The rows
+        of S(y) whose b_k is zero are not built."""
+        ks = [k for k, b in enumerate(x.parts) if not b.is_zero()]
         out = [self.ext.zero()] * 3
-        for b, row in zip(x.parts, self.splitting_matrix(y)):
-            if not b.is_zero():
-                out = [u + b * v for u, v in zip(out, row)]
+        for k, row in zip(ks, self._rows(y, ks)):
+            b = x.parts[k]
+            out = [u + b * v for u, v in zip(out, row)]
         return AlgebraElement(self, tuple(out))
 
-    def splitting_matrix(self, x):
-        """Image in Mat(3; L): entry (r, c) is tau^r(b_{(c - r) mod 3}) for
-        x = b0 + b1 X + b2 X^2, times alpha when c < r.  This is the one
-        statement of the relations X^3 = alpha and X b = tau(b) X."""
-        rows = [x.parts]
-        for _ in range(2):
-            rows.append([self.ext.tau_of(b) for b in rows[-1]])
-        M = [[rows[r][(c - r) % 3] for c in range(3)] for r in range(3)]
-        for r, c in ((1, 0), (2, 0), (2, 1)):
-            if not M[r][c].is_zero():
-                M[r][c] = M[r][c] * self.alpha
-        return linalg.mat(M)
+    def _rows(self, x, ks):
+        """The rows k in ks (ascending) of S(x), x = b0 + b1 X + b2 X^2:
+        entry (k, c) is tau^k(b_{(c - k) mod 3}), times alpha when c < k.
+        This is the one statement of the relations X^3 = alpha and
+        X b = tau(b) X; tau is applied only up to the last row asked for."""
+        parts, rows = x.parts, []
+        for k in range(ks[-1] + 1 if ks else 0):
+            if k:
+                parts = [self.ext.tau_of(b) for b in parts]
+            if k in ks:
+                row = [parts[(c - k) % 3] for c in range(3)]
+                for c in range(k):
+                    if not row[c].is_zero():
+                        row[c] = row[c] * self.alpha
+                rows.append(row)
+        return rows
 
-    def reduced_norm(self, x):
-        d = linalg.det(self.splitting_matrix(x))
+    def splitting_matrix(self, x):
+        """Image in Mat(3; L), the rows of `_rows`."""
+        return linalg.mat(self._rows(x, (0, 1, 2)))
+
+    def _norm_and_adjugate(self, x):
+        """(Nrd(x), row 0 of adj S(x)): det S(x) by cofactor expansion
+        along column 0.  With t_k = tau(b_k) and s_k = tau^2(b_k) the row
+        is (t0 s0 - alpha t1 s2, alpha b2 s2 - b1 s0, b1 t1 - b2 t0) and
+        Nrd(x) = b0 adj0 + alpha (t2 adj1 + s1 adj2)."""
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
+            self._rows(x, (0, 1, 2))
+        adj = (m11 * m22 - m12 * m21, m02 * m21 - m01 * m22,
+               m01 * m12 - m02 * m11)
+        d = m00 * adj[0] + m10 * adj[1] + m20 * adj[2]
         if not d.is_in_E():
             raise AlgebraError("reduced norm did not land in E")
-        return d.coeffs[0]
+        return d.coeffs[0], adj
+
+    def reduced_norm(self, x):
+        """Nrd(x) = det S(x), an element of E."""
+        return self._norm_and_adjugate(x)[0]
 
     def inverse(self, x):
-        """x^-1 from S(x)^-1 = S(x^-1): row 0 of S(y) is the parts
-        (b0, b1, b2) of y.  Raises ZeroDivisionError if S(x) is singular,
+        """x^-1 = adj S(x) / Nrd(x) read off row 0: row 0 of S(y) is the
+        parts (b0, b1, b2) of y.  Raises ZeroDivisionError if Nrd(x) = 0,
         i.e. if x is a zero divisor."""
-        inv = linalg.inverse(self.splitting_matrix(x))
-        return AlgebraElement(self, inv[0])
+        n, adj = self._norm_and_adjugate(x)
+        if n.is_zero():
+            raise ZeroDivisionError("inverse of zero or a zero divisor in A")
+        ninv = n.inverse()
+        return AlgebraElement(self, tuple(a * ninv for a in adj))
 
     def __eq__(self, other):
         return (isinstance(other, CyclicAlgebra) and self.ext == other.ext
@@ -446,7 +474,8 @@ class Involution:
                 continue
             c = lam.conjugate()
             img = self.images[(i, j)].parts
-            acc = acc + AlgebraElement(self.algebra, tuple(p * c for p in img))
+            acc = acc + AlgebraElement(self.algebra, tuple(
+                p if p.is_zero() else p * c for p in img))
         return acc
 
 

@@ -18,7 +18,7 @@ from cmforms.calgebra import (AlgebraError, CyclicAlgebra,
                               builtin_example, is_division_candidate,
                               make_involution, splitting_signature,
                               unitary_membership, verify_involution)
-from cmforms.field import make_cyclotomic
+from cmforms.field import FieldElement, make_cyclotomic
 from cmforms.polyn import sign_variations
 
 
@@ -131,23 +131,27 @@ x = ext.element([-1, 1])  # y - 1, a zero divisor
 """
 
 
-def test_zero_divisor_inverse_raises():
+def _assert_raises_zero_division(setup, call):
     scope = {}
-    exec(_SPLIT_L, scope)
+    exec(setup, scope)
     with pytest.raises(ZeroDivisionError):
-        scope["x"].inverse()
+        eval(call, scope)
     # the check is a raise, not an assert: it holds under python -O too
-    script = _SPLIT_L + """
+    script = setup + """
 try:
-    x.inverse()
+    %s
 except ZeroDivisionError:
     print("ZeroDivisionError")
-"""
+""" % call
     src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "ZeroDivisionError", proc.stderr
+
+
+def test_zero_divisor_inverse_raises():
+    _assert_raises_zero_division(_SPLIT_L, "x.inverse()")
 
 
 def test_relative_norm_transitive(builtin):
@@ -228,6 +232,102 @@ def test_inverse(builtin):
         assert x * xi == algebra.one() and xi * x == algebra.one()
     with pytest.raises(ZeroDivisionError):
         algebra.inverse(algebra.zero())
+
+
+def _oracle_cases(algebra, random_L, rng):
+    """Dense elements, single-part ones and ones with one zero part."""
+    cases = [_parts_element(algebra, random_L, rng, range(3))
+             for _ in range(4)]
+    for k in range(3):
+        cases.append(_parts_element(algebra, random_L, rng, (k,)))
+        cases.append(_parts_element(algebra, random_L, rng,
+                                    [j for j in range(3) if j != k]))
+    return cases
+
+
+def _parts_element(algebra, random_L, rng, ks):
+    return algebra.element(*[random_L(rng) if k in ks else None
+                             for k in range(3)])
+
+
+def _assert_matches_elimination(algebra, x):
+    # Nrd(x) = det S(x) and x^-1 = row 0 of S(x)^-1, by exact elimination
+    S = algebra.splitting_matrix(x)
+    d = linalg.det(S)
+    assert d.is_in_E() and algebra.reduced_norm(x) == d.coeffs[0]
+    if d.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            algebra.inverse(x)
+    else:
+        assert algebra.inverse(x).parts == tuple(linalg.inverse(S)[0])
+
+
+def test_cofactors_match_the_elimination_oracle(builtin):
+    algebra, _ = builtin
+    rng = random.Random(12)
+    cases = []
+    for _ in range(4):
+        cases += _oracle_cases(algebra,
+                               lambda r: _random_L(algebra.ext, r), rng)
+    assert len(cases) >= 40
+    for x in cases:
+        _assert_matches_elimination(algebra, x)
+
+
+def test_cofactors_match_the_elimination_oracle_over_qzeta5():
+    E = make_cyclotomic(5)
+    ext = CyclicCubicExtension(E, [-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    algebra = CyclicAlgebra(ext, E.element([2, 1], [Fraction(1, 2), 0]))
+
+    def random_L(rng):
+        return ext.element([
+            E.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(2)],
+                      [Fraction(rng.randint(-3, 3)) for _ in range(2)])
+            for _ in range(3)])
+    for x in _oracle_cases(algebra, random_L, random.Random(13)):
+        _assert_matches_elimination(algebra, x)
+
+
+_SPLIT_A = """
+from cmforms.calgebra import CyclicAlgebra, builtin_example
+algebra = CyclicAlgebra(builtin_example()[0].ext, 1)
+x = algebra.one() - algebra.X()  # Nrd(1 - X) = 1 - alpha = 0
+"""
+
+
+def test_split_algebra_zero_divisor_has_no_inverse():
+    scope = {}
+    exec(_SPLIT_A, scope)
+    assert scope["algebra"].reduced_norm(scope["x"]).is_zero()
+    _assert_raises_zero_division(_SPLIT_A, "algebra.inverse(x)")
+
+
+def test_e_multiplication_counts(builtin, monkeypatch):
+    # pins the cost of the cofactor norm and inverse, of a product with a
+    # sparse left factor and of the involution check, in E-multiplications
+    algebra, involution = builtin
+    rng = random.Random(5)
+    x = _random_A(algebra, rng)
+    y = _random_A(algebra, rng)
+    X = algebra.X()
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+
+    def count(fn):
+        calls[0] = 0
+        fn()
+        return calls[0]
+    assert count(lambda: algebra.reduced_norm(x)) <= 180
+    assert count(lambda: algebra.inverse(x)) <= 190
+    assert count(lambda: X * y) <= 30
+    assert count(lambda: verify_involution(involution)) <= 1526
 
 
 def test_division_candidate_trivial(builtin):
