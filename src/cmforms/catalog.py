@@ -27,13 +27,16 @@ class CatalogEntry:
 
 
 def verify_entry(entry):
-    """Closure of the expected order, every element unitary: fixes I_3."""
+    """Closure of the expected order, every element unitary: fixes I_3.
+
+    Unitarity is checked on the generators: a form fixed by each generator
+    is fixed by every product of them, so by the whole group."""
     group = MatrixGroup(entry.field, entry.generators)
     if group.order != entry.expected_order:
         raise ValueError("%s: closure order %d != expected %d"
                          % (entry.name, group.order, entry.expected_order))
     if not invariant_under(diagonal_form(entry.field, [1, 1, 1]),
-                           group.elements, group.conj_transpose):
+                           group.generators, group.conj_transpose):
         raise ValueError("%s: non-unitary element" % entry.name)
     return group
 

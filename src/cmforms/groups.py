@@ -59,12 +59,11 @@ def closure(generators, cap=10 ** 4):
                          "for the trivial group)")
     n = len(gens[0])
     for k, g in enumerate(gens):
-        widths = sorted({len(row) for row in g})
-        if not n or len(g) != n or widths != [n]:
+        if not n or len(g) != n or any(len(row) != n for row in g):
             raise ValueError(
-                "generator %d is %d x %s; generators must be nonempty square "
+                "generator %d is %s; generators must be nonempty square "
                 "matrices of one size (generator 0 has %d rows)"
-                % (k, len(g), "/".join(map(str, widths)) or "0", n))
+                % (k, linalg.shape(g), n))
     field = gens[0][0][0].field
     ident = linalg.identity(n, field.one(), field.zero())
     return _closure(ident, gens, linalg.mat_mul, _mat_key, cap)
@@ -98,14 +97,17 @@ class MatrixGroup:
 def average_form(group):
     """The group average sum_g g^H g of the identity form.
 
-    The output is invariant under every group element (verified) and
-    positive definite at every real embedding."""
+    The output is positive definite at every real embedding and invariant
+    under every group element.  Invariance is verified on
+    `group.generators`: a form invariant under the generators is invariant
+    under every product of them, hence under the group they generate.
+    `MatrixGroup.from_elements` makes every element a generator."""
     acc = None
     for g in group.elements:
         term = linalg.mat_mul(group.conj_transpose(g), g)
         acc = term if acc is None else linalg.mat_add(acc, term)
     H = HermitianForm(group.field, acc)
-    if not invariant_under(H, group.elements, group.conj_transpose):
+    if not invariant_under(H, group.generators, group.conj_transpose):
         raise VerificationError("averaged form is not invariant")
     if any(sig != (group.dim, 0) for sig in signature_profile(H)):
         raise VerificationError("averaged form is not positive definite")
@@ -113,10 +115,16 @@ def average_form(group):
 
 
 def invariant_under(H, matrices, conj):
-    """Exact check g^H H g = H for every matrix g."""
-    return all(linalg.mat_eq(
-        linalg.mat_mul(conj(g), linalg.mat_mul(H.entries, g)), H.entries)
-        for g in matrices)
+    """Exact check g^H H g = H for every matrix g.  Raises ValueError on
+    a g that is not square of H's size."""
+    for g in matrices:
+        if len(g) != H.dim or any(len(row) != H.dim for row in g):
+            raise ValueError("matrix is %s, the form is %s"
+                             % (linalg.shape(g), linalg.shape(H.entries)))
+        if not linalg.mat_eq(linalg.mat_mul(
+                conj(g), linalg.mat_mul(H.entries, g)), H.entries):
+            return False
+    return True
 
 
 def _with_negative_slot(block, budget):
@@ -136,11 +144,13 @@ def embed_first_type(entry, budget=20):
     """Realize a catalog group inside a first-type admissible pair.
 
     Forms diag(1, 1, alpha) with the negative slot alpha and verifies
-    exact invariance under the whole group."""
+    exact invariance under the whole group: under its generators, which
+    implies invariance under every product of them.  The closure is still
+    built, for the group's order."""
     field = entry.field
     H, _ = _with_negative_slot(diagonal_form(field, [1, 1]), budget)
     group = MatrixGroup(field, entry.generators)
-    if not invariant_under(H, group.elements, group.conj_transpose):
+    if not invariant_under(H, group.generators, group.conj_transpose):
         raise VerificationError(
             "catalog group does not preserve the admissible form")
     return field, H, group
@@ -215,11 +225,13 @@ def regular_rep(table):
 
 
 def _embed_int_matrix(M, field, n):
-    """View an m x m integer matrix inside GL(n; E), padded by identity."""
+    """View an m x m integer matrix inside GL(n; E), padded by identity.
+    Entries of one integer value share one (immutable) element of E."""
     m = len(M)
-    return linalg.mat([[field.from_rational(M[i][j] if i < m and j < m
-                                            else int(i == j))
-                        for j in range(n)] for i in range(n)])
+    ints = [[M[i][j] if i < m and j < m else int(i == j) for j in range(n)]
+            for i in range(n)]
+    elem = {q: field.from_rational(q) for q in {q for r in ints for q in r}}
+    return linalg.mat([[elem[q] for q in row] for row in ints])
 
 
 DEFAULT_CLASS = "default"

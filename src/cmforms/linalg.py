@@ -4,6 +4,9 @@ Elements must support +, -, *, unary -, inverse() or /, equality, and
 is_zero().  Matrices are tuples of tuples.  Used both for CM-field
 matrices and for matrices over the cubic extension in the algebra module;
 `congruence_diagonal` and `conj_transpose` also take the involution.
+`mat_mul` skips zero terms: the catalog generators, the embedded integer
+matrices and the diagonal forms are mostly zeros, so a product of two
+such matrices costs far fewer than n^3 multiplications.
 """
 
 from fractions import Fraction
@@ -25,22 +28,51 @@ def mat_scale(A, s):
     return mat([[s * a for a in r] for r in A])
 
 
+def shape(M):
+    """M's shape as text, "rows x width"; the widths of a ragged M are
+    listed, as in "3 x 2/3"."""
+    return "%d x %s" % (len(M), "/".join(
+        map(str, sorted({len(r) for r in M}))) or "0")
+
+
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+    """A B, with every product that has a zero factor skipped.
+
+    Each entry sums the terms A[i][t] B[t][j] with both factors nonzero,
+    in increasing t; an entry with no such term is a zero of the element
+    type.  Raises ValueError unless A's rows all have length len(B) and
+    B's rows one common length."""
+    k = len(B)
+    widths = {len(r) for r in B}
+    if any(len(r) != k for r in A) or len(widths) > 1:
+        raise ValueError("cannot multiply a %s by a %s matrix"
+                         % (shape(A), shape(B)))
+    m = widths.pop() if widths else 0
+    B_terms = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+               for row in B]
+    zero = None
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return mat(out)
+    for row in A:
+        acc = [None] * m
+        for a, terms in zip(row, B_terms):
+            if not terms or a.is_zero():
+                continue
+            for j, b in terms:
+                p = a * b
+                acc[j] = p if acc[j] is None else acc[j] + p
+        if any(x is None for x in acc):
+            if zero is None:
+                zero = A[0][0] - A[0][0]
+            acc = [zero if x is None else x for x in acc]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+    """Entrywise equality; False when the shapes differ."""
+    return len(A) == len(B) and all(
+        len(ra) == len(rb) and all(a == b for a, b in zip(ra, rb))
+        for ra, rb in zip(A, B))
 
 
 def conj_transpose(A, conj):

@@ -13,7 +13,8 @@ from cmforms import (ClosureCapExceeded, DEFAULT_CLASS, MatrixGroup,
                      gaussian_field, groups, hermitian, invariant_under,
                      is_admissible, linalg, make_cyclotomic, regular_embed,
                      regular_rep, signature_profile, zeta)
-from cmforms.catalog import catalog_entry
+from cmforms.catalog import CatalogEntry, catalog_entry, verify_entry
+from cmforms.field import FieldElement, VerificationError
 from cmforms.groups import _mat_key
 
 
@@ -82,22 +83,98 @@ def test_invariance_check_runs_under_optimize():
     # "verified exact invariance" must not be an assert that -O removes
     import cmforms
     src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
-    script = "\n".join([
-        "import sys",
-        "from cmforms import groups",
-        "from cmforms.catalog import catalog_entry",
-        "if sys.flags.optimize != 1:",
-        "    sys.exit(3)",
-        "groups.invariant_under = lambda *args: False",
-        "groups.embed_first_type(catalog_entry('C2'))",
-    ])
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.rstrip().endswith(
-        "VerificationError: catalog group does not preserve the "
-        "admissible form")
+    for refuse in [
+        # an invariance check that always fails
+        ["groups.invariant_under = lambda *args: False",
+         "groups.embed_first_type(catalog_entry('C2'))"],
+        # a group of order 2 that moves the negative slot
+        ["from cmforms.catalog import CatalogEntry",
+         "from cmforms.field import gaussian_field",
+         "E = gaussian_field()",
+         "one, zero = E.one(), E.zero()",
+         "g = [[zero, zero, one], [zero, one, zero], [one, zero, zero]]",
+         "groups.embed_first_type(CatalogEntry('swap13', 4, E, [g], 2))"],
+    ]:
+        script = "\n".join([
+            "import sys",
+            "from cmforms import groups",
+            "from cmforms.catalog import catalog_entry",
+            "if sys.flags.optimize != 1:",
+            "    sys.exit(3)",
+        ] + refuse)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "VerificationError: catalog group does not preserve the "
+            "admissible form")
+
+
+def test_embed_first_type_refuses_a_group_moving_the_slot():
+    # the swap of coordinates 1 and 3 has order 2 and moves the negative
+    # slot of diag(1, 1, alpha)
+    E = gaussian_field()
+    one, zero = E.one(), E.zero()
+    entry = CatalogEntry("swap13", 4, E, [[[zero, zero, one],
+                                           [zero, one, zero],
+                                           [one, zero, zero]]], 2)
+    assert MatrixGroup(E, entry.generators).order == 2
+    with pytest.raises(VerificationError, match="does not preserve"):
+        embed_first_type(entry)
+
+
+def test_invariant_under_refuses_a_matrix_of_another_size():
+    E = gaussian_field()
+    H = diagonal_form(E, [1, 1, 1])
+    I2 = linalg.identity(2, E.one(), E.zero())
+    conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
+    with pytest.raises(ValueError, match="matrix is 2 x 2, the form is 3 x 3"):
+        invariant_under(H, [I2], conj)
+    ragged = (H.entries[0], H.entries[1], H.entries[2][:2])
+    with pytest.raises(ValueError, match="matrix is 3 x 2/3"):
+        invariant_under(H, [ragged], conj)
+    # orthonormal columns: g^H H g = I_2 once agreed with H in part
+    tall = tuple(row[:2] for row in H.entries)
+    with pytest.raises(ValueError, match="matrix is 3 x 2, the form is 3 x 3"):
+        invariant_under(H, [tall], conj)
+
+
+def test_e_multiplication_counts(monkeypatch):
+    # group facts are certified on the generators and the product skips
+    # zero terms; the counts are upper bounds in E-multiplications
+    two_i = catalog_entry("2I")
+    rep = regular_rep(_s3_table())
+    F8 = make_cyclotomic(8)
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+
+    def count(fn):
+        calls[0] = 0
+        fn()
+        return calls[0]
+    assert count(lambda: closure(two_i.generators)) <= 1560
+    assert count(lambda: embed_first_type(two_i)) <= 1600
+    assert count(lambda: verify_entry(two_i)) <= 1600
+    assert count(lambda: regular_embed(rep, F8, 7)) <= 210
+
+
+def test_regular_embed_shares_one_element_per_integer():
+    # the retained rho stays small: entries of one value are one object
+    E = gaussian_field()
+    _, rho = regular_embed(regular_rep(_s3_table()), E, 7)
+    for g in rho:
+        objects = {}
+        for x in (x for row in g for x in row):
+            objects.setdefault(x.as_fraction(), set()).add(id(x))
+        assert set(objects) <= {0, 1}
+        assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_check_table():

@@ -29,12 +29,18 @@ CASES = [
      "from cmforms.field import TotallyRealField\n"
      "F = TotallyRealField(polyn.real_cyclotomic(5))\n"
      "F.sign_of_coords(F.min_poly, 0)", "FieldError"),
+    # a 2 x 2 times a 3 x 3 product is refused, not read in part
+    ("from cmforms import linalg\n"
+     "from cmforms.field import gaussian_field\n"
+     "E = gaussian_field()\n"
+     "linalg.mat_mul(linalg.identity(2, E.one(), E.zero()),\n"
+     "               linalg.identity(3, E.one(), E.zero()))", "ValueError"),
 ]
 
 
 @pytest.mark.parametrize("code, error", CASES, ids=[
     "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod", "cyclotomic",
-    "real_cyclotomic", "sign_of_coords"])
+    "real_cyclotomic", "sign_of_coords", "mat_mul"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())
