@@ -66,6 +66,8 @@ class CyclicCubicExtension:
 
     def _coerce(self, c):
         if isinstance(c, FieldElement):
+            if c.field != self.E:
+                raise AlgebraError("%r is not in E" % (c,))
             return c
         return self.E.from_rational(c)
 
@@ -165,7 +167,7 @@ class CubicExtElement(Element):
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.ext.from_E(other)
         if not isinstance(other, CubicExtElement) or other.ext != self.ext:
-            raise AlgebraError("extension mismatch")
+            raise AlgebraError("extension mismatch: %r" % (other,))
         return other
 
     def __add__(self, other):
@@ -244,7 +246,7 @@ class CubicExtElement(Element):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            other = self.ext.from_E(other)
+            return self.is_in_E() and self.coeffs[0] == other
         return (isinstance(other, CubicExtElement) and other.ext == self.ext
                 and self.coeffs == other.coeffs)
 
@@ -412,7 +414,8 @@ class AlgebraElement(Element):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement, CubicExtElement)):
-            other = self.algebra.element(other)
+            return (all(p.is_zero() for p in self.parts[1:])
+                    and self.parts[0] == other)
         return (isinstance(other, AlgebraElement)
                 and other.algebra == self.algebra and self.parts == other.parts)
 
@@ -540,8 +543,7 @@ def verify_involution(inv):
         for x in (algebra.one(), algebra.X(), algebra.from_L(ext.gen()),
                   algebra.X() + algebra.from_L(ext.gen() ** 2)):
             lhs = algebra.splitting_matrix(star(x))
-            ct = linalg.conj_transpose(algebra.splitting_matrix(x),
-                                       CubicExtElement.conjugate)
+            ct = linalg.conj_transpose(algebra.splitting_matrix(x))
             rhs = linalg.mat_mul(Dinv, linalg.mat_mul(ct, D))
             if not linalg.mat_eq(lhs, rhs):
                 raise InvolutionError("splitting compatibility fails")

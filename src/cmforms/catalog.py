@@ -36,7 +36,7 @@ def verify_entry(entry):
         raise ValueError("%s: closure order %d != expected %d"
                          % (entry.name, group.order, entry.expected_order))
     if not invariant_under(diagonal_form(entry.field, [1, 1, 1]),
-                           group.generators, group.conj_transpose):
+                           group.generators):
         raise ValueError("%s: non-unitary element" % entry.name)
     return group
 

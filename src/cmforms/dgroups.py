@@ -84,9 +84,9 @@ def identity():
 
 def _generated(params, gens):
     """The subgroup generated by gens, sorted, by a product closure capped
-    at the group order; an element (a, b) is its own key (tuple(x) is x)."""
+    at the group order."""
     return sorted(_closure(identity(), gens, partial(multiply, params),
-                           tuple, order(params)))
+                           order(params)))
 
 
 def elements(params):
@@ -153,7 +153,8 @@ def irreducible_degrees(params):
             raise RuntimeError("orbit size does not divide n")
         degrees.extend([d] * (n // d))
     degrees.sort()
-    assert sum(d * d for d in degrees) == m * n
+    if sum(d * d for d in degrees) != m * n:
+        raise VerificationError("the squared degrees do not sum to |G|")
     return degrees
 
 

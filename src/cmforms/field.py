@@ -263,7 +263,9 @@ def _pad(coords, s):
 class Element:
     """The protocol of the elements of E, L and A: -, reversed - and ** from
     a type's own +, unary -, *, inverse() and _check (its coercion of
-    scalars).  A is noncommutative, so no / is derived."""
+    scalars; it refuses an element of another field with a ValueError).
+    A is noncommutative, so no / is derived.  `linalg` and `groups` read
+    the conjugate(), == and hash of the elements of E and L."""
 
     __slots__ = ()
 
@@ -302,7 +304,7 @@ class FieldElement(Element):
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         if not isinstance(other, FieldElement) or other.field != self.field:
-            raise FieldError("field mismatch")
+            raise FieldError("field mismatch: %r" % (other,))
         return other
 
     def __add__(self, other):

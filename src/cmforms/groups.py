@@ -24,30 +24,25 @@ class UnknownClassError(RuntimeError):
     """Could not certify a second admissible determinant class."""
 
 
-def _mat_key(M):
-    return tuple((x.a, x.b) for row in M for x in row)
-
-
-def _closure(identity, gens, mul, key, cap):
+def _closure(identity, gens, mul, cap):
     """Breadth-first product closure: every product of gens reached from
-    identity, in the order found and told apart by key; raises
-    ClosureCapExceeded on reaching more than cap elements."""
-    elems = {key(identity): identity}
+    identity, in the order found, told apart by the products' own == and
+    hash; raises ClosureCapExceeded on reaching more than cap elements."""
+    elems = {identity: None}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
                 p = mul(x, g)
-                k = key(p)
-                if k not in elems:
+                if p not in elems:
                     if len(elems) >= cap:
                         raise ClosureCapExceeded(
                             "closure exceeded cap %d" % cap)
-                    elems[k] = p
+                    elems[p] = None
                     new.append(p)
         frontier = new
-    return list(elems.values())
+    return list(elems)
 
 
 def closure(generators, cap=10 ** 4):
@@ -66,15 +61,18 @@ def closure(generators, cap=10 ** 4):
                 % (k, linalg.shape(g), n))
     field = gens[0][0][0].field
     ident = linalg.identity(n, field.one(), field.zero())
-    return _closure(ident, gens, linalg.mat_mul, _mat_key, cap)
+    return _closure(ident, gens, linalg.mat_mul, cap)
 
 
 class MatrixGroup:
-    """A finite group of invertible matrices over E, closed by construction."""
+    """A finite group of invertible matrices over E, closed by construction.
+    An entry outside E is refused with a ValueError naming it."""
 
     def __init__(self, cmfield, generators, cap=10 ** 4):
         self.field = cmfield
-        self.generators = [linalg.mat(g) for g in generators]
+        check = cmfield.zero()._check
+        self.generators = [linalg.mat(map(check, r) for r in g)
+                           for g in generators]
         self.elements = closure(self.generators, cap)
         self.dim = len(self.generators[0])
         self.order = len(self.elements)
@@ -84,14 +82,13 @@ class MatrixGroup:
         """Wrap an already-closed element list (no closure recomputation)."""
         g = cls.__new__(cls)
         g.field = cmfield
-        g.generators = [linalg.mat(m) for m in elements]
+        check = cmfield.zero()._check
+        g.generators = [linalg.mat(map(check, r) for r in m)
+                        for m in elements]
         g.elements = g.generators
         g.dim = len(g.elements[0])
         g.order = len(g.elements)
         return g
-
-    def conj_transpose(self, M):
-        return linalg.conj_transpose(M, lambda x: x.conjugate())
 
 
 def average_form(group):
@@ -104,17 +101,17 @@ def average_form(group):
     `MatrixGroup.from_elements` makes every element a generator."""
     acc = None
     for g in group.elements:
-        term = linalg.mat_mul(group.conj_transpose(g), g)
+        term = linalg.mat_mul(linalg.conj_transpose(g), g)
         acc = term if acc is None else linalg.mat_add(acc, term)
     H = HermitianForm(group.field, acc)
-    if not invariant_under(H, group.generators, group.conj_transpose):
+    if not invariant_under(H, group.generators):
         raise VerificationError("averaged form is not invariant")
     if any(sig != (group.dim, 0) for sig in signature_profile(H)):
         raise VerificationError("averaged form is not positive definite")
     return H
 
 
-def invariant_under(H, matrices, conj):
+def invariant_under(H, matrices):
     """Exact check g^H H g = H for every matrix g.  Raises ValueError on
     a g that is not square of H's size."""
     for g in matrices:
@@ -122,7 +119,8 @@ def invariant_under(H, matrices, conj):
             raise ValueError("matrix is %s, the form is %s"
                              % (linalg.shape(g), linalg.shape(H.entries)))
         if not linalg.mat_eq(linalg.mat_mul(
-                conj(g), linalg.mat_mul(H.entries, g)), H.entries):
+                linalg.conj_transpose(g), linalg.mat_mul(H.entries, g)),
+                H.entries):
             return False
     return True
 
@@ -150,7 +148,7 @@ def embed_first_type(entry, budget=20):
     field = entry.field
     H, _ = _with_negative_slot(diagonal_form(field, [1, 1]), budget)
     group = MatrixGroup(field, entry.generators)
-    if not invariant_under(H, group.generators, group.conj_transpose):
+    if not invariant_under(H, group.generators):
         raise VerificationError(
             "catalog group does not preserve the admissible form")
     return field, H, group
@@ -261,9 +259,9 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
         H = _other_class(H, positive_block, alpha, norm_budget)
 
     rho = [_embed_int_matrix(M, field, n) for M in rep.matrices]
-    if not invariant_under(H, rho, group.conj_transpose):
+    if not invariant_under(H, rho):
         raise VerificationError("representation does not preserve the form")
-    if len(set(_mat_key(g) for g in rho)) != rep.group_order:
+    if len(set(rho)) != rep.group_order:
         raise VerificationError("embedded representation is not faithful")
     return H, rho
 

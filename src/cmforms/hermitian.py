@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .field import (FieldElement, POSITIVE, NEGATIVE, VerificationError,
-                    Verdict)
+from .field import POSITIVE, NEGATIVE, VerificationError, Verdict
 from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN, _factor
 
 
@@ -30,11 +29,14 @@ class DegenerateFormError(ValueError):
 
 
 class HermitianForm:
-    """A nondegenerate hermitian matrix over E = F(sqrt(delta)), or over L."""
+    """A nondegenerate hermitian matrix over E = F(sqrt(delta)), or over L.
+    Rational entries are coerced; an entry of another field is refused
+    with a ValueError naming it."""
 
     def __init__(self, cmfield, entries):
         self.field = cmfield
-        self.entries = linalg.mat(entries)
+        check = cmfield.zero()._check
+        self.entries = linalg.mat(map(check, r) for r in entries)
         self.dim = len(self.entries)
         if any(len(r) != self.dim for r in self.entries):
             raise ValueError("matrix must be square")
@@ -42,8 +44,7 @@ class HermitianForm:
             for k in range(j, self.dim):
                 if self.entries[j][k] != self.entries[k][j].conjugate():
                     raise ValueError("matrix is not hermitian at (%d,%d)" % (j, k))
-        pivots = linalg.congruence_diagonal(self.entries,
-                                            lambda x: x.conjugate())
+        pivots = linalg.congruence_diagonal(self.entries)
         if not pivots or any(d.is_zero() for d in pivots):
             raise DegenerateFormError("form is degenerate")
         self.pivots = tuple(pivots)
@@ -62,14 +63,10 @@ class HermitianForm:
 
 def diagonal_form(cmfield, diag):
     """Hermitian form diag(d_1, ..., d_n); entries coerced into E."""
-    elems = []
-    for d in diag:
-        if not isinstance(d, FieldElement):
-            d = cmfield.from_rational(d)
-        elems.append(d)
+    diag = list(diag)
     zero = cmfield.zero()
-    n = len(elems)
-    return HermitianForm(cmfield, [[elems[i] if i == j else zero
+    n = len(diag)
+    return HermitianForm(cmfield, [[diag[i] if i == j else zero
                                     for j in range(n)] for i in range(n)])
 
 

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over any field-like element type.
 
 Elements must support +, -, *, unary -, inverse() or /, equality, and
-is_zero().  Matrices are tuples of tuples.  Used both for CM-field
-matrices and for matrices over the cubic extension in the algebra module;
-`congruence_diagonal` and `conj_transpose` also take the involution.
+is_zero(); `congruence_diagonal` and `conj_transpose` read each entry's
+own conjugate().  Matrices are tuples of tuples.  Used both for CM-field
+matrices and for matrices over the cubic extension in the algebra module.
 `mat_mul` skips zero terms: the catalog generators, the embedded integer
 matrices and the diagonal forms are mostly zeros, so a product of two
 such matrices costs far fewer than n^3 multiplications.
@@ -75,8 +75,11 @@ def mat_eq(A, B):
         for ra, rb in zip(A, B))
 
 
-def conj_transpose(A, conj):
-    return mat([[conj(A[j][i]) for j in range(len(A))] for i in range(len(A[0]))])
+def conj_transpose(A):
+    """A^H; raises ValueError on an empty or ragged A."""
+    if not A or len({len(r) for r in A}) > 1:
+        raise ValueError("cannot transpose a %s matrix" % shape(A))
+    return mat([[x.conjugate() for x in col] for col in zip(*A)])
 
 
 def trace(A):
@@ -111,23 +114,23 @@ def det(A):
     return result if sign == 1 else -result
 
 
-def congruence_diagonal(A, conj):
+def congruence_diagonal(A):
     """Pivots d_1..d_n of a congruence P A P^H = diag(d) with det P = +-1.
 
-    A must be hermitian for the involution `conj`; only its entries on and
-    above the diagonal are read.  Each step pivots on the first nonzero
+    A must be hermitian for its entries' conjugate(); only its entries on
+    and above the diagonal are read.  Each step pivots on the first nonzero
     diagonal entry of the Schur complement, moved to the front by a
     symmetric row/column swap.  If that whole diagonal is 0 but row k has an
     entry h = A[k][j] != 0, the substitution e_k += h e_j makes the pivot
     2 h conj(h) != 0, so no 2x2 pivots are needed; if row k is 0, its pivot
     is 0 and A is singular.  Hence prod(d) = det A, and by Sylvester's law
     of inertia the signs of the d_i give the inertia of A.  Raises
-    ValueError if a pivot is not fixed by `conj`."""
+    ValueError if a pivot is not fixed by the conjugation."""
     n = len(A)
     M = [list(r) for r in A]
     for i in range(n):
         for j in range(i):
-            M[i][j] = conj(M[j][i])
+            M[i][j] = M[j][i].conjugate()
     pivots = []
     for k in range(n):
         row = M[k]
@@ -139,19 +142,19 @@ def congruence_diagonal(A, conj):
                 pivots.append(row[k])
                 continue
             h = row[j]
-            norm = h * conj(h)
+            norm = h * h.conjugate()
             row[k] = norm + norm
             for c in range(k + 1, n):
                 if not M[j][c].is_zero():
                     row[c] = row[c] + h * M[j][c]
-                M[c][k] = conj(row[c])
+                M[c][k] = row[c].conjugate()
         elif p != k:
             M[k], M[p] = M[p], M[k]
             for r in M:
                 r[k], r[p] = r[p], r[k]
             row = M[k]
         d = row[k]
-        if conj(d) != d:
+        if d.conjugate() != d:
             raise ValueError("pivot %d is not fixed by the conjugation" % k)
         pivots.append(d)
         dinv = None
@@ -161,13 +164,13 @@ def congruence_diagonal(A, conj):
                 continue
             if dinv is None:
                 dinv = d.inverse()
-            f = conj(row[i]) * dinv
+            f = row[i].conjugate() * dinv
             Mi = M[i]
             Mi[i] = Mi[i] - f * row[i]
             for j in range(i + 1, n):
                 if not row[j].is_zero():
                     Mi[j] = Mi[j] - f * row[j]
-                    M[j][i] = conj(Mi[j])
+                    M[j][i] = Mi[j].conjugate()
     return pivots
 
 

@@ -92,7 +92,8 @@ def pderiv(p):
 
 
 def pmonic(p):
-    assert p
+    if not p:
+        raise ValueError("the zero polynomial has no monic multiple")
     return tuple(c / p[-1] for c in p)
 
 
@@ -141,7 +142,8 @@ def sturm_count(chain, a, b):
 
 def root_bound(p):
     """Cauchy bound: all real roots lie in (-B, B)."""
-    assert p and degree(p) >= 1
+    if not p or degree(p) < 1:
+        raise ValueError("root_bound needs a nonconstant polynomial")
     lead = abs(p[-1])
     b = 1 + max(abs(c) / lead for c in p[:-1])
     return Fraction(b)
@@ -158,7 +160,8 @@ def isolate_real_roots(p):
     """Disjoint open-ish rational intervals (lo, hi], one distinct real root
     each, sorted increasingly.  p must be squarefree."""
     p = pmonic(trim(p))
-    assert is_squarefree(p), "root isolation requires a squarefree polynomial"
+    if not is_squarefree(p):
+        raise ValueError("root isolation requires a squarefree polynomial")
     chain = sturm_chain(p)
     b = root_bound(p)
     out = []

@@ -24,7 +24,7 @@ from cmforms.dgroups import (CYCLIC_POSSIBLE, amitsur_filter,
                              enumerate_params, faithful_reducible_exists,
                              irreducible_degrees, second_type_verdict,
                              validate)
-from cmforms.groups import OTHER_CLASS, _mat_key
+from cmforms.groups import OTHER_CLASS
 
 
 def _report(num, elapsed, budget, detail):
@@ -42,7 +42,7 @@ def test_criterion_1_first_type_pipeline():
     for entry in entries:
         field, H, group = embed_first_type(entry)
         assert is_admissible(H)
-        assert invariant_under(H, group.elements, group.conj_transpose)
+        assert invariant_under(H, group.elements)
         assert group.order == entry.expected_order
     _report(1, time.time() - t0, 60,
             "%d catalog entries embedded with exact invariance" %
@@ -77,7 +77,6 @@ def test_criterion_2_equivalence_classification():
     E = gaussian_field()
     i = zeta(E, 4)
     vals = [1, -1, 2, -2, 3, -3, 5, -5]
-    conj = lambda T: linalg.conj_transpose(T, lambda x: x.conjugate())
     forms = [diagonal_form(E, [rng.choice(vals) for _ in range(3)])
              for _ in range(100)]
     for H in forms:
@@ -89,7 +88,7 @@ def test_criterion_2_equivalence_classification():
                 if not linalg.det(T).is_zero():
                     break
             H2 = HermitianForm(E, linalg.mat_mul(
-                conj(T), linalg.mat_mul(H.entries, T)))
+                linalg.conj_transpose(T), linalg.mat_mul(H.entries, T)))
             assert equivalent(H, H2) == EQUIVALENT
     # independent oracle: same negative count and determinant ratio a sum
     # of two rational squares
@@ -140,7 +139,6 @@ def _s3_table():
 def test_criterion_4_regular_embeddings():
     t0 = time.time()
     E = gaussian_field()
-    conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
     checked = 0
     for table in (_cyclic_table(2), _cyclic_table(3), _s3_table()):
         rep = regular_rep(table)
@@ -148,12 +146,12 @@ def test_criterion_4_regular_embeddings():
         for n in range(n_G, n_G + 4):
             H, rho = regular_embed(rep, E, n)
             assert is_admissible(H)
-            assert invariant_under(H, rho, conj)
-            assert len(set(_mat_key(g) for g in rho)) == rep.group_order
+            assert invariant_under(H, rho)
+            assert len(set(rho)) == rep.group_order
             if n % 2 == 1:
                 H_other, rho_o = regular_embed(rep, E, n, OTHER_CLASS)
                 assert is_admissible(H_other)
-                assert invariant_under(H_other, rho_o, conj)
+                assert invariant_under(H_other, rho_o)
                 assert equivalent(H, H_other) == NOT_EQUIVALENT
             checked += 1
     _report(4, time.time() - t0, 60,

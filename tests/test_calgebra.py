@@ -399,7 +399,7 @@ def test_unitary_membership(builtin):
         for x in members + others:
             S = algebra.splitting_matrix(x)
             oracle = linalg.mat_eq(G, linalg.mat_mul(
-                linalg.conj_transpose(S, lambda b: b.conjugate()),
+                linalg.conj_transpose(S),
                 linalg.mat_mul(G, S)))
             v = unitary_membership(algebra, involution, h, x)
             assert v == (IN_GROUP if oracle else NOT_IN_GROUP)

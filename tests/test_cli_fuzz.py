@@ -47,7 +47,7 @@ def _form(r, diag, upper):
         for j in range(i + 1, n):
             a, b = next(coords)
             T[i][j] = E.element([a], [b])
-    TH = linalg.conj_transpose(linalg.mat(T), lambda x: x.conjugate())
+    TH = linalg.conj_transpose(linalg.mat(T))
     return HermitianForm(E, linalg.mat_mul(TH, linalg.mat_mul(D, T)))
 
 

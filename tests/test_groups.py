@@ -15,7 +15,6 @@ from cmforms import (ClosureCapExceeded, DEFAULT_CLASS, MatrixGroup,
                      regular_rep, signature_profile, zeta)
 from cmforms.catalog import CatalogEntry, catalog_entry, verify_entry
 from cmforms.field import FieldElement, VerificationError
-from cmforms.groups import _mat_key
 
 
 def _s3_table():
@@ -58,6 +57,15 @@ def test_closure_refuses_non_square_generators(gens, shape):
             build(gens)
 
 
+def test_matrix_group_refuses_entries_of_another_field():
+    E, E5 = gaussian_field(), make_cyclotomic(5)
+    g = linalg.identity(3, E5.one(), E5.zero())
+    with pytest.raises(ValueError, match="field mismatch: FieldElement"):
+        MatrixGroup(E, [g])
+    with pytest.raises(ValueError, match="field mismatch: FieldElement"):
+        MatrixGroup.from_elements(E, [g])
+
+
 def test_matrix_group_orders():
     q8 = catalog_entry("Q8")
     group = MatrixGroup(q8.field, q8.generators)
@@ -68,7 +76,7 @@ def test_average_form_invariance():
     q8 = catalog_entry("Q8")
     group = MatrixGroup(q8.field, q8.generators)
     H = average_form(group)
-    assert invariant_under(H, group.elements, group.conj_transpose)
+    assert invariant_under(H, group.elements)
     assert all(sig == (3, 0) for sig in signature_profile(H))
 
 
@@ -76,7 +84,7 @@ def test_embed_first_type_q8():
     field, H, group = embed_first_type(catalog_entry("Q8"))
     assert is_admissible(H)
     assert group.order == 8
-    assert invariant_under(H, group.elements, group.conj_transpose)
+    assert invariant_under(H, group.elements)
 
 
 def test_invariance_check_runs_under_optimize():
@@ -128,16 +136,15 @@ def test_invariant_under_refuses_a_matrix_of_another_size():
     E = gaussian_field()
     H = diagonal_form(E, [1, 1, 1])
     I2 = linalg.identity(2, E.one(), E.zero())
-    conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
     with pytest.raises(ValueError, match="matrix is 2 x 2, the form is 3 x 3"):
-        invariant_under(H, [I2], conj)
+        invariant_under(H, [I2])
     ragged = (H.entries[0], H.entries[1], H.entries[2][:2])
     with pytest.raises(ValueError, match="matrix is 3 x 2/3"):
-        invariant_under(H, [ragged], conj)
+        invariant_under(H, [ragged])
     # orthonormal columns: g^H H g = I_2 once agreed with H in part
     tall = tuple(row[:2] for row in H.entries)
     with pytest.raises(ValueError, match="matrix is 3 x 2, the form is 3 x 3"):
-        invariant_under(H, [tall], conj)
+        invariant_under(H, [tall])
 
 
 def test_e_multiplication_counts(monkeypatch):
@@ -204,9 +211,8 @@ def test_regular_embed_default():
     H, rho = regular_embed(rep, E, 4)
     assert H.dim == 4
     assert is_admissible(H)
-    conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
-    assert invariant_under(H, rho, conj)
-    assert len(set(_mat_key(g) for g in rho)) == 3
+    assert invariant_under(H, rho)
+    assert len(set(rho)) == 3
 
 
 def test_regular_embed_other_class():
@@ -216,8 +222,7 @@ def test_regular_embed_other_class():
     H_oth, rho = regular_embed(rep, E, 3, OTHER_CLASS)
     assert is_admissible(H_def) and is_admissible(H_oth)
     assert equivalent(H_def, H_oth) == NOT_EQUIVALENT
-    conj = lambda g: linalg.conj_transpose(g, lambda x: x.conjugate())
-    assert invariant_under(H_oth, rho, conj)
+    assert invariant_under(H_oth, rho)
 
 
 def test_regular_embed_dimension_check():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from cmforms import (DegenerateFormError, EQUIVALENT, HermitianForm,
                      gaussian_field, invariants, is_admissible, linalg,
                      make_cyclotomic, signature_at, signature_profile,
                      twist_determinant, zeta)
+from cmforms.calgebra import AlgebraError, builtin_example
 from cmforms.polyn import sign_variations
 
 
@@ -22,6 +24,35 @@ def test_hermitian_validation():
         HermitianForm(E, bad)
     with pytest.raises(DegenerateFormError):
         diagonal_form(E, [1, 0])
+
+
+def test_a_form_refuses_entries_of_another_field():
+    E, E5 = gaussian_field(), make_cyclotomic(5)
+    H5 = diagonal_form(E5, [1, 1, -1])
+    # over its own field the form is not admissible
+    assert signature_profile(H5) == ((2, 1), (2, 1))
+    assert not is_admissible(H5)
+    with pytest.raises(ValueError, match=r"field mismatch: FieldElement"):
+        HermitianForm(E, H5.entries)
+    with pytest.raises(ValueError, match=r"field mismatch: FieldElement"):
+        diagonal_form(E, [1, E5.one(), -1])
+    # rationals are coerced into the field
+    assert HermitianForm(E, [[1, 0], [0, Fraction(-1, 2)]]) == \
+        diagonal_form(E, [1, Fraction(-1, 2)])
+
+
+def test_a_form_over_L_refuses_entries_of_another_field():
+    algebra, _ = builtin_example()
+    ext = algebra.ext
+    one, zero = ext.one(), ext.zero()
+    e5_one = make_cyclotomic(5).one()
+    for stranger, text in [(e5_one, "is not in E"),
+                           (algebra.one(), "extension mismatch")]:
+        with pytest.raises(AlgebraError, match=text):
+            HermitianForm(ext, [[one, zero], [zero, stranger]])
+    # comparing with an element of another field is False, not an error
+    assert one != e5_one and algebra.one() != e5_one
+    assert one == ext.E.one() and algebra.one() == one
 
 
 def test_signature_diagonal():
@@ -66,7 +97,7 @@ def test_equivalent_by_congruence():
     T = linalg.mat([[E.one(), i, E.zero()],
                     [E.zero(), E.one(), E.from_rational(2)],
                     [i, E.zero(), E.one() + i]])
-    conj_T = linalg.conj_transpose(T, lambda x: x.conjugate())
+    conj_T = linalg.conj_transpose(T)
     H2 = HermitianForm(E, linalg.mat_mul(conj_T,
                                          linalg.mat_mul(H.entries, T)))
     assert equivalent(H, H2) == EQUIVALENT
@@ -125,7 +156,7 @@ def test_twist_determinant_into_a_non_diagonal_form():
     i = zeta(E, 4)
     one, zero = E.one(), E.zero()
     T = linalg.mat([[one, i, 2 - i], [zero, one, 1 + i], [zero, zero, one]])
-    conj_T = linalg.conj_transpose(T, lambda x: x.conjugate())
+    conj_T = linalg.conj_transpose(T)
     H_prime = HermitianForm(E, linalg.mat_mul(
         conj_T, linalg.mat_mul(diagonal_form(E, [1, 1, -3]).entries, T)))
     assert any(not H_prime.entries[0][k].is_zero() for k in (1, 2))
@@ -148,7 +179,7 @@ def test_random_congruence_respects_invariants():
                              for _ in range(3)] for _ in range(3)])
             if not linalg.det(T).is_zero():
                 break
-        conj_T = linalg.conj_transpose(T, lambda x: x.conjugate())
+        conj_T = linalg.conj_transpose(T)
         H2 = HermitianForm(E, linalg.mat_mul(
             conj_T, linalg.mat_mul(H.entries, T)))
         assert equivalent(H, H2) == EQUIVALENT

@@ -45,9 +45,20 @@ def test_char_poly_over_complex_entries():
 def test_conj_transpose_and_trace():
     i = zeta(E, 4)
     A = linalg.mat([[E.one(), i], [E.zero(), -i]])
-    At = linalg.conj_transpose(A, lambda x: x.conjugate())
+    At = linalg.conj_transpose(A)
     assert At[0][1] == E.zero() and At[1][0] == -i
     assert linalg.trace(A) == E.one() - i
+
+
+@pytest.mark.parametrize("A, shape", [
+    ((), "0 x 0"),
+    (((E.one(),), (E.one(), E.zero())), "2 x 1/2"),
+    (((E.one(), E.zero()), (E.one(),)), "2 x 1/2"),
+])
+def test_conj_transpose_refuses_empty_and_ragged_matrices(A, shape):
+    with pytest.raises(ValueError, match="cannot transpose a %s matrix"
+                       % shape):
+        linalg.conj_transpose(A)
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),

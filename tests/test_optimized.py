@@ -35,12 +35,26 @@ CASES = [
      "E = gaussian_field()\n"
      "linalg.mat_mul(linalg.identity(2, E.one(), E.zero()),\n"
      "               linalg.identity(3, E.one(), E.zero()))", "ValueError"),
+    # a form over Q(zeta5) handed to Q(i) is refused, not read as (2, 1)
+    ("from cmforms import HermitianForm, diagonal_form\n"
+     "from cmforms.field import gaussian_field, make_cyclotomic\n"
+     "H5 = diagonal_form(make_cyclotomic(5), [1, 1, -1])\n"
+     "HermitianForm(gaussian_field(), H5.entries)", "FieldError"),
+    # (x^2 - 2)^2 is not squarefree: refused, not isolated in (0, 5]
+    ("from cmforms import polyn\n"
+     "polyn.isolate_real_roots(polyn.pmul((-2, 0, 1), (-2, 0, 1)))",
+     "ValueError"),
+    ("from cmforms import polyn\n"
+     "polyn.pmonic(())", "ValueError"),
+    ("from cmforms import polyn\n"
+     "polyn.root_bound((3,))", "ValueError"),
 ]
 
 
 @pytest.mark.parametrize("code, error", CASES, ids=[
     "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod", "cyclotomic",
-    "real_cyclotomic", "sign_of_coords", "mat_mul"])
+    "real_cyclotomic", "sign_of_coords", "mat_mul", "form_field",
+    "isolate_real_roots", "pmonic", "root_bound"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())

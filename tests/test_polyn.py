@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cmforms import polyn
@@ -34,6 +35,17 @@ def test_root_isolation_quadratic():
     lo, hi = polyn.refine_isolator(p, *iso[0])
     assert hi - lo < (iso[0][1] - iso[0][0])
     assert polyn.peval(p, lo) * polyn.peval(p, hi) < 0
+
+
+def test_caller_input_is_refused_with_value_error():
+    sqrt2_twice = polyn.pmul((-2, 0, 1), (-2, 0, 1))     # (x^2 - 2)^2
+    with pytest.raises(ValueError, match="squarefree"):
+        polyn.isolate_real_roots(sqrt2_twice)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        polyn.pmonic(())
+    for p in [(), (Fraction(3),)]:
+        with pytest.raises(ValueError, match="nonconstant"):
+            polyn.root_bound(p)
 
 
 def test_count_real_roots():
