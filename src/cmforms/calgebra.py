@@ -282,16 +282,11 @@ class CyclicAlgebra:
     # --- element constructors -------------------------------------------
 
     def element(self, b0, b1=None, b2=None):
-        z = self.ext.zero()
-        parts = []
-        for b in (b0, b1, b2):
-            if b is None:
-                parts.append(z)
-            elif isinstance(b, CubicExtElement):
-                parts.append(b)
-            else:
-                parts.append(self.ext.from_E(b))
-        return AlgebraElement(self, tuple(parts))
+        """b0 + b1 X + b2 X^2; each part is lifted to L like an L operand,
+        so an element of another extension raises AlgebraError."""
+        lift = self.ext.zero()._check
+        return AlgebraElement(self, tuple(lift(0 if b is None else b)
+                                          for b in (b0, b1, b2)))
 
     def from_L(self, b):
         return self.element(b)
@@ -488,8 +483,7 @@ def make_involution(algebra, beta):
     beta must lie in K with N_{K/F}(beta) = alpha * theta(alpha); this is
     exactly the compatibility the second-kind condition requires."""
     ext = algebra.ext
-    if not isinstance(beta, CubicExtElement):
-        beta = ext.from_E(beta)
+    beta = ext.zero()._check(beta)
     if beta.conjugate() != beta:
         raise InvolutionError("beta must be fixed by the conjugation on L")
     if beta.relative_norm() != algebra.alpha * algebra.alpha.conjugate():

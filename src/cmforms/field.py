@@ -73,7 +73,7 @@ class TotallyRealField:
     root isolators.
     """
 
-    def __init__(self, min_poly, _skip_irreducibility=False):
+    def __init__(self, min_poly):
         p = polyn.trim(min_poly)
         if not p or polyn.degree(p) < 1:
             raise FieldError("minimal polynomial must be nonconstant")
@@ -89,7 +89,7 @@ class TotallyRealField:
         self._isolators = polyn.isolate_real_roots(p)
         if len(self._isolators) != self.degree:
             raise FieldError("polynomial is not totally real")
-        if not (_skip_irreducibility or _is_irreducible(p, self._isolators)):
+        if not _is_irreducible(p, self._isolators):
             raise FieldError("minimal polynomial is reducible over Q")
 
     def _refine(self, ell):
@@ -410,7 +410,7 @@ def make_cyclotomic(r):
     if r < 3 or r % 4 == 2:
         raise FieldError("need r >= 3 with r != 2 mod 4")
     psi = polyn.real_cyclotomic(r)
-    base = TotallyRealField(psi, _skip_irreducibility=True)
+    base = TotallyRealField(psi)
     # delta = w^2 - 4 reduced mod psi
     w2 = polyn.pmod((Fraction(0), Fraction(0), Fraction(1)), psi)
     delta = polyn.padd(w2, (Fraction(-4),))

@@ -100,6 +100,21 @@ def test_K_is_refused_over_a_larger_F():
             attempt()
 
 
+def test_parts_from_another_extension_are_refused(builtin):
+    # the same cubic over Q(zeta5) is a different L from the built-in one
+    algebra, _ = builtin
+    L5 = CyclicCubicExtension(make_cyclotomic(5), [-1, -2, 1, 1], [-2, 0, 1],
+                              [0, 1])
+    y5 = L5.gen()
+    for attempt in (lambda: algebra.element(y5),
+                    lambda: algebra.element(0, None, y5),
+                    lambda: algebra.from_L(y5),
+                    lambda: algebra.one() + y5,
+                    lambda: make_involution(algebra, L5.from_E(5))):
+        with pytest.raises(AlgebraError, match="extension mismatch"):
+            attempt()
+
+
 def test_extension_over_qzeta5():
     # the same cubic and tau over E = Q(zeta5), where F has degree s = 2
     E = make_cyclotomic(5)

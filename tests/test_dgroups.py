@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -80,11 +81,42 @@ def test_irreducible_degrees():
     assert irreducible_degrees(validate(5, 1)) == [1] * 5
 
 
+def _commutator_closure(params):
+    """Brute force: close all |G|^2 commutators g h g^-1 h^-1 under
+    multiply, with g^-1 = g^(k-1) for g of order k."""
+    elems = dgroups.elements(params)
+    e = dgroups.identity()
+    inv = {}
+    for g in elems:
+        inv[g], x = e, g
+        while x != e:
+            inv[g], x = x, dgroups.multiply(params, x, g)
+    sub = {e}
+    frontier = [e]
+    gens = {dgroups.multiply(params, dgroups.multiply(params, g, h),
+                             dgroups.multiply(params, inv[g], inv[h]))
+            for g in elems for h in elems}
+    while frontier:
+        frontier = [y for y in {dgroups.multiply(params, x, c)
+                                for x in frontier for c in gens}
+                    if y not in sub]
+        sub.update(frontier)
+    return sub
+
+
 def test_commutator_subgroup_size():
-    # [G, G] = <X^s> has order t
-    for (m, r) in [(7, 2), (8, 3), (9, 2), (5, 1)]:
-        p = validate(m, r)
-        assert len(dgroups.commutator_subgroup(p)) == p.t
+    # [G, G] = <X^s> has order t, for every G_{m,r} with m <= 16
+    for p in enumerate_params(16):
+        comm = _commutator_closure(p)
+        assert comm == {(k * p.s % p.m, 0) for k in range(p.m)}
+        assert len(comm) == p.t
+
+
+def test_degrees_square_to_the_order_and_divide_n():
+    for p in enumerate_params(60):
+        degrees = irreducible_degrees(p)
+        assert sum(d * d for d in degrees) == dgroups.order(p)
+        assert all(p.n % d == 0 for d in degrees)
 
 
 def test_amitsur_filter():
@@ -128,6 +160,20 @@ except field.VerificationError:
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "VerificationError", proc.stderr
+
+
+def test_large_m_is_decided_from_the_invariants():
+    # |G| = 300009: forming commutators would not return
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmforms.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforms", "--json", "dgroup", "check",
+         "--m", "100003", "--r", "7120", "--p", "3"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True,
+        timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["verdict"] == EXCLUDED_BY_REDUCIBILITY
+    assert payload["t"] == 100003
 
 
 def test_verdict_independent_of_split():
