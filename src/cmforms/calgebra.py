@@ -2,9 +2,12 @@
 X^3 = alpha and X beta = tau(beta) X.
 
 L is a cyclic cubic extension of E carrying both the Galois map tau and a
-conjugation extending theta with totally real fixed field K.  Arithmetic
-uses that structure directly: tau and the conjugation act through their
-images of y and y^2, and an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
+conjugation extending theta with totally real fixed field K.  Elements of
+L and A are `field.Element`s: E-coordinates over 1, y, y^2 and L-parts
+over 1, X, X^2, lifted from a lower level only by their parent's
+`coerce`.  Arithmetic uses that structure directly: tau and the
+conjugation act through their images of y and y^2, and an inverse in L is
+tau(x) tau^2(x) / N_{L/E}(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
 A goes through it: a product xy is row 0 of S(x) S(y), built only from the
@@ -26,10 +29,11 @@ involution built from beta = 5 (N_{K/Q}(5) = 125 = alpha * theta(alpha)).
 import functools
 import itertools
 from fractions import Fraction
+from operator import attrgetter
 
 from . import linalg, serialize
-from .field import (Element, FieldElement, TotallyRealField, Verdict,
-                    _candidates, make_cyclotomic)
+from .field import (Element, FieldElement, FieldError, TotallyRealField,
+                    Verdict, _candidates, make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
@@ -49,27 +53,33 @@ class CyclicCubicExtension:
 
     def __init__(self, cmfield, g_coeffs, tau_poly, conj_poly):
         self.E = cmfield
-        g = [self._coerce(c) for c in g_coeffs]
+        g = tuple(map(cmfield.coerce, g_coeffs))
         if len(g) != 4 or g[3] != cmfield.one():
             raise AlgebraError("g must be a monic cubic")
-        self.g = tuple(g)
+        self.g = g
         # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
         y3 = tuple(-c for c in g[:3])
         y4 = (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1])
         self._y34 = (y3, y4)
-        self.tau_poly = tuple(self._coerce(c) for c in tau_poly)
-        self.conj_poly = tuple(self._coerce(c) for c in conj_poly)
+        self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
+        self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
         t, c = self.element(self.tau_poly), self.element(self.conj_poly)
         self._tau_y12 = (t.coeffs, (t * t).coeffs)
         self._conj_y12 = (c.coeffs, (c * c).coeffs)
         self._validate()
 
-    def _coerce(self, c):
-        if isinstance(c, FieldElement):
-            if c.field != self.E:
-                raise AlgebraError("%r is not in E" % (c,))
-            return c
-        return self.E.from_rational(c)
+    def coerce(self, x):
+        """x as an element of L: a value in E or Q is lifted to the constant
+        x; anything else but an element of this L is refused."""
+        if isinstance(x, CubicExtElement):
+            if x.parent is self or x.parent == self:
+                return x
+        elif isinstance(x, (int, Fraction, FieldElement)):
+            try:
+                return self.element([x])
+            except FieldError:
+                raise AlgebraError("%r is not in E" % (x,)) from None
+        raise AlgebraError("extension mismatch: %r" % (x,))
 
     def _combine(self, head, tail, images):
         """head + sum tail[k] * images[k] on coordinate vectors over E,
@@ -83,14 +93,14 @@ class CyclicCubicExtension:
     # --- element constructors -------------------------------------------
 
     def element(self, coeffs):
-        cs = [self._coerce(c) for c in coeffs]
+        """c0 + c1 y + c2 y^2; each c_i goes through E's coerce."""
+        cs = tuple(map(self.E.coerce, coeffs))
         if len(cs) > 3:
             raise AlgebraError("an element of L has at most 3 coordinates")
-        cs += [self.E.zero()] * (3 - len(cs))
-        return CubicExtElement(self, tuple(cs))
+        return CubicExtElement(self, cs + (self.E.zero(),) * (3 - len(cs)))
 
     def from_E(self, x):
-        return self.element([self._coerce(x)])
+        return self.element([x])
 
     def zero(self):
         return self.from_E(0)
@@ -109,12 +119,10 @@ class CyclicCubicExtension:
                 (t, self.g, "tau(y) is not a root of g"),
                 (cy, [c.conjugate() for c in self.g],
                  "c(y) is not a root of theta(g)")):
-            acc = self.from_E(poly[0])
-            pw = self.one()
-            for k in range(1, 4):
-                pw = pw * root
-                acc = acc + self.from_E(poly[k]) * pw
-            if not acc.is_zero():
+            acc = self.zero()
+            for c in reversed(poly):  # Horner
+                acc = acc * root + c
+            if acc:
                 raise AlgebraError(msg)
         if t == y:
             raise AlgebraError("tau must be nontrivial")
@@ -155,37 +163,22 @@ class CyclicCubicExtension:
 
 
 class CubicExtElement(Element):
-    """c0 + c1*y + c2*y^2 with E coefficients."""
+    """c0 + c1*y + c2*y^2 with E coefficients; `coeffs` and `ext` are
+    read-only views."""
 
-    __slots__ = ("ext", "coeffs")
-
-    def __init__(self, ext, coeffs):
-        self.ext = ext
-        self.coeffs = tuple(coeffs)
-
-    def _check(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.ext.from_E(other)
-        if not isinstance(other, CubicExtElement) or other.ext != self.ext:
-            raise AlgebraError("extension mismatch: %r" % (other,))
-        return other
-
-    def __add__(self, other):
-        o = self._check(other)
-        return CubicExtElement(self.ext,
-                               tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CubicExtElement(self.ext, tuple(-a for a in self.coeffs))
+    __slots__ = ()
+    _level = 2
+    ext = property(attrgetter("parent"))
+    coeffs = property(attrgetter("coords"))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             # E-scalar: scale the nonzero coordinates
             return CubicExtElement(self.ext, tuple(
                 c if c.is_zero() else c * other for c in self.coeffs))
-        o = self._check(other)
+        o = self._operand(other)
+        if o is NotImplemented:
+            return o
         E = self.ext.E
         prod = [E.zero()] * 5
         right = [(j, b) for j, b in enumerate(o.coeffs) if not b.is_zero()]
@@ -207,7 +200,7 @@ class CubicExtElement(Element):
         return adj * n.inverse()
 
     def __truediv__(self, other):
-        return self * self._check(other).inverse()
+        return self * self.parent.coerce(other).inverse()
 
     def conjugate(self):
         """The conjugation of L, theta-semilinear."""
@@ -238,20 +231,8 @@ class CubicExtElement(Element):
         """N_{L/E}: x * tau(x) * tau^2(x), returned as an element of E."""
         return self._norm_and_adjugate()[0]
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
     def is_in_E(self):
-        return self.coeffs[1].is_zero() and self.coeffs[2].is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.is_in_E() and self.coeffs[0] == other
-        return (isinstance(other, CubicExtElement) and other.ext == self.ext
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(tuple((c.a, c.b) for c in self.coeffs))
+        return not any(self.coords[1:])
 
     def __repr__(self):
         return "CubicExtElement(%r)" % (self.coeffs,)
@@ -270,21 +251,27 @@ class CyclicAlgebra:
     def __init__(self, ext, alpha):
         self.ext = ext
         self.E = ext.E
-        if isinstance(alpha, (int, Fraction)):
-            alpha = self.E.from_rational(alpha)
-        if not isinstance(alpha, FieldElement) or alpha.field != self.E:
-            raise AlgebraError("alpha must be an element of E")
+        alpha = self.E.coerce(alpha)
         if alpha.is_zero():
             raise AlgebraError("alpha must be nonzero")
         self.alpha = alpha
         self.alpha_L = ext.from_E(alpha)
 
+    def coerce(self, x):
+        """x as an element of A: a value in L, E or Q is lifted like a part
+        of `element`; an element of another algebra is refused."""
+        if isinstance(x, AlgebraElement):
+            if x.parent is self or x.parent == self:
+                return x
+            raise AlgebraError("algebra mismatch")
+        return self.element(x)
+
     # --- element constructors -------------------------------------------
 
     def element(self, b0, b1=None, b2=None):
-        """b0 + b1 X + b2 X^2; each part is lifted to L like an L operand,
-        so an element of another extension raises AlgebraError."""
-        lift = self.ext.zero()._check
+        """b0 + b1 X + b2 X^2; each part goes through L's coerce, so an
+        element of another extension raises AlgebraError."""
+        lift = self.ext.coerce
         return AlgebraElement(self, tuple(lift(0 if b is None else b)
                                           for b in (b0, b1, b2)))
 
@@ -372,47 +359,22 @@ class CyclicAlgebra:
 
 
 class AlgebraElement(Element):
-    __slots__ = ("algebra", "parts")
+    """b0 + b1 X + b2 X^2 with parts in L; `parts` and `algebra` are
+    read-only views."""
 
-    def __init__(self, algebra, parts):
-        self.algebra = algebra
-        self.parts = tuple(parts)
-
-    def _check(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, CubicExtElement)):
-            return self.algebra.element(other)
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
-            raise AlgebraError("algebra mismatch")
-        return other
-
-    def __add__(self, other):
-        o = self._check(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a + b for a, b in zip(self.parts, o.parts)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.parts))
+    __slots__ = ()
+    _level = 3
+    algebra = property(attrgetter("parent"))
+    parts = property(attrgetter("coords"))
 
     def __mul__(self, other):
-        return self.algebra.multiply(self, self._check(other))
+        return self.parent.multiply(self, self.parent.coerce(other))
 
     def __rmul__(self, other):
-        return self._check(other) * self
+        return self.parent.multiply(self.parent.coerce(other), self)
 
     def inverse(self):
-        return self.algebra.inverse(self)
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, CubicExtElement)):
-            return (all(p.is_zero() for p in self.parts[1:])
-                    and self.parts[0] == other)
-        return (isinstance(other, AlgebraElement)
-                and other.algebra == self.algebra and self.parts == other.parts)
+        return self.parent.inverse(self)
 
     def __repr__(self):
         return "AlgebraElement(%r)" % (self.parts,)
@@ -483,7 +445,7 @@ def make_involution(algebra, beta):
     beta must lie in K with N_{K/F}(beta) = alpha * theta(alpha); this is
     exactly the compatibility the second-kind condition requires."""
     ext = algebra.ext
-    beta = ext.zero()._check(beta)
+    beta = ext.coerce(beta)
     if beta.conjugate() != beta:
         raise InvolutionError("beta must be fixed by the conjugation on L")
     if beta.relative_norm() != algebra.alpha * algebra.alpha.conjugate():

@@ -160,11 +160,13 @@ def _dgroup_rows(args):
                           dgroups.second_type_verdict(params, args.p))
 
 
-def _load_algebra(args):
+def _load_algebra(args, need_involution=True):
+    """The --spec algebra, or the built-in one; a spec without involution
+    images is refused where the command needs the involution."""
     if args.spec:
         algebra, involution = calgebra.algebra_from_json(
             _load_json(args.spec))
-        if involution is None:
+        if involution is None and need_involution:
             raise ValueError("algebra spec carries no involution data")
         return algebra, involution
     return calgebra.builtin_example()
@@ -196,7 +198,7 @@ def cmd_algebra_check(args):
 
 
 def cmd_algebra_norm(args):
-    algebra, _ = _load_algebra(args)
+    algebra, _ = _load_algebra(args, need_involution=False)
     x = calgebra._alg_element_from_json(algebra, _load_json(args.element))
     n = algebra.reduced_norm(x)
     return CommandResult("ok", {"norm": serialize.element_to_json(n)},

@@ -1,16 +1,18 @@
 """Totally real fields F = Q[x]/(f), CM extensions E = F(sqrt(delta)),
 and certified sign evaluation at every real embedding.
 
-Elements of E carry two coordinate vectors over the power basis of F:
-x = a + b*sqrt(delta).  Elements of F are the ones with b = 0.  All sign
-decisions go through exact interval refinement against the stored root
-isolators; zero testing is exact coordinate comparison.  The isolators
-also prove the minimal polynomial irreducible (`_is_irreducible`).
+An element x = a + b*sqrt(delta) of E carries the coordinates of a, then
+those of b, over the power basis of F.  Elements of F are the ones with
+b = 0.  All sign decisions go through exact interval refinement against
+the stored root isolators; zero testing is exact coordinate comparison.
+The isolators also prove the minimal polynomial irreducible
+(`_is_irreducible`).
 """
 
 from fractions import Fraction
 import itertools
 from math import ceil, floor
+from operator import add, attrgetter, neg, sub
 
 from . import polyn
 
@@ -195,9 +197,18 @@ class CMField:
     # --- element constructors -------------------------------------------
 
     def element(self, a, b=None):
-        a = _frac_tuple(_pad(a, self.s), self.s)
-        b = _frac_tuple(_pad(b if b is not None else (), self.s), self.s)
-        return FieldElement(self, a, b)
+        s = self.s
+        return FieldElement(self, _frac_tuple(_pad(a, s) + _pad(b or (), s)))
+
+    def coerce(self, x):
+        """x as an element of E: a rational is lifted, anything else but an
+        element of this field is refused."""
+        if isinstance(x, FieldElement):
+            if x.parent is self or x.parent == self:
+                return x
+        elif isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        raise FieldError("field mismatch: %r" % (x,))
 
     def from_rational(self, q):
         return self.element([Fraction(q)])
@@ -261,24 +272,72 @@ def _pad(coords, s):
 
 
 class Element:
-    """The protocol of the elements of E, L and A: -, reversed - and ** from
-    a type's own +, unary -, *, inverse() and _check (its coercion of
-    scalars; it refuses an element of another field with a ValueError).
-    A is noncommutative, so no / is derived.  `linalg` and `groups` read
-    the conjugate(), == and hash of the elements of E and L."""
+    """An element of E, L or A: its `parent` (the CMField,
+    CyclicCubicExtension or CyclicAlgebra) and `coords`, one tuple over the
+    level below: the Q-coordinates of a then b, the E-coordinates over
+    1, y, y^2, or the L-parts over 1, X, X^2.  +, -, ==, hash, truth and
+    is_zero() are read off `coords`, and ** from a type's * and inverse().
+    Each operand goes through the parent's `coerce`, the one place where a
+    lower-level value is lifted or an element of another field is refused
+    with a ValueError (== answers False instead).  An operand from a higher
+    level makes the operation return NotImplemented, so Python runs that
+    level's reflected method, which lifts this element.  A is
+    noncommutative, so no / is derived."""
 
-    __slots__ = ()
+    __slots__ = ("parent", "coords")
+    _level = 0  # the level in the tower: E 1, L 2, A 3
+
+    def __init__(self, parent, coords):
+        self.parent = parent
+        self.coords = tuple(coords)
+
+    def _operand(self, other):
+        """other in this element's parent, or NotImplemented if it lies in
+        a higher level of the tower."""
+        if getattr(other, "_level", 0) > self._level:
+            return NotImplemented
+        return self.parent.coerce(other)
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is NotImplemented:
+            return o
+        return type(self)(self.parent, map(add, self.coords, o.coords))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.parent, map(neg, self.coords))
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        o = self._operand(other)
+        if o is NotImplemented:
+            return o
+        return type(self)(self.parent, map(sub, self.coords, o.coords))
 
     def __rsub__(self, other):
         return -self + other
 
+    def __eq__(self, other):
+        try:
+            o = self._operand(other)
+        except ValueError:  # another field, or no number
+            return False
+        return o if o is NotImplemented else self.coords == o.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __bool__(self):
+        return any(self.coords)
+
+    def is_zero(self):
+        return not any(self.coords)
+
     def __pow__(self, k):
         """Square-and-multiply; a negative k inverts first."""
         x = self.inverse() if k < 0 else self
-        out, k = self._check(1), abs(k)
+        out, k = self.parent.one(), abs(k)
         while k:
             if k & 1:
                 out = out * x
@@ -289,42 +348,26 @@ class Element:
 
 
 class FieldElement(Element):
-    """a + b*sqrt(delta) with a, b coordinate vectors over the basis of F."""
+    """a + b*sqrt(delta) with a, b coordinate vectors over the basis of F;
+    `a`, `b` and `field` are read-only views."""
 
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field, a, b):
-        self.field = field
-        self.a = a
-        self.b = b
+    __slots__ = ()
+    _level = 1
+    field = property(attrgetter("parent"))
+    a = property(lambda self: self.coords[:self.parent.s])
+    b = property(lambda self: self.coords[self.parent.s:])
 
     # --- ring operations ------------------------------------------------
 
-    def _check(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise FieldError("field mismatch: %r" % (other,))
-        return other
-
-    def __add__(self, other):
-        o = self._check(other)
-        f = self.field
-        return FieldElement(f, f._fadd(self.a, o.a), f._fadd(self.b, o.b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, tuple(-x for x in self.a),
-                            tuple(-x for x in self.b))
-
     def __mul__(self, other):
-        o = self._check(other)
-        f = self.field
-        a = f._fadd(f._fmul(self.a, o.a),
-                    f._fmul(f.delta, f._fmul(self.b, o.b)))
-        b = f._fadd(f._fmul(self.a, o.b), f._fmul(self.b, o.a))
-        return FieldElement(f, a, b)
+        o = self._operand(other)
+        if o is NotImplemented:
+            return o
+        f = self.parent
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return FieldElement(f, f._fadd(f._fmul(a, c),
+                                       f._fmul(f.delta, f._fmul(b, d)))
+                            + f._fadd(f._fmul(a, d), f._fmul(b, c)))
 
     __rmul__ = __mul__
 
@@ -335,19 +378,19 @@ class FieldElement(Element):
         ninv = self.field._finv(n.a)
         conj = self.conjugate()
         f = self.field
-        return FieldElement(f, f._fmul(conj.a, ninv), f._fmul(conj.b, ninv))
+        return FieldElement(f, f._fmul(conj.a, ninv) + f._fmul(conj.b, ninv))
 
     def __truediv__(self, other):
-        return self * self._check(other).inverse()
+        return self * self.parent.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._check(other) * self.inverse()
+        return self.parent.coerce(other) * self.inverse()
 
     # --- structure ------------------------------------------------------
 
     def conjugate(self):
         """theta: fixes F, negates sqrt(delta)."""
-        return FieldElement(self.field, self.a, tuple(-x for x in self.b))
+        return FieldElement(self.parent, self.a + tuple(-x for x in self.b))
 
     def relative_norm(self):
         """x * theta(x); lands in F."""
@@ -355,34 +398,22 @@ class FieldElement(Element):
         assert n.is_in_F()
         return n
 
-    def is_zero(self):
-        return all(x == 0 for x in self.a) and all(x == 0 for x in self.b)
-
     def is_in_F(self):
-        return all(x == 0 for x in self.b)
+        return not any(self.b)
 
     def is_rational(self):
-        return self.is_in_F() and all(x == 0 for x in self.a[1:])
+        return not any(self.coords[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise FieldError("element is not rational")
-        return self.a[0]
+        return self.coords[0]
 
     def sign_at(self, ell):
         """Certified sign at the ell-th real embedding; element must be in F."""
         if not self.is_in_F():
             raise FieldError("sign_at requires an element of F")
         return self.field.base.sign_of_coords(self.a, ell)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        return (isinstance(other, FieldElement) and other.field == self.field
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
     def __repr__(self):
         return "FieldElement(a=%s, b=%s)" % (list(map(str, self.a)),

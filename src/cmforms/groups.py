@@ -70,8 +70,7 @@ class MatrixGroup:
 
     def __init__(self, cmfield, generators, cap=10 ** 4):
         self.field = cmfield
-        check = cmfield.zero()._check
-        self.generators = [linalg.mat(map(check, r) for r in g)
+        self.generators = [linalg.mat(map(cmfield.coerce, r) for r in g)
                            for g in generators]
         self.elements = closure(self.generators, cap)
         self.dim = len(self.generators[0])
@@ -82,8 +81,7 @@ class MatrixGroup:
         """Wrap an already-closed element list (no closure recomputation)."""
         g = cls.__new__(cls)
         g.field = cmfield
-        check = cmfield.zero()._check
-        g.generators = [linalg.mat(map(check, r) for r in m)
+        g.generators = [linalg.mat(map(cmfield.coerce, r) for r in m)
                         for m in elements]
         g.elements = g.generators
         g.dim = len(g.elements[0])

@@ -35,8 +35,7 @@ class HermitianForm:
 
     def __init__(self, cmfield, entries):
         self.field = cmfield
-        check = cmfield.zero()._check
-        self.entries = linalg.mat(map(check, r) for r in entries)
+        self.entries = linalg.mat(map(cmfield.coerce, r) for r in entries)
         self.dim = len(self.entries)
         if any(len(r) != self.dim for r in self.entries):
             raise ValueError("matrix must be square")

@@ -19,8 +19,7 @@ from fractions import Fraction
 import itertools
 from math import gcd, isqrt
 
-from .field import (FieldElement, NEGATIVE, Verdict, _SMALL_PRIMES,
-                    _candidates)
+from .field import NEGATIVE, Verdict, _SMALL_PRIMES, _candidates
 
 
 IS_NORM = "IsNorm"
@@ -201,11 +200,9 @@ def _norm_witness(d, cmfield, budget):
 
 def is_norm(d, cmfield, budget=10 ** 4):
     """Three-valued norm-residue test for d in F over the CM field E/F."""
-    if isinstance(d, FieldElement):
-        if not d.is_in_F():
-            raise ValueError("is_norm expects an element of F")
-    else:
-        d = cmfield.from_rational(d)
+    d = cmfield.coerce(d)
+    if not d.is_in_F():
+        raise ValueError("is_norm expects an element of F")
     if d.is_zero():
         raise ValueError("d must be nonzero")
 

@@ -46,11 +46,15 @@ def field_to_json(cmfield):
 
 def field_from_json(obj):
     base = TotallyRealField([frac_from_str(c) for c in obj["min_poly"]])
-    return CMField(base, [frac_from_str(c) for c in obj["delta"]])
+    delta = [frac_from_str(c) for c in obj["delta"]]
+    if len(delta) != base.degree:
+        raise ValueError("delta needs %d coordinates, one per basis element "
+                         "of F, got %d" % (base.degree, len(delta)))
+    return CMField(base, delta)
 
 
 def element_to_json(x):
-    return [frac_to_str(c) for c in x.a] + [frac_to_str(c) for c in x.b]
+    return [frac_to_str(c) for c in x.coords]
 
 
 def element_from_json(cmfield, arr):

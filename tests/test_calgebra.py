@@ -7,11 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cmforms
 from cmforms import linalg
-from cmforms.calgebra import (AlgebraError, CyclicAlgebra,
-                              CyclicCubicExtension, IN_GROUP, Involution,
+from cmforms.calgebra import (AlgebraElement, AlgebraError, CyclicAlgebra,
+                              CubicExtElement, CyclicCubicExtension,
+                              IN_GROUP, Involution,
                               InvolutionError, NOT_DIVISION, NOT_IN_GROUP,
                               UNKNOWN,
                               algebra_from_json, algebra_to_json,
@@ -554,3 +556,107 @@ def test_builtin_json_is_unchanged(builtin):
     text = json.dumps(algebra_to_json(*builtin), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "7e8a2cf387ce37fb734ed2eccaa040b821a848bb0803307ce3de3b1518a0ebe5"
+
+
+
+# --- one representation: a parent and a coordinate tuple ----------------
+
+_q = st.one_of(st.just(Fraction(0)),
+               st.fractions(min_value=-4, max_value=4, max_denominator=3))
+_E_COORDS = st.tuples(_q, _q)
+_L_COORDS = st.tuples(_E_COORDS, _E_COORDS, _E_COORDS)
+_COORDS = {"L": _L_COORDS, "A": st.tuples(_L_COORDS, _L_COORDS, _L_COORDS)}
+
+
+def _build(algebra, level, coords):
+    """The element of L or A with these nested rational coordinates."""
+    E, ext = algebra.E, algebra.ext
+
+    def in_L(c):
+        return ext.element([E.element([a], [b]) for a, b in c])
+    return algebra.element(*map(in_L, coords)) if level == "A" \
+        else in_L(coords)
+
+
+@pytest.mark.parametrize("level", ["L", "A"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_additive_group_and_zero_from_the_coordinates(builtin, level, data):
+    algebra, _ = builtin
+    x, y = (_build(algebra, level, data.draw(_COORDS[level]))
+            for _ in range(2))
+    assert (x + y) - y == x and -(-x) == x
+    assert x.is_zero() == (not x) == (x == 0)
+    assert (x == y) == (x.coords == y.coords)
+    assert hash((x + y) - y) == hash(x)
+
+
+def test_equal_elements_hash_equal_however_built(builtin):
+    algebra, _ = builtin
+    ext = algebra.ext
+    rng = random.Random(3)
+    for _ in range(5):
+        b = _random_L(ext, rng)
+        e = b.coeffs[0]
+        for u, v in ((ext.from_E(e), ext.element([e])),
+                     (algebra.from_L(b), algebra.element(b, 0, 0)),
+                     (algebra.from_L(e), algebra.element(ext.from_E(e)))):
+            assert u == v and hash(u) == hash(v)
+        assert {algebra.from_L(b): b}[algebra.element(b, 0, None)] is b
+
+
+def test_elements_are_a_parent_and_coordinates_with_read_only_views(builtin):
+    algebra, _ = builtin
+    y, X = algebra.ext.gen(), algebra.X()
+    assert y.parent is y.ext is algebra.ext and y.coeffs is y.coords
+    assert X.parent is X.algebra is algebra and X.parts is X.coords
+    for x, views in ((y, ("coeffs", "ext")), (X, ("parts", "algebra"))):
+        assert not hasattr(x, "__dict__")
+        for view in views:
+            with pytest.raises(AttributeError):
+                setattr(x, view, getattr(x, view))
+
+
+def test_levels_mix_the_same_way_round(builtin):
+    algebra, _ = builtin
+    E, ext = algebra.E, algebra.ext
+    e = E.sqrt_delta() + 1
+    b = ext.gen() + e
+    x = algebra.X() + b
+    for low, high in ((E.one(), ext.one()), (E.one(), algebra.one()),
+                      (ext.one(), algebra.one())):
+        assert low == high and high == low
+        assert not (low != high) and not (high != low)
+    assert e != ext.gen() and ext.gen() != e
+    # E and L commute; the result lies in L
+    for r in (e + b, b + e, e * b, b * e):
+        assert isinstance(r, CubicExtElement)
+    assert e + b == b + e == ext.from_E(e) + b
+    assert e - b == -(b - e) == ext.from_E(e) - b
+    assert e * b == b * e == ext.from_E(e) * b
+    # with A the lower operand is lifted on its own side
+    for low in (e, b):
+        lifted = algebra.coerce(low)
+        for r in (low + x, low - x, low * x):
+            assert isinstance(r, AlgebraElement)
+        assert low + x == x + low == lifted + x
+        assert low - x == lifted - x and x - low == x - lifted
+        assert low * x == lifted * x and x * low == x * lifted
+    assert b * algebra.X() != algebra.X() * b
+
+
+def test_same_level_strangers_are_still_refused(builtin):
+    algebra, _ = builtin
+    other = CyclicAlgebra(algebra.ext, 1)
+    E5 = make_cyclotomic(5)
+    for attempt, error, text in (
+            (lambda: algebra.one() + other.one(), AlgebraError,
+             "algebra mismatch"),
+            (lambda: other.one() * algebra.X(), AlgebraError,
+             "algebra mismatch"),
+            (lambda: algebra.E.one() * E5.one(), ValueError, "field mismatch"),
+            (lambda: algebra.ext.one() + E5.one(), AlgebraError,
+             "is not in E")):
+        with pytest.raises(error, match=text):
+            attempt()
+    assert algebra.one() != other.one() and algebra.ext.one() != E5.one()

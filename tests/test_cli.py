@@ -241,6 +241,20 @@ def test_algebra_json_of_the_wrong_length_is_refused(tmp_path):
         assert "involution images" in doc["payload"]["message"]
 
 
+def test_algebra_norm_reads_a_spec_without_involution(tmp_path):
+    # the reduced norm needs no involution; check and membership do
+    algebra, _ = builtin_example()
+    spec = _write(tmp_path, "spec.json", algebra_to_json(algebra))
+    x = _write(tmp_path, "x.json", _alg_element_to_json(algebra.X()))
+    code, doc = run_json(["algebra", "norm", "--spec", spec, "--element", x])
+    assert code == 0 and doc["payload"]["norm"] == ["10", "-5/2"]
+    for argv in (["check"], ["membership", "--h", x, "--x", x]):
+        code, doc = run_json(["algebra"] + argv + ["--spec", spec])
+        assert code == 2
+        assert doc["payload"]["message"] == \
+            "algebra spec carries no involution data"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["check", "--m", "7", "--r", "2", "--p", "1000000000000000003"], 0),
     (["check", "--m", "7", "--r", "2",

@@ -6,9 +6,9 @@ answer ok.
 Every scalar leaf of these documents is a number (a rational, or a table
 index), so "a float, bool or null where a number belongs" is a mutation
 of any leaf.  The other mutations are: a missing key, an E-coordinate
-list one entry too short or too long, a non-square or non-hermitian form,
-a table row that is not a permutation and eight involution images instead
-of nine.  Sizes stay small (dimension <= 3, [F:Q] <= 3, table order <= 4)
+list or a field's delta one entry too short or too long, a non-square or
+non-hermitian form, a table row that is not a permutation and eight
+involution images instead of nine.  Sizes stay small (dimension <= 3, [F:Q] <= 3, table order <= 4)
 so the run takes a few seconds.
 """
 
@@ -177,7 +177,7 @@ _KINDS = {
     "form": (_GENERIC + [_coordinate_length(_form_entries), _non_square,
                          _non_hermitian],
              lambda p, other: ["invariants", "--form", p]),
-    "field": (_GENERIC,
+    "field": (_GENERIC + [_coordinate_length(lambda doc: [("delta",)])],
               lambda p, other: ["regular-embed", "--table", other["table"],
                                 "--field", p, "--n", "4"]),
     "table": (_GENERIC + [_table_row_not_permutation],
@@ -363,3 +363,17 @@ def test_a_zero_denominator_has_its_own_message(tmp_path, coord):
                          _form_with_coordinate(tmp_path, coord)])
     assert code == 2
     assert result["payload"]["message"] == "zero denominator in %r" % coord
+
+
+def test_a_short_delta_is_refused_not_padded(valid_inputs, tmp_path):
+    # F = Q[x]/(x^2 + x - 1) has degree 2: delta = -3 must be sent as
+    # ["-3", "0"], and ["-3"] is refused rather than read as (-3, 0)
+    field = {"min_poly": [-1, 1, 1], "delta": ["-3"]}
+    argv_of = _KINDS["field"][1]
+    for delta, code in ((["-3"], 2), (["-3", "0"], 0), (["-3", "0", "0"], 2)):
+        p = tmp_path / ("field%d.json" % len(delta))
+        p.write_text(json.dumps(dict(field, delta=delta)))
+        result_code, result = _run(argv_of(str(p), valid_inputs))
+        assert result_code == code, result
+        if code:
+            assert "delta needs 2 coordinates" in result["payload"]["message"]

@@ -142,3 +142,36 @@ def test_norm_is_rational_and_positive(x):
     assert n.is_rational()
     assert n.as_fraction() >= 0
     assert (n.as_fraction() == 0) == x.is_zero()
+
+
+@given(_elements(make_cyclotomic(5)), _elements(make_cyclotomic(5)))
+def test_additive_group_and_zero_from_the_coordinates(x, y):
+    assert (x + y) - y == x and -(-x) == x
+    assert x - x == 0 and 1 + x - 1 == x
+    assert x.is_zero() == (not x) == (x == 0)
+    assert (x == y) == (x.coords == y.coords)
+    # an element of an equal field built apart is the same element
+    twin = make_cyclotomic(5).element(x.a, x.b)
+    assert twin == x and hash(twin) == hash(x)
+
+
+def test_element_is_a_parent_and_coordinates_with_read_only_views():
+    E = make_cyclotomic(5)
+    x = E.element([1, 2], [3, 4])
+    assert x.parent is E and x.field is E
+    assert x.coords == (1, 2, 3, 4) and x.a == (1, 2) and x.b == (3, 4)
+    assert not hasattr(x, "__dict__")
+    for view in ("a", "b", "field"):
+        with pytest.raises(AttributeError):
+            setattr(x, view, x.coords)
+
+
+def test_one_coercion_refuses_another_field():
+    E, E5 = gaussian_field(), make_cyclotomic(5)
+    assert E.coerce(Fraction(1, 2)) == E.element([Fraction(1, 2)])
+    for stranger in (E5.one(), "1", 0.5, None):
+        with pytest.raises(FieldError, match="field mismatch"):
+            E.coerce(stranger)
+        with pytest.raises(FieldError, match="field mismatch"):
+            E.one() + stranger
+        assert E.one() != stranger

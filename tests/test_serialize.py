@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
 
-from cmforms import (gaussian_field, linalg, make_cyclotomic,
-                     serialize, zeta)
+import pytest
+
+from cmforms import (CMField, TotallyRealField, gaussian_field, linalg,
+                     make_cyclotomic, serialize, zeta)
 
 
 def test_fraction_strings():
@@ -45,3 +47,12 @@ def test_group_round_trip():
     E2, gens2 = serialize.group_from_json(obj)
     assert E2 == E
     assert linalg.mat_eq(gens2[0], gens[0])
+
+
+def test_a_delta_of_the_wrong_length_is_refused():
+    # x^2 + x - 1 has two real roots, so delta needs two coordinates
+    obj = {"min_poly": [-1, 1, 1], "delta": ["-3"]}
+    with pytest.raises(ValueError, match="delta needs 2 coordinates"):
+        serialize.field_from_json(obj)
+    assert serialize.field_from_json(dict(obj, delta=["-3", "0"])) == \
+        CMField(TotallyRealField([-1, 1, 1]), [-3])
