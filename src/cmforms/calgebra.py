@@ -19,7 +19,7 @@ conjugator.  The nine E-basis elements y^i X^j have one order, _LABELS.
 The module also provides a verified involution of second kind, the
 unitary-group membership predicate x* h x = h and a bounded division
 search, both answering with a `field.Verdict` (the membership scalar, the
-norm witness).
+norm witness).  `serialize` alone reads and writes its JSON.
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -31,9 +31,9 @@ import itertools
 from fractions import Fraction
 from operator import attrgetter
 
-from . import linalg, serialize
-from .field import (Element, FieldElement, FieldError, TotallyRealField,
-                    Verdict, _candidates, make_cyclotomic)
+from . import linalg
+from .field import (CommutativeElement, Element, FieldElement, FieldError,
+                    TotallyRealField, Verdict, _candidates, make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
@@ -162,7 +162,7 @@ class CyclicCubicExtension:
                 and self.conj_poly == other.conj_poly)
 
 
-class CubicExtElement(Element):
+class CubicExtElement(CommutativeElement):
     """c0 + c1*y + c2*y^2 with E coefficients; `coeffs` and `ext` are
     read-only views."""
 
@@ -198,9 +198,6 @@ class CubicExtElement(Element):
         if n.is_zero():
             raise ZeroDivisionError("inverse of zero or a zero divisor in L")
         return adj * n.inverse()
-
-    def __truediv__(self, other):
-        return self * self.parent.coerce(other).inverse()
 
     def conjugate(self):
         """The conjugation of L, theta-semilinear."""
@@ -550,66 +547,6 @@ def splitting_signature(algebra, involution, h):
         return signature_profile(HermitianForm(algebra.ext, G))
     except DegenerateFormError:
         raise AlgebraError("h is degenerate") from None
-
-
-# --- JSON wire format -------------------------------------------------------
-
-def _ext_element_to_json(x):
-    return [serialize.element_to_json(c) for c in x.coeffs]
-
-
-def _exactly(n, arr, what):
-    """arr as a list, refused unless it has exactly n entries."""
-    if not isinstance(arr, list) or len(arr) != n:
-        raise AlgebraError("%s must be a list of %d entries" % (what, n))
-    return arr
-
-
-def _ext_element_from_json(ext, arr):
-    return ext.element([serialize.element_from_json(ext.E, c)
-                        for c in _exactly(3, arr, "an element of L")])
-
-
-def _alg_element_to_json(x):
-    return [_ext_element_to_json(p) for p in x.parts]
-
-
-def _alg_element_from_json(algebra, arr):
-    parts = _exactly(3, arr, "an algebra element")
-    return AlgebraElement(algebra, tuple(_ext_element_from_json(algebra.ext, p)
-                                         for p in parts))
-
-
-def algebra_to_json(algebra, involution=None):
-    ext = algebra.ext
-    obj = {
-        "E": serialize.field_to_json(algebra.E),
-        "g": [serialize.element_to_json(c) for c in ext.g],
-        "tau": [serialize.element_to_json(c) for c in ext.tau_poly],
-        "conj": [serialize.element_to_json(c) for c in ext.conj_poly],
-        "alpha": serialize.element_to_json(algebra.alpha),
-    }
-    if involution is not None:
-        obj["involution"] = [_alg_element_to_json(involution.images[label])
-                             for label in _LABELS]
-    return obj
-
-
-def algebra_from_json(obj):
-    """Parse an algebra spec; any included involution is re-verified."""
-    E = serialize.field_from_json(obj["E"])
-    g = [serialize.element_from_json(E, c) for c in obj["g"]]
-    tau = [serialize.element_from_json(E, c) for c in obj["tau"]]
-    conj = [serialize.element_from_json(E, c) for c in obj["conj"]]
-    ext = CyclicCubicExtension(E, g, tau, conj)
-    algebra = CyclicAlgebra(ext, serialize.element_from_json(E, obj["alpha"]))
-    involution = None
-    if "involution" in obj:
-        arrs = _exactly(9, obj["involution"], "the involution images")
-        images = {label: _alg_element_from_json(algebra, arr)
-                  for label, arr in zip(_LABELS, arrs)}
-        involution = verify_involution(Involution(algebra, images))
-    return algebra, involution
 
 
 # --- the shipped example --------------------------------------------------

@@ -46,10 +46,6 @@ def _load_json(path):
         raise ValueError("cannot read %s: %s" % (path, e))
 
 
-def _load_form(path):
-    return serialize.form_from_json(_load_json(path))
-
-
 def _inv_payload(inv):
     return {
         "dim": inv.dim,
@@ -62,7 +58,7 @@ def _inv_payload(inv):
 # --- command handlers -------------------------------------------------------
 
 def cmd_invariants(args):
-    H = _load_form(args.form)
+    H = serialize.form_from_json(_load_json(args.form))
     inv = hermitian.invariants(H)
     return CommandResult("ok", _inv_payload(inv),
                          ["parsed form of dimension %d" % H.dim,
@@ -70,8 +66,8 @@ def cmd_invariants(args):
 
 
 def cmd_equivalent(args):
-    H1 = _load_form(args.form)
-    H2 = _load_form(args.form2)
+    H1 = serialize.form_from_json(_load_json(args.form))
+    H2 = serialize.form_from_json(_load_json(args.form2))
     verdict = hermitian.equivalent(H1, H2, args.budget)
     status = "unknown" if verdict == UNKNOWN else "ok"
     trace = ["compared dimensions, signature profiles and determinant "
@@ -80,7 +76,7 @@ def cmd_equivalent(args):
 
 
 def cmd_admissible(args):
-    H = _load_form(args.form)
+    H = serialize.form_from_json(_load_json(args.form))
     ok = hermitian.is_admissible(H)
     profile = [list(s) for s in hermitian.signature_profile(H)]
     return CommandResult("ok", {"admissible": ok, "signatures": profile},
@@ -154,7 +150,9 @@ def _dgroup_row(params, verdict=None):
 
 
 def _dgroup_rows(args):
-    """The rows of `dgroup enumerate`, built one at a time."""
+    """The rows of `dgroup enumerate`, one at a time, after p is checked."""
+    if args.p is not None:
+        dgroups.check_odd_prime(args.p)
     for params in dgroups.enumerate_params(args.max_m):
         yield _dgroup_row(params, None if args.p is None else
                           dgroups.second_type_verdict(params, args.p))
@@ -164,7 +162,7 @@ def _load_algebra(args, need_involution=True):
     """The --spec algebra, or the built-in one; a spec without involution
     images is refused where the command needs the involution."""
     if args.spec:
-        algebra, involution = calgebra.algebra_from_json(
+        algebra, involution = serialize.algebra_from_json(
             _load_json(args.spec))
         if involution is None and need_involution:
             raise ValueError("algebra spec carries no involution data")
@@ -199,7 +197,7 @@ def cmd_algebra_check(args):
 
 def cmd_algebra_norm(args):
     algebra, _ = _load_algebra(args, need_involution=False)
-    x = calgebra._alg_element_from_json(algebra, _load_json(args.element))
+    x = serialize.element_from_json(algebra, _load_json(args.element))
     n = algebra.reduced_norm(x)
     return CommandResult("ok", {"norm": serialize.element_to_json(n)},
                          ["determinant of the splitting matrix, verified "
@@ -208,8 +206,8 @@ def cmd_algebra_norm(args):
 
 def cmd_algebra_membership(args):
     algebra, involution = _load_algebra(args)
-    h = calgebra._alg_element_from_json(algebra, _load_json(args.h))
-    x = calgebra._alg_element_from_json(algebra, _load_json(args.x))
+    h = serialize.element_from_json(algebra, _load_json(args.h))
+    x = serialize.element_from_json(algebra, _load_json(args.x))
     verdict = calgebra.unitary_membership(algebra, involution, h, x)
     payload = {"status": verdict.status}
     if verdict.scalar is not None:

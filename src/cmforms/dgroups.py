@@ -132,11 +132,11 @@ def irreducible_degrees(params):
 def amitsur_filter(params, p):
     """Necessary condition for G_{m,r} to sit in a division algebra of odd
     prime degree p: n divides p."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     return p % params.n == 0
 
 
-def _check_odd_prime(p):
+def check_odd_prime(p):
     """Refuse p unless `residue._is_prime` proves it an odd prime."""
     if p in _MR_BASES[1:]:
         return
@@ -151,7 +151,7 @@ def faithful_reducible_exists(params, p):
     summands all of dimension < p?  Degrees divide p, so all summands are
     1-dimensional; their common kernel is the commutator subgroup <X^s>,
     of order t, so one exists iff G is abelian, that is iff t = 1."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if params.n != p:
         raise ValueError("oracle applies to the n = p case")
     return params.t == 1
@@ -165,7 +165,7 @@ def second_type_verdict(params, p, split=None):
 
     The verdict is independent of the positive split, mirroring the
     compact-subgroup argument."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if split is not None:
         p1, p2 = split
         if p1 <= 0 or p2 <= 0 or p1 + p2 != p:

@@ -281,8 +281,9 @@ class Element:
     lower-level value is lifted or an element of another field is refused
     with a ValueError (== answers False instead).  An operand from a higher
     level makes the operation return NotImplemented, so Python runs that
-    level's reflected method, which lifts this element.  A is
-    noncommutative, so no / is derived."""
+    level's reflected method, which lifts this element; equal elements of
+    two levels hash alike.  A is noncommutative: only CommutativeElement,
+    the base of E's and L's elements, derives /."""
 
     __slots__ = ("parent", "coords")
     _level = 0  # the level in the tower: E 1, L 2, A 3
@@ -326,7 +327,7 @@ class Element:
         return o if o is NotImplemented else self.coords == o.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.coords if any(self.coords[1:]) else self.coords[0])
 
     def __bool__(self):
         return any(self.coords)
@@ -347,7 +348,22 @@ class Element:
         return out
 
 
-class FieldElement(Element):
+class CommutativeElement(Element):
+    """An element of E or L: x / y = x * y^-1 either way round, with the
+    levels mixed as for *."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._operand(other)
+        return o if o is NotImplemented else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._operand(other)
+        return o if o is NotImplemented else o * self.inverse()
+
+
+class FieldElement(CommutativeElement):
     """a + b*sqrt(delta) with a, b coordinate vectors over the basis of F;
     `a`, `b` and `field` are read-only views."""
 
@@ -379,12 +395,6 @@ class FieldElement(Element):
         conj = self.conjugate()
         f = self.field
         return FieldElement(f, f._fmul(conj.a, ninv) + f._fmul(conj.b, ninv))
-
-    def __truediv__(self, other):
-        return self * self.parent.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.parent.coerce(other) * self.inverse()
 
     # --- structure ------------------------------------------------------
 

@@ -1,17 +1,23 @@
-"""Shared JSON wire formats.
+"""The JSON wire format, read and written by this module alone.
 
 Rationals are ints or strings "[+-]p", "[+-]p/q" or "[+-]p.q" in ASCII
 digits.  Floats, booleans, null and other strings ("1e9", "1_0", " 7")
 are refused: a double is not the rational it was written as.  A field
-is {"min_poly": [ints, constant first], "delta": [rationals]}.  Elements
-of E are flat coordinate arrays of length 2s (F-part then sqrt(delta)-
-part).  Forms and groups carry their field inline.
+is {"min_poly": [ints, constant first], "delta": [rationals]}.  An
+element of E, L or A is the list of its `coords`, each a rational or the
+list of an element of the level below: 2s rationals for E (the F-part,
+then the sqrt(delta)-part), three E-lists for L, three L-lists for A.
+Forms and groups carry their field inline, an algebra spec its E.  Every
+array must be a list of the length its place needs.
 """
 
 from fractions import Fraction
 import re
 
-from .field import TotallyRealField, CMField
+from .calgebra import (_LABELS, AlgebraElement, CubicExtElement,
+                       CyclicAlgebra, CyclicCubicExtension, Involution,
+                       verify_involution)
+from .field import CMField, Element, FieldElement, TotallyRealField
 from .hermitian import HermitianForm
 from . import linalg
 
@@ -37,32 +43,46 @@ def frac_from_str(s):
                      "(or \"p\", \"p.q\"), got %r" % (s,))
 
 
+def _list(arr, what, n=None, unit="coordinates"):
+    """The one reader of an array: arr, refused unless it is a JSON list
+    of n entries (of any length if n is None)."""
+    if isinstance(arr, list) and n in (None, len(arr)):
+        return arr
+    need = "a list" if n is None else "%d %s" % (n, unit)
+    got = len(arr) if isinstance(arr, list) else type(arr).__name__
+    raise ValueError("%s needs %s, got %s" % (what, need, got))
+
+
 def field_to_json(cmfield):
-    return {
-        "min_poly": [int(c) for c in cmfield.base.min_poly],
-        "delta": [frac_to_str(c) for c in cmfield.delta],
-    }
+    return {"min_poly": [int(c) for c in cmfield.base.min_poly],
+            "delta": [frac_to_str(c) for c in cmfield.delta]}
 
 
 def field_from_json(obj):
-    base = TotallyRealField([frac_from_str(c) for c in obj["min_poly"]])
-    delta = [frac_from_str(c) for c in obj["delta"]]
-    if len(delta) != base.degree:
-        raise ValueError("delta needs %d coordinates, one per basis element "
-                         "of F, got %d" % (base.degree, len(delta)))
-    return CMField(base, delta)
+    base = TotallyRealField([frac_from_str(c)
+                             for c in _list(obj["min_poly"], "min_poly")])
+    delta = _list(obj["delta"], "delta", base.degree)
+    return CMField(base, [frac_from_str(c) for c in delta])
 
 
 def element_to_json(x):
-    return [frac_to_str(c) for c in x.coords]
+    """x in E, L or A as nested lists of rational strings."""
+    return [element_to_json(c) if isinstance(c, Element) else frac_to_str(c)
+            for c in x.coords]
 
 
-def element_from_json(cmfield, arr):
-    s = cmfield.s
-    coords = [frac_from_str(c) for c in arr]
-    if len(coords) != 2 * s:
-        raise ValueError("element needs %d coordinates" % (2 * s))
-    return cmfield.element(coords[:s], coords[s:])
+_NAMES = {FieldElement: "an element of E", CubicExtElement: "an element of L",
+          AlgebraElement: "an algebra element"}  # in error messages
+
+
+def element_from_json(parent, arr):
+    """The element of E, L or A written as arr: one entry per coordinate
+    of parent.zero(), read as that coordinate is, a rational or an element."""
+    zero = parent.zero()
+    arr = _list(arr, _NAMES[type(zero)], len(zero.coords))
+    return type(zero)(parent, [element_from_json(z.parent, a)
+                               if isinstance(z, Element) else frac_from_str(a)
+                               for z, a in zip(zero.coords, arr)])
 
 
 def matrix_to_json(M):
@@ -70,8 +90,10 @@ def matrix_to_json(M):
 
 
 def matrix_from_json(cmfield, rows):
-    return linalg.mat([[element_from_json(cmfield, x) for x in row]
-                       for row in rows])
+    """Rows of elements of E; the form or group checks the shape."""
+    return linalg.mat([[element_from_json(cmfield, x)
+                        for x in _list(row, "a matrix row")]
+                       for row in _list(rows, "a matrix")])
 
 
 def form_to_json(H):
@@ -91,5 +113,37 @@ def group_to_json(cmfield, generators):
 
 def group_from_json(obj):
     f = field_from_json(obj["field"])
-    gens = [matrix_from_json(f, g) for g in obj["generators"]]
-    return f, gens
+    return f, [matrix_from_json(f, g)
+               for g in _list(obj["generators"], "generators")]
+
+
+def algebra_to_json(algebra, involution=None):
+    """E, g, tau(y), c(y) and alpha, and the involution images of the
+    y^i X^j in _LABELS order."""
+    ext = algebra.ext
+    obj = {"E": field_to_json(algebra.E),
+           "g": list(map(element_to_json, ext.g)),
+           "tau": list(map(element_to_json, ext.tau_poly)),
+           "conj": list(map(element_to_json, ext.conj_poly)),
+           "alpha": element_to_json(algebra.alpha)}
+    if involution is not None:
+        obj["involution"] = [element_to_json(involution.images[label])
+                             for label in _LABELS]
+    return obj
+
+
+def algebra_from_json(obj):
+    """(algebra, involution or None); an involution is re-verified and
+    carries no splitting conjugator."""
+    E = field_from_json(obj["E"])
+    g, tau, conj = ([element_from_json(E, c) for c in _list(obj[key], key)]
+                    for key in ("g", "tau", "conj"))
+    algebra = CyclicAlgebra(CyclicCubicExtension(E, g, tau, conj),
+                            element_from_json(E, obj["alpha"]))
+    involution = None
+    if "involution" in obj:
+        images = _list(obj["involution"], "the spec", 9, "involution images")
+        involution = verify_involution(Involution(algebra, {
+            label: element_from_json(algebra, arr)
+            for label, arr in zip(_LABELS, images)}))
+    return algebra, involution

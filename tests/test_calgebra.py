@@ -16,12 +16,12 @@ from cmforms.calgebra import (AlgebraElement, AlgebraError, CyclicAlgebra,
                               IN_GROUP, Involution,
                               InvolutionError, NOT_DIVISION, NOT_IN_GROUP,
                               UNKNOWN,
-                              algebra_from_json, algebra_to_json,
                               builtin_example, is_division_candidate,
                               make_involution, splitting_signature,
                               unitary_membership, verify_involution)
 from cmforms.field import FieldElement, make_cyclotomic
 from cmforms.polyn import sign_variations
+from cmforms.serialize import algebra_from_json, algebra_to_json
 
 
 @pytest.fixture(scope="module")
@@ -660,3 +660,39 @@ def test_same_level_strangers_are_still_refused(builtin):
         with pytest.raises(error, match=text):
             attempt()
     assert algebra.one() != other.one() and algebra.ext.one() != E5.one()
+
+
+@pytest.mark.parametrize("level", ["L", "A"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_a_lower_level_element_hashes_like_its_lift(builtin, level, data):
+    # equal elements hash alike across levels, as a set or dict needs
+    algebra, _ = builtin
+    E, ext = algebra.E, algebra.ext
+    assert len({E.one(), ext.one(), algebra.one(), 1}) == 1
+    if level == "L":
+        a, b = data.draw(_E_COORDS)
+        low, lift = E.element([a], [b]), ext.from_E
+    else:
+        low, lift = _build(algebra, "L", data.draw(_L_COORDS)), algebra.from_L
+    assert lift(low) == low and hash(lift(low)) == hash(low)
+    assert len({low, lift(low)}) == 1
+    q = data.draw(_q)
+    assert hash(q) == hash(E.from_rational(q)) == hash(ext.from_E(q)) == \
+        hash(algebra.element(q))
+
+
+def test_division_mixes_levels_like_multiplication(builtin):
+    algebra, _ = builtin
+    E, ext = algebra.E, algebra.ext
+    e, y = E.sqrt_delta() + 1, ext.gen()
+    assert 1 / y == E.one() / y == ext.one() / y == y.inverse()
+    assert isinstance(e / y, CubicExtElement)
+    assert e / y == e * y.inverse() and y / e == y * e.inverse()
+    assert Fraction(1, 2) / e == (2 * e).inverse()
+    # A is noncommutative and keeps no /, from either side
+    X = algebra.X()
+    for attempt in (lambda: algebra.one() / X, lambda: X / y,
+                    lambda: y / X, lambda: e / X, lambda: 1 / X):
+        with pytest.raises(TypeError):
+            attempt()

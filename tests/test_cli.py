@@ -10,8 +10,9 @@ import pytest
 import cmforms
 from cmforms import (HermitianForm, diagonal_form, gaussian_field,
                      make_cyclotomic, serialize, zeta)
-from cmforms.calgebra import (_alg_element_to_json, algebra_to_json,
-                              builtin_example)
+from cmforms.calgebra import builtin_example
+from cmforms.serialize import (algebra_to_json,
+                               element_to_json as _alg_element_to_json)
 from cmforms.cli import main
 
 
@@ -148,6 +149,15 @@ def test_dgroup_enumerate_json_lines():
 
 def test_dgroup_enumerate_below_one_prints_no_rows():
     assert run(["dgroup", "enumerate", "--max-m", "0", "--p", "3"]) == (0, "")
+
+
+def test_dgroup_enumerate_checks_p_before_any_row():
+    # a bad p is refused alike with no row to build and with rows
+    for max_m in ("0", "1"):
+        code, doc = run_json(["dgroup", "enumerate", "--max-m", max_m,
+                              "--p", "4"])
+        assert code == 2 and doc["payload"]["message"] == \
+            "p must be an odd prime"
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,8 +17,9 @@ import json
 import pytest
 
 from cmforms import diagonal_form, gaussian_field, make_cyclotomic, serialize
-from cmforms.calgebra import (_alg_element_to_json, algebra_to_json,
-                              builtin_example)
+from cmforms.calgebra import builtin_example
+from cmforms.serialize import (algebra_to_json,
+                               element_to_json as _alg_element_to_json)
 from cmforms.cli import main
 
 

@@ -7,8 +7,9 @@ Every scalar leaf of these documents is a number (a rational, or a table
 index), so "a float, bool or null where a number belongs" is a mutation
 of any leaf.  The other mutations are: a missing key, an E-coordinate
 list or a field's delta one entry too short or too long, a non-square or
-non-hermitian form, a table row that is not a permutation and eight
-involution images instead of nine.  Sizes stay small (dimension <= 3, [F:Q] <= 3, table order <= 4)
+non-hermitian form, a table row that is not a permutation, eight
+involution images instead of nine and a list of numbers sent as the
+string of its digits.  Sizes stay small (dimension <= 3, [F:Q] <= 3, table order <= 4)
 so the run takes a few seconds.
 """
 
@@ -22,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from cmforms import (HermitianForm, diagonal_form, gaussian_field, linalg,
                      make_cyclotomic, serialize)
-from cmforms.calgebra import (_alg_element_to_json, algebra_to_json,
-                              builtin_example)
+from cmforms.calgebra import builtin_example
+from cmforms.serialize import (algebra_to_json,
+                               element_to_json as _alg_element_to_json)
 from cmforms.cli import main
 
 # Q(i), Q(zeta5), Q(zeta8), Q(zeta7), Q(zeta9): [F:Q] = 1, 2, 2, 3, 3
@@ -266,6 +268,55 @@ def test_unmutated_documents_are_accepted(valid_inputs, tmp_path):
         p.write_text(json.dumps(doc))
         code, result = _run(argv_of(str(p), valid_inputs))
         assert code == 0 and result["status"] == "ok", result
+
+
+# --- a string of digits where a list of numbers belongs ----------------
+
+def _list_to_digits(doc, data):
+    """Replace a list of numbers by the string of its digits, which a
+    reader that iterates it would take character by character."""
+    lists = [p for p, v in _nodes(doc) if isinstance(v, list) and v
+             and not any(isinstance(c, (dict, list)) for c in v)]
+    path = data.draw(st.sampled_from(lists))
+    _get(doc, path[:-1])[path[-1]] = "".join(map(str, _get(doc, path)))
+    return "digits %r at %s" % (_get(doc, path), path)
+
+
+@pytest.mark.parametrize("kind", ["element", "field", "form", "spec"])
+def test_a_digit_string_in_place_of_a_list_exits_2(kind, valid_inputs,
+                                                   tmp_path_factory):
+    argv_of = _KINDS[kind][1]
+    path = str(tmp_path_factory.mktemp("fuzz_digits_" + kind) / "doc.json")
+
+    @settings(max_examples=30, deadline=2000, derandomize=True,
+              database=None)
+    @given(base=_base_docs(kind), data=st.data())
+    def check(base, data):
+        doc = copy.deepcopy(base)
+        what = _list_to_digits(doc, data)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, result = _run(argv_of(path, valid_inputs))
+        assert code == 2, (what, result)
+        assert result["payload"]["message"].endswith("got str"), \
+            (what, result)
+
+    check()
+
+
+@pytest.mark.parametrize("site, digits, message", [
+    (("entries", 0, 0), "10", "an element of E needs 2 coordinates"),
+    (("field", "min_poly"), "01", "min_poly needs a list"),
+])
+def test_a_digit_string_is_not_read_as_its_characters(tmp_path, site, digits,
+                                                      message):
+    # over Q(i) "10" would read as the element 1, "01" as the polynomial x
+    doc = serialize.form_to_json(diagonal_form(gaussian_field(), [1, 1, -1]))
+    _get(doc, site[:-1])[site[-1]] = digits
+    p = tmp_path / "form.json"
+    p.write_text(json.dumps(doc))
+    code, result = _run(["invariants", "--form", str(p)])
+    assert code == 2 and message in result["payload"]["message"]
 
 
 @pytest.mark.parametrize("path, bad", [
