@@ -4,8 +4,8 @@ X^3 = alpha and X beta = tau(beta) X.
 L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  Elements of
 L and A are `field.Element`s: E-coordinates over 1, y, y^2 and L-parts
-over 1, X, X^2, lifted from a lower level only by their parent's
-`coerce`.  Arithmetic uses that structure directly: tau and the
+over 1, X, X^2; L and A are `field.Parent`s, keyed by E, g, tau(y), c(y)
+and by L, alpha.  Arithmetic uses that structure directly: tau and the
 conjugation act through their images of y and y^2, and an inverse in L is
 tau(x) tau^2(x) / N_{L/E}(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
@@ -33,133 +33,14 @@ from operator import attrgetter
 
 from . import linalg
 from .field import (CommutativeElement, Element, FieldElement, FieldError,
-                    TotallyRealField, Verdict, _candidates, make_cyclotomic)
+                    Parent, TotallyRealField, Verdict, _candidates,
+                    make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
 
 class AlgebraError(ValueError):
     pass
-
-
-class CyclicCubicExtension:
-    """L = E[y]/(g) with Galois automorphism tau and conjugation c.
-
-    tau_poly and conj_poly are the coordinate vectors (over the basis
-    1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.
-    tau is applied as the E-linear map sum c_i y^i -> sum c_i tau(y^i),
-    c as the theta-semilinear one, from the images of y and y^2 computed
-    once here; y^3 and y^4 mod g do the same for multiplication."""
-
-    def __init__(self, cmfield, g_coeffs, tau_poly, conj_poly):
-        self.E = cmfield
-        g = tuple(map(cmfield.coerce, g_coeffs))
-        if len(g) != 4 or g[3] != cmfield.one():
-            raise AlgebraError("g must be a monic cubic")
-        self.g = g
-        # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
-        y3 = tuple(-c for c in g[:3])
-        y4 = (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1])
-        self._y34 = (y3, y4)
-        self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
-        self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
-        t, c = self.element(self.tau_poly), self.element(self.conj_poly)
-        self._tau_y12 = (t.coeffs, (t * t).coeffs)
-        self._conj_y12 = (c.coeffs, (c * c).coeffs)
-        self._validate()
-
-    def coerce(self, x):
-        """x as an element of L: a value in E or Q is lifted to the constant
-        x; anything else but an element of this L is refused."""
-        if isinstance(x, CubicExtElement):
-            if x.parent is self or x.parent == self:
-                return x
-        elif isinstance(x, (int, Fraction, FieldElement)):
-            try:
-                return self.element([x])
-            except FieldError:
-                raise AlgebraError("%r is not in E" % (x,)) from None
-        raise AlgebraError("extension mismatch: %r" % (x,))
-
-    def _combine(self, head, tail, images):
-        """head + sum tail[k] * images[k] on coordinate vectors over E,
-        skipping zero tail coefficients."""
-        out = list(head)
-        for c, img in zip(tail, images):
-            if not c.is_zero():
-                out = [u + c * v for u, v in zip(out, img)]
-        return CubicExtElement(self, tuple(out))
-
-    # --- element constructors -------------------------------------------
-
-    def element(self, coeffs):
-        """c0 + c1 y + c2 y^2; each c_i goes through E's coerce."""
-        cs = tuple(map(self.E.coerce, coeffs))
-        if len(cs) > 3:
-            raise AlgebraError("an element of L has at most 3 coordinates")
-        return CubicExtElement(self, cs + (self.E.zero(),) * (3 - len(cs)))
-
-    def from_E(self, x):
-        return self.element([x])
-
-    def zero(self):
-        return self.from_E(0)
-
-    def one(self):
-        return self.from_E(1)
-
-    def gen(self):
-        return self.element([0, 1])
-
-    def _validate(self):
-        y = self.gen()
-        t, cy = self.tau_of(y), y.conjugate()
-        # g(tau(y)) = 0, and theta(g)(c(y)) = 0 since c is theta-semilinear
-        for root, poly, msg in (
-                (t, self.g, "tau(y) is not a root of g"),
-                (cy, [c.conjugate() for c in self.g],
-                 "c(y) is not a root of theta(g)")):
-            acc = self.zero()
-            for c in reversed(poly):  # Horner
-                acc = acc * root + c
-            if acc:
-                raise AlgebraError(msg)
-        if t == y:
-            raise AlgebraError("tau must be nontrivial")
-        if self.tau_of(self.tau_of(t)) != y:
-            raise AlgebraError("tau^3 is not the identity")
-        if cy.conjugate() != y:
-            raise AlgebraError("conjugation is not an involution")
-
-    # --- field maps -------------------------------------------------------
-
-    def tau_of(self, x):
-        zero = self.E.zero()
-        return self._combine((x.coeffs[0], zero, zero), x.coeffs[1:],
-                             self._tau_y12)
-
-    @functools.cached_property
-    def real_subfield(self):
-        """K as a totally real field, Q[y]/(g); needs F = Q, where K has
-        degree 3, and g to have rational coefficients."""
-        if self.E.s > 1:
-            raise AlgebraError("K extraction needs F = Q")
-        coeffs = []
-        for c in self.g:
-            if not c.is_rational():
-                raise AlgebraError("K extraction needs a rational cubic g")
-            coeffs.append(c.as_fraction())
-        return TotallyRealField(coeffs)
-
-    @property
-    def s(self):
-        """The degree of K, its number of real places; needs F = Q."""
-        return self.real_subfield.degree
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicCubicExtension) and self.E == other.E
-                and self.g == other.g and self.tau_poly == other.tau_poly
-                and self.conj_poly == other.conj_poly)
 
 
 class CubicExtElement(CommutativeElement):
@@ -235,6 +116,116 @@ class CubicExtElement(CommutativeElement):
         return "CubicExtElement(%r)" % (self.coeffs,)
 
 
+class CyclicCubicExtension(Parent):
+    """L = E[y]/(g) with Galois automorphism tau and conjugation c.
+
+    tau_poly and conj_poly are the coordinate vectors (over the basis
+    1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.
+    tau is applied as the E-linear map sum c_i y^i -> sum c_i tau(y^i),
+    c as the theta-semilinear one, from the images of y and y^2 computed
+    once here; y^3 and y^4 mod g do the same for multiplication."""
+
+    _element = CubicExtElement
+
+    def __init__(self, cmfield, g_coeffs, tau_poly, conj_poly):
+        self.E = cmfield
+        g = tuple(map(cmfield.coerce, g_coeffs))
+        if len(g) != 4 or g[3] != cmfield.one():
+            raise AlgebraError("g must be a monic cubic")
+        self.g = g
+        # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
+        y3 = tuple(-c for c in g[:3])
+        y4 = (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1])
+        self._y34 = (y3, y4)
+        self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
+        self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
+        t, c = self.element(self.tau_poly), self.element(self.conj_poly)
+        self._tau_y12 = (t.coeffs, (t * t).coeffs)
+        self._conj_y12 = (c.coeffs, (c * c).coeffs)
+        self._validate()
+
+    def _lift(self, x):
+        """A value in E or Q as the constant x; anything else is refused."""
+        if isinstance(x, (int, Fraction, FieldElement)):
+            try:
+                return self.element([x])
+            except FieldError:
+                raise AlgebraError("%r is not in E" % (x,)) from None
+        raise AlgebraError("extension mismatch: %r" % (x,))
+
+    def _key(self):
+        return self.E, self.g, self.tau_poly, self.conj_poly
+
+    def _combine(self, head, tail, images):
+        """head + sum tail[k] * images[k] on coordinate vectors over E,
+        skipping zero tail coefficients."""
+        out = list(head)
+        for c, img in zip(tail, images):
+            if not c.is_zero():
+                out = [u + c * v for u, v in zip(out, img)]
+        return CubicExtElement(self, tuple(out))
+
+    # --- element constructors -------------------------------------------
+
+    def element(self, coeffs):
+        """c0 + c1 y + c2 y^2; each c_i goes through E's coerce."""
+        cs = tuple(map(self.E.coerce, coeffs))
+        if len(cs) > 3:
+            raise AlgebraError("an element of L has at most 3 coordinates")
+        return CubicExtElement(self, cs + (self.E.zero(),) * (3 - len(cs)))
+
+    def from_E(self, x):
+        return self.element([x])
+
+    def gen(self):
+        return self.element([0, 1])
+
+    def _validate(self):
+        y = self.gen()
+        t, cy = self.tau_of(y), y.conjugate()
+        # g(tau(y)) = 0, and theta(g)(c(y)) = 0 since c is theta-semilinear
+        for root, poly, msg in (
+                (t, self.g, "tau(y) is not a root of g"),
+                (cy, [c.conjugate() for c in self.g],
+                 "c(y) is not a root of theta(g)")):
+            acc = self.zero()
+            for c in reversed(poly):  # Horner
+                acc = acc * root + c
+            if acc:
+                raise AlgebraError(msg)
+        if t == y:
+            raise AlgebraError("tau must be nontrivial")
+        if self.tau_of(self.tau_of(t)) != y:
+            raise AlgebraError("tau^3 is not the identity")
+        if cy.conjugate() != y:
+            raise AlgebraError("conjugation is not an involution")
+
+    # --- field maps -------------------------------------------------------
+
+    def tau_of(self, x):
+        zero = self.E.zero()
+        return self._combine((x.coeffs[0], zero, zero), x.coeffs[1:],
+                             self._tau_y12)
+
+    @functools.cached_property
+    def real_subfield(self):
+        """K as a totally real field, Q[y]/(g); needs F = Q, where K has
+        degree 3, and g to have rational coefficients."""
+        if self.E.s > 1:
+            raise AlgebraError("K extraction needs F = Q")
+        coeffs = []
+        for c in self.g:
+            if not c.is_rational():
+                raise AlgebraError("K extraction needs a rational cubic g")
+            coeffs.append(c.as_fraction())
+        return TotallyRealField(coeffs)
+
+    @property
+    def s(self):
+        """The degree of K, its number of real places; needs F = Q."""
+        return self.real_subfield.degree
+
+
 # --- the algebra ----------------------------------------------------------
 
 # the labels (i, j) of the E-basis elements y^i X^j, j-major: the order of
@@ -242,8 +233,32 @@ class CubicExtElement(CommutativeElement):
 _LABELS = tuple((i, j) for j in range(3) for i in range(3))
 
 
-class CyclicAlgebra:
+class AlgebraElement(Element):
+    """b0 + b1 X + b2 X^2 with parts in L; `parts` and `algebra` are
+    read-only views."""
+
+    __slots__ = ()
+    _level = 3
+    algebra = property(attrgetter("parent"))
+    parts = property(attrgetter("coords"))
+
+    def __mul__(self, other):
+        return self.parent.multiply(self, self.parent.coerce(other))
+
+    def __rmul__(self, other):
+        return self.parent.multiply(self.parent.coerce(other), self)
+
+    def inverse(self):
+        return self.parent.inverse(self)
+
+    def __repr__(self):
+        return "AlgebraElement(%r)" % (self.parts,)
+
+
+class CyclicAlgebra(Parent):
     """A(L/E, tau, alpha) with relations X^3 = alpha, X b = tau(b) X."""
+
+    _element = AlgebraElement
 
     def __init__(self, ext, alpha):
         self.ext = ext
@@ -254,14 +269,14 @@ class CyclicAlgebra:
         self.alpha = alpha
         self.alpha_L = ext.from_E(alpha)
 
-    def coerce(self, x):
-        """x as an element of A: a value in L, E or Q is lifted like a part
-        of `element`; an element of another algebra is refused."""
+    def _lift(self, x):
+        """A value in L, E or Q as the part b0; another algebra's refused."""
         if isinstance(x, AlgebraElement):
-            if x.parent is self or x.parent == self:
-                return x
-            raise AlgebraError("algebra mismatch")
+            raise AlgebraError("algebra mismatch: %r" % (x,))
         return self.element(x)
+
+    def _key(self):
+        return self.ext, self.alpha
 
     # --- element constructors -------------------------------------------
 
@@ -274,12 +289,6 @@ class CyclicAlgebra:
 
     def from_L(self, b):
         return self.element(b)
-
-    def zero(self):
-        return self.element(0)
-
-    def one(self):
-        return self.element(1)
 
     def X(self):
         return self.element(None, self.ext.one())
@@ -349,32 +358,6 @@ class CyclicAlgebra:
             raise ZeroDivisionError("inverse of zero or a zero divisor in A")
         ninv = n.inverse()
         return AlgebraElement(self, tuple(a * ninv for a in adj))
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicAlgebra) and self.ext == other.ext
-                and self.alpha == other.alpha)
-
-
-class AlgebraElement(Element):
-    """b0 + b1 X + b2 X^2 with parts in L; `parts` and `algebra` are
-    read-only views."""
-
-    __slots__ = ()
-    _level = 3
-    algebra = property(attrgetter("parent"))
-    parts = property(attrgetter("coords"))
-
-    def __mul__(self, other):
-        return self.parent.multiply(self, self.parent.coerce(other))
-
-    def __rmul__(self, other):
-        return self.parent.multiply(self.parent.coerce(other), self)
-
-    def inverse(self):
-        return self.parent.inverse(self)
-
-    def __repr__(self):
-        return "AlgebraElement(%r)" % (self.parts,)
 
 
 # --- division candidate ---------------------------------------------------

@@ -20,7 +20,6 @@ import sys
 from . import calgebra, dgroups, groups, hermitian, serialize
 from .catalog import catalog_entry
 from .field import BudgetExceeded, VerificationError
-from .groups import ClosureCapExceeded, UnknownClassError
 from .residue import UNKNOWN
 
 
@@ -111,7 +110,7 @@ def cmd_embed_first_type(args):
 def cmd_regular_embed(args):
     table = _load_json(args.table)
     if isinstance(table, dict):
-        table = table["table"]
+        table = serialize.read_key(table, "a table", "table")
     field = serialize.field_from_json(_load_json(args.field))
     rep = groups.regular_rep(table)
     H, rho = groups.regular_embed(rep, field, args.n, args.cls,
@@ -200,8 +199,8 @@ def cmd_algebra_norm(args):
     x = serialize.element_from_json(algebra, _load_json(args.element))
     n = algebra.reduced_norm(x)
     return CommandResult("ok", {"norm": serialize.element_to_json(n)},
-                         ["determinant of the splitting matrix, verified "
-                          "to lie in E"])
+                         ["det S(x) by cofactor expansion along column 0, "
+                          "verified to lie in E"])
 
 
 def cmd_algebra_membership(args):
@@ -336,7 +335,7 @@ def main(argv=None, out=None):
             out.write(json.dumps(row) + "\n")
     try:
         result = args.func(args)
-    except (BudgetExceeded, ClosureCapExceeded, UnknownClassError) as e:
+    except BudgetExceeded as e:
         result = CommandResult("unknown", {"message": str(e)})
     except Exception as e:
         result = CommandResult("error", {"message": str(e)})

@@ -1,5 +1,6 @@
 """Totally real fields F = Q[x]/(f), CM extensions E = F(sqrt(delta)),
-and certified sign evaluation at every real embedding.
+and certified sign evaluation at every real embedding; the `Parent` and
+`Element` protocol that E, L and A share.
 
 An element x = a + b*sqrt(delta) of E carries the coordinates of a, then
 those of b, over the power basis of F.  Elements of F are the ones with
@@ -22,7 +23,8 @@ class FieldError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A bounded search ran out of budget; existence is not refuted."""
+    """A bounded search ran out of budget; existence is not refuted.  The
+    CLI answers every such exception Unknown (exit 3)."""
 
 
 class VerificationError(RuntimeError):
@@ -183,92 +185,30 @@ def _factor_sizes(p):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-class CMField:
-    """E = F(sqrt(delta)) with delta totally negative in F."""
-
-    def __init__(self, base, delta_coords):
-        self.base = base
-        self.s = base.degree
-        self.delta = _frac_tuple(_pad(delta_coords, self.s), self.s)
-        for ell in range(self.s):
-            if base.sign_of_coords(self.delta, ell) != NEGATIVE:
-                raise FieldError("delta must be totally negative")
-
-    # --- element constructors -------------------------------------------
-
-    def element(self, a, b=None):
-        s = self.s
-        return FieldElement(self, _frac_tuple(_pad(a, s) + _pad(b or (), s)))
+class Parent:
+    """E, L or A: the CMField, CyclicCubicExtension or CyclicAlgebra.  It
+    states `_element`, its element type; `_lift(x)`, the one place where a
+    lower-level value is lifted or any other refused with a ValueError; and
+    `_key()`, the data that identifies it.  The rest is derived here."""
 
     def coerce(self, x):
-        """x as an element of E: a rational is lifted, anything else but an
-        element of this field is refused."""
-        if isinstance(x, FieldElement):
+        """x if it lies in this parent or an equal one, else _lift(x)."""
+        if isinstance(x, self._element):
             if x.parent is self or x.parent == self:
                 return x
-        elif isinstance(x, (int, Fraction)):
-            return self.from_rational(x)
-        raise FieldError("field mismatch: %r" % (x,))
-
-    def from_rational(self, q):
-        return self.element([Fraction(q)])
+        return self._lift(x)
 
     def zero(self):
-        return self.from_rational(0)
+        return self._lift(0)
 
     def one(self):
-        return self.from_rational(1)
-
-    def sqrt_delta(self):
-        return self.element((), [1])
-
-    def gen_F(self):
-        """The power-basis generator of F, as an element of E."""
-        if self.s == 1:
-            return self.from_rational(-self.base.min_poly[0])
-        return self.element([0, 1])
-
-    # --- F arithmetic on raw coordinate vectors -------------------------
-
-    def _fmul(self, u, v):
-        w = polyn.pmod(polyn.pmul(polyn.trim(u), polyn.trim(v)),
-                       self.base.min_poly)
-        return _frac_tuple(_pad(w, self.s), self.s)
-
-    def _fadd(self, u, v):
-        return tuple(x + y for x, y in zip(u, v))
-
-    def _finv(self, u):
-        p = polyn.trim(u)
-        if not p:
-            raise ZeroDivisionError("inverse of zero in F")
-        # extended Euclid: p*inv = 1 mod min_poly
-        r0, r1 = self.base.min_poly, p
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = polyn.pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polyn.psub(s0, polyn.pmul(q, s1))
-        assert polyn.degree(r0) == 0
-        inv = polyn.pscale(s0, 1 / r0[0])
-        return _frac_tuple(_pad(inv, self.s), self.s)
+        return self._lift(1)
 
     def __eq__(self, other):
-        return (isinstance(other, CMField) and self.base == other.base
-                and self.delta == other.delta)
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.base, self.delta))
-
-    def __repr__(self):
-        return "CMField(F=%r, delta=%s)" % (self.base, list(map(str, self.delta)))
-
-
-def _pad(coords, s):
-    c = list(coords)
-    if len(c) > s:
-        raise FieldError("coordinate vector too long")
-    return c + [Fraction(0)] * (s - len(c))
+        return hash(self._key())
 
 
 class Element:
@@ -277,8 +217,8 @@ class Element:
     level below: the Q-coordinates of a then b, the E-coordinates over
     1, y, y^2, or the L-parts over 1, X, X^2.  +, -, ==, hash, truth and
     is_zero() are read off `coords`, and ** from a type's * and inverse().
-    Each operand goes through the parent's `coerce`, the one place where a
-    lower-level value is lifted or an element of another field is refused
+    Each operand goes through the parent's `coerce` (see Parent), which
+    lifts a lower-level value and refuses an element of another field
     with a ValueError (== answers False instead).  An operand from a higher
     level makes the operation return NotImplemented, so Python runs that
     level's reflected method, which lifts this element; equal elements of
@@ -428,6 +368,82 @@ class FieldElement(CommutativeElement):
     def __repr__(self):
         return "FieldElement(a=%s, b=%s)" % (list(map(str, self.a)),
                                              list(map(str, self.b)))
+
+
+class CMField(Parent):
+    """E = F(sqrt(delta)) with delta totally negative in F."""
+
+    _element = FieldElement
+
+    def __init__(self, base, delta_coords):
+        self.base = base
+        self.s = base.degree
+        self.delta = _frac_tuple(_pad(delta_coords, self.s), self.s)
+        for ell in range(self.s):
+            if base.sign_of_coords(self.delta, ell) != NEGATIVE:
+                raise FieldError("delta must be totally negative")
+
+    # --- element constructors -------------------------------------------
+
+    def element(self, a, b=None):
+        s = self.s
+        return FieldElement(self, _frac_tuple(_pad(a, s) + _pad(b or (), s)))
+
+    def _lift(self, x):
+        """A rational as an element of E; anything else is refused."""
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        raise FieldError("field mismatch: %r" % (x,))
+
+    def _key(self):
+        return self.base, self.delta
+
+    def from_rational(self, q):
+        return self.element([Fraction(q)])
+
+    def sqrt_delta(self):
+        return self.element((), [1])
+
+    def gen_F(self):
+        """The power-basis generator of F, as an element of E."""
+        if self.s == 1:
+            return self.from_rational(-self.base.min_poly[0])
+        return self.element([0, 1])
+
+    # --- F arithmetic on raw coordinate vectors -------------------------
+
+    def _fmul(self, u, v):
+        w = polyn.pmod(polyn.pmul(polyn.trim(u), polyn.trim(v)),
+                       self.base.min_poly)
+        return _frac_tuple(_pad(w, self.s), self.s)
+
+    def _fadd(self, u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    def _finv(self, u):
+        p = polyn.trim(u)
+        if not p:
+            raise ZeroDivisionError("inverse of zero in F")
+        # extended Euclid: p*inv = 1 mod min_poly
+        r0, r1 = self.base.min_poly, p
+        s0, s1 = (), (Fraction(1),)
+        while r1:
+            q, r = polyn.pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, polyn.psub(s0, polyn.pmul(q, s1))
+        assert polyn.degree(r0) == 0
+        inv = polyn.pscale(s0, 1 / r0[0])
+        return _frac_tuple(_pad(inv, self.s), self.s)
+
+    def __repr__(self):
+        return "CMField(F=%r, delta=%s)" % (self.base, list(map(str, self.delta)))
+
+
+def _pad(coords, s):
+    c = list(coords)
+    if len(c) > s:
+        raise FieldError("coordinate vector too long")
+    return c + [Fraction(0)] * (s - len(c))
 
 
 # --- constructions -------------------------------------------------------

@@ -1,26 +1,30 @@
 """Finite matrix groups over a CM field and their admissible invariant forms.
 
 One breadth-first product closure, `_closure`, backs `closure`,
-`MatrixGroup` and the metacyclic groups of `dgroups`.  Both embedding
-pipelines close a positive block with the one negative slot alpha of
-`_with_negative_slot`: `embed_first_type` forms diag(1, 1, alpha) for a
-catalog group, `regular_embed` the group-averaged block of a regular
-representation plus alpha, in the default determinant class or, twisted
-by `_other_class`, in a second one.
+`MatrixGroup` (every one the closure of its generators, on which its
+facts are checked), `regular_embed`'s generating set and the metacyclic
+groups of `dgroups`.  Both embedding pipelines close a positive block
+with the one negative slot alpha of `_with_negative_slot`:
+`embed_first_type` forms diag(1, 1, alpha) for a catalog group,
+`regular_embed` the group-averaged block of a regular representation plus
+alpha, in the default determinant class or, twisted by `_other_class`, in
+a second one.  Running out of a closure cap or of the norm budget for a
+second class raises a `field.BudgetExceeded`.
 """
 
 from . import linalg
-from .field import weak_approx_find, POSITIVE, NEGATIVE, VerificationError
+from .field import (BudgetExceeded, weak_approx_find, POSITIVE, NEGATIVE,
+                    VerificationError)
 from .hermitian import (HermitianForm, diagonal_form, direct_sum,
                         is_admissible, _twist, equivalent, NOT_EQUIVALENT,
                         signature_profile)
 
 
-class ClosureCapExceeded(RuntimeError):
+class ClosureCapExceeded(BudgetExceeded):
     """The product closure exceeded the cap; the group is likely infinite."""
 
 
-class UnknownClassError(RuntimeError):
+class UnknownClassError(BudgetExceeded):
     """Could not certify a second admissible determinant class."""
 
 
@@ -76,18 +80,6 @@ class MatrixGroup:
         self.dim = len(self.generators[0])
         self.order = len(self.elements)
 
-    @classmethod
-    def from_elements(cls, cmfield, elements):
-        """Wrap an already-closed element list (no closure recomputation)."""
-        g = cls.__new__(cls)
-        g.field = cmfield
-        g.generators = [linalg.mat(map(cmfield.coerce, r) for r in m)
-                        for m in elements]
-        g.elements = g.generators
-        g.dim = len(g.elements[0])
-        g.order = len(g.elements)
-        return g
-
 
 def average_form(group):
     """The group average sum_g g^H g of the identity form.
@@ -95,8 +87,7 @@ def average_form(group):
     The output is positive definite at every real embedding and invariant
     under every group element.  Invariance is verified on
     `group.generators`: a form invariant under the generators is invariant
-    under every product of them, hence under the group they generate.
-    `MatrixGroup.from_elements` makes every element a generator."""
+    under every product of them, hence under the group they generate."""
     acc = None
     for g in group.elements:
         term = linalg.mat_mul(linalg.conj_transpose(g), g)
@@ -220,6 +211,20 @@ def regular_rep(table):
                                 for i in range(n)] for g in range(n)])
 
 
+def _generators(table):
+    """A generating set of the group of a multiplication table: each
+    element, in table order, that the closure of those before it misses
+    (the identity alone for the trivial group)."""
+    e = table[0].index(0)  # 0 * e = 0
+    gens, reached = [], {e}
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached = set(_closure(e, gens, lambda a, b: table[a][b],
+                                   len(table)))
+    return gens or [e]
+
+
 def _embed_int_matrix(M, field, n):
     """View an m x m integer matrix inside GL(n; E), padded by identity.
     Entries of one integer value share one (immutable) element of E."""
@@ -238,15 +243,17 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
                   budget=20, norm_budget=10 ** 4):
     """Admissible invariant form containing rep's group, in dimension n.
 
-    Builds the averaged positive definite block from the integral
-    representation, pads with an identity block, and closes with a
-    weak-approximation negative slot; class_selector = "other" lands in a
-    different determinant class via the twisting construction."""
+    Averages over the group closed from a generating set of rep's table
+    for a positive definite block, pads it with an identity block, and
+    closes with a weak-approximation negative slot; class_selector =
+    "other" lands in a different determinant class via the twisting
+    construction.  rho holds the image of every element, in table order."""
     if n < rep.m + 1:
         raise ValueError("need n >= m + 1 to fit the negative slot")
     field = cmfield
-    embedded = [_embed_int_matrix(M, field, rep.m) for M in rep.matrices]
-    group = MatrixGroup.from_elements(field, embedded)
+    gens = _generators(rep.table)
+    group = MatrixGroup(field, [_embed_int_matrix(rep.matrices[g], field,
+                                                  rep.m) for g in gens])
     H_G = average_form(group)
 
     pad = n - 1 - rep.m
@@ -257,9 +264,9 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
         H = _other_class(H, positive_block, alpha, norm_budget)
 
     rho = [_embed_int_matrix(M, field, n) for M in rep.matrices]
-    if not invariant_under(H, rho):
+    if not invariant_under(H, [rho[g] for g in gens]):
         raise VerificationError("representation does not preserve the form")
-    if len(set(rho)) != rep.group_order:
+    if group.order != rep.group_order:
         raise VerificationError("embedded representation is not faithful")
     return H, rho
 

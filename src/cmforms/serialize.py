@@ -8,10 +8,12 @@ element of E, L or A is the list of its `coords`, each a rational or the
 list of an element of the level below: 2s rationals for E (the F-part,
 then the sqrt(delta)-part), three E-lists for L, three L-lists for A.
 Forms and groups carry their field inline, an algebra spec its E.  Every
-array must be a list of the length its place needs.
+array must be a list of the length its place needs, and every document a
+JSON object with the keys it needs.
 """
 
 from fractions import Fraction
+import functools
 import re
 
 from .calgebra import (_LABELS, AlgebraElement, CubicExtElement,
@@ -53,15 +55,26 @@ def _list(arr, what, n=None, unit="coordinates"):
     raise ValueError("%s needs %s, got %s" % (what, need, got))
 
 
+def read_key(obj, what, key):
+    """The one reader of a key: obj[key], refused unless obj is a JSON
+    object holding key; `what` names the document in the message."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s needs a JSON object, got %s"
+                         % (what, type(obj).__name__))
+    if key not in obj:
+        raise ValueError('%s needs the key "%s"' % (what, key))
+    return obj[key]
+
+
 def field_to_json(cmfield):
     return {"min_poly": [int(c) for c in cmfield.base.min_poly],
             "delta": [frac_to_str(c) for c in cmfield.delta]}
 
 
 def field_from_json(obj):
-    base = TotallyRealField([frac_from_str(c)
-                             for c in _list(obj["min_poly"], "min_poly")])
-    delta = _list(obj["delta"], "delta", base.degree)
+    base = TotallyRealField([frac_from_str(c) for c in _list(
+        read_key(obj, "a field", "min_poly"), "min_poly")])
+    delta = _list(read_key(obj, "a field", "delta"), "delta", base.degree)
     return CMField(base, [frac_from_str(c) for c in delta])
 
 
@@ -102,8 +115,9 @@ def form_to_json(H):
 
 
 def form_from_json(obj):
-    f = field_from_json(obj["field"])
-    return HermitianForm(f, matrix_from_json(f, obj["entries"]))
+    f = field_from_json(read_key(obj, "a form", "field"))
+    return HermitianForm(f, matrix_from_json(f, read_key(obj, "a form",
+                                                          "entries")))
 
 
 def group_to_json(cmfield, generators):
@@ -112,9 +126,9 @@ def group_to_json(cmfield, generators):
 
 
 def group_from_json(obj):
-    f = field_from_json(obj["field"])
-    return f, [matrix_from_json(f, g)
-               for g in _list(obj["generators"], "generators")]
+    f = field_from_json(read_key(obj, "a group", "field"))
+    return f, [matrix_from_json(f, g) for g in _list(
+        read_key(obj, "a group", "generators"), "generators")]
 
 
 def algebra_to_json(algebra, involution=None):
@@ -135,11 +149,12 @@ def algebra_to_json(algebra, involution=None):
 def algebra_from_json(obj):
     """(algebra, involution or None); an involution is re-verified and
     carries no splitting conjugator."""
-    E = field_from_json(obj["E"])
-    g, tau, conj = ([element_from_json(E, c) for c in _list(obj[key], key)]
-                    for key in ("g", "tau", "conj"))
+    key = functools.partial(read_key, obj, "an algebra spec")
+    E = field_from_json(key("E"))
+    g, tau, conj = ([element_from_json(E, c) for c in _list(key(k), k)]
+                    for k in ("g", "tau", "conj"))
     algebra = CyclicAlgebra(CyclicCubicExtension(E, g, tau, conj),
-                            element_from_json(E, obj["alpha"]))
+                            element_from_json(E, key("alpha")))
     involution = None
     if "involution" in obj:
         images = _list(obj["involution"], "the spec", 9, "involution images")

@@ -696,3 +696,23 @@ def test_division_mixes_levels_like_multiplication(builtin):
                     lambda: y / X, lambda: e / X, lambda: 1 / X):
         with pytest.raises(TypeError):
             attempt()
+
+
+def test_equal_parents_compare_and_hash_alike(builtin):
+    # the built-in algebra read back twice through the wire format: two
+    # more L's and A's, equal to it and to each other, one dict key each
+    algebra, involution = builtin
+    A1, A2 = (algebra_from_json(algebra_to_json(algebra, involution))[0]
+              for _ in range(2))
+    L1, L2 = A1.ext, A2.ext
+    assert L1 is not L2 and A1 is not A2
+    for p, q in ((L1, L2), (A1, A2), (algebra.ext, L1), (algebra, A2)):
+        assert p == q and hash(p) == hash(q)
+    assert len({L1: 1, L2: 2, algebra.ext: 3}) == 1
+    assert len({A1: 1, A2: 2, algebra: 3}) == 1
+    # elements of equal parents mix as if the parents were one
+    assert A1.X() * A2.X() == algebra.X() ** 2 and L1.gen() + L2.gen() == \
+        2 * algebra.ext.gen()
+    other = CyclicAlgebra(L1, algebra.alpha + 1)
+    assert other != A1 and A1 != other
+    assert A1 != L1 and L1 != A1 and L1 != A1.E

@@ -293,6 +293,29 @@ def test_budget_zero_is_unknown_in_both_embeddings(tmp_path):
     assert code == 3 and doc["status"] == "unknown"
 
 
+def test_closure_cap_is_unknown(tmp_path):
+    # Q8 has order 8, so a cap of 2 runs out before the group closes
+    from cmforms.catalog import catalog_entry
+    e = catalog_entry("Q8")
+    gp = _write(tmp_path, "q8.json",
+                serialize.group_to_json(e.field, e.generators))
+    code, doc = run_json(["average", "--group", gp, "--closure-cap", "2"])
+    assert code == 3 and doc["status"] == "unknown"
+    assert "closure exceeded cap 2" in doc["payload"]["message"]
+
+
+def test_uncertified_other_class_is_unknown(tmp_path):
+    # over Q(zeta8) no second class is certified within norm budget 200
+    tp = _write(tmp_path, "c2.json", [[0, 1], [1, 0]])
+    fp = _write(tmp_path, "q8.json",
+                serialize.field_to_json(make_cyclotomic(8)))
+    code, doc = run_json(["regular-embed", "--table", tp, "--field", fp,
+                          "--n", "3", "--cls", "other",
+                          "--norm-budget", "200"])
+    assert code == 3 and doc["status"] == "unknown"
+    assert "no second admissible class" in doc["payload"]["message"]
+
+
 def test_error_on_missing_file():
     code, doc = run_json(["invariants", "--form", "missing.json"])
     assert code == 2 and doc["status"] == "error"

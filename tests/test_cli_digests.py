@@ -182,9 +182,9 @@ CASES = [
     ('algebra check', 0,
      '1ac6001619ff7276bb3ee75452617243c50cde57a916262c30f176ff154b5954'),
     ('algebra norm --element @alg:X', 0,
-     'b534950d7147002357690da33dd2510d999f04ed1085e9cfd502aa7fe0d66031'),
+     '26da0521d2598972b9af4f6e361c1e6fdebacc243ce2264745ec67e7184ae66a'),
     ('algebra norm --element @alg:mixed', 0,
-     '2af45495b4618cb1e8ca465666e2ee84f2a43ca295aee11860a16eee648acaa6'),
+     '6ddb8770dbe9c0b3d397c2bd438e432d4346a1193b6d88ad37f461dca7853a88'),
     ('algebra membership --h @alg:one --x @alg:minus_one', 0,
      '973c3e11bec4b46176bc6287a720b39fe5810e1e0233c5c2afa196ffa25125e1'),
     ('algebra membership --h @alg:one --x @alg:mixed', 0,

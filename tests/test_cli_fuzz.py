@@ -9,8 +9,9 @@ of any leaf.  The other mutations are: a missing key, an E-coordinate
 list or a field's delta one entry too short or too long, a non-square or
 non-hermitian form, a table row that is not a permutation, eight
 involution images instead of nine and a list of numbers sent as the
-string of its digits.  Sizes stay small (dimension <= 3, [F:Q] <= 3, table order <= 4)
-so the run takes a few seconds.
+string of its digits.  A dropped key must also be named in the
+message, with the document that lacks it.  Sizes stay small (dimension
+<= 3, [F:Q] <= 3, table order <= 4) so the run takes a few seconds.
 """
 
 import copy
@@ -247,6 +248,41 @@ def test_one_violation_exits_2_with_a_message(kind, valid_inputs,
         assert result["status"] == "error", (what, result)
         message = result["payload"]["message"]
         assert isinstance(message, str) and message, (what, result)
+
+    check()
+
+
+# --- a missing key, named with its document -----------------------------
+
+_DOCUMENTS = {"field": "a field", "form": "a form", "spec": "an algebra spec",
+              "table": "a table"}
+
+
+@pytest.mark.parametrize("kind", sorted(_DOCUMENTS))
+def test_a_dropped_key_is_named_with_its_document(kind, valid_inputs,
+                                                  tmp_path_factory):
+    argv_of = _KINDS[kind][1]
+    path = str(tmp_path_factory.mktemp("fuzz_key_" + kind) / "doc.json")
+
+    @settings(max_examples=30, deadline=2000, derandomize=True,
+              database=None)
+    @given(base=_base_docs(kind), data=st.data())
+    def check(base, data):
+        doc = copy.deepcopy(base)
+        where = data.draw(st.sampled_from(
+            [p for p, v in _nodes(doc) if isinstance(v, dict)]))
+        node = _get(doc, where)
+        # the involution images are optional in a spec
+        key = data.draw(st.sampled_from(sorted(set(node) - {"involution"})))
+        del node[key]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, result = _run(argv_of(path, valid_inputs))
+        # the only nested documents are the field of a form and a spec's E
+        what = "a field" if where else _DOCUMENTS[kind]
+        assert code == 2, (where, key, result)
+        assert result["payload"] == {
+            "message": '%s needs the key "%s"' % (what, key)}, (where, key)
 
     check()
 

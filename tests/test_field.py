@@ -1,8 +1,11 @@
+import ast
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cmforms
 from cmforms import (BudgetExceeded, FieldError, TotallyRealField,
                      NEGATIVE, POSITIVE, gaussian_field, make_cyclotomic,
                      rationals, validate_sign_pattern, weak_approx_find, zeta)
@@ -175,3 +178,40 @@ def test_one_coercion_refuses_another_field():
         with pytest.raises(FieldError, match="field mismatch"):
             E.one() + stranger
         assert E.one() != stranger
+
+
+def _class_bodies():
+    """(module, class name, base names, names bound in the class body) for
+    every class under src/cmforms."""
+    src = os.path.dirname(os.path.abspath(cmforms.__file__))
+    for module in sorted(os.listdir(src)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(src, module)) as fh:
+            tree = ast.parse(fh.read(), module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bound = {n.name for n in node.body if isinstance(
+                    n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                bound |= {t.id for n in node.body if isinstance(n, ast.Assign)
+                          for t in n.targets if isinstance(t, ast.Name)}
+                bases = {b.id if isinstance(b, ast.Name) else b.attr
+                         for b in node.bases}
+                yield module, node.name, bases, bound
+
+
+def test_field_parent_alone_states_the_parent_protocol():
+    # coerce, zero and one live in field.Parent only, and its subclasses
+    # read == and hash from Parent's _key instead of writing their own
+    classes = list(_class_bodies())
+    assert [(m, c) for m, c, _, bound in classes
+            if bound & {"coerce", "zero", "one"}] == [("field.py", "Parent")]
+    parents = {"Parent"}
+    while True:
+        more = {c for _, c, bases, _ in classes if bases & parents} - parents
+        if not more:
+            break
+        parents |= more
+    assert {"CMField", "CyclicCubicExtension", "CyclicAlgebra"} < parents
+    assert [(m, c) for m, c, _, bound in classes if c in parents - {"Parent"}
+            and bound & {"__eq__", "__hash__"}] == []

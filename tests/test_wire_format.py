@@ -1,9 +1,10 @@
 """The wire format lives in one module: `serialize` reads and writes every
-element of E, L and A by one recursive rule, and no other module of the
-package defines a codec or reaches into another module's privates to
-read one."""
+element of E, L and A by one recursive rule and reads every key of a
+document through one reader, and no other module of the package defines
+a codec or reaches into another module's privates to read one."""
 
 import ast
+import io
 import json
 import os
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmforms
-from cmforms import (builtin_example, gaussian_field, make_cyclotomic,
-                     serialize)
+from cmforms import (builtin_example, diagonal_form, gaussian_field, linalg,
+                     make_cyclotomic, serialize)
+from cmforms.cli import main
 
 _SRC = os.path.dirname(os.path.abspath(cmforms.__file__))
 
@@ -59,6 +61,62 @@ def test_one_codec_round_trips_E_L_and_A(level, data):
     assert arr == _layout(x)
     y = serialize.element_from_json(parent, arr)
     assert y == x and type(y) is type(x) and y.parent is parent
+
+
+# --- one key reader ---------------------------------------------------------
+
+def _documents():
+    """document name -> (a valid document, its reader)."""
+    algebra, involution = builtin_example()
+    E = gaussian_field()
+    return {
+        "a field": (serialize.field_to_json(E), serialize.field_from_json),
+        "a form": (serialize.form_to_json(diagonal_form(E, [1, -1])),
+                   serialize.form_from_json),
+        "a group": (serialize.group_to_json(
+            E, [linalg.identity(2, E.one(), E.zero())]),
+            serialize.group_from_json),
+        "an algebra spec": (serialize.algebra_to_json(algebra, involution),
+                            serialize.algebra_from_json),
+    }
+
+
+@pytest.mark.parametrize("what", ["a field", "a form", "a group",
+                                  "an algebra spec"])
+def test_a_missing_key_or_a_non_object_names_the_document(what):
+    doc, read = _documents()[what]
+    read(doc)
+    for key in sorted(set(doc) - {"involution"}):  # the images are optional
+        broken = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(ValueError,
+                           match='^%s needs the key "%s"$' % (what, key)):
+            read(broken)
+    with pytest.raises(ValueError,
+                       match="^%s needs a JSON object, got list$" % what):
+        read([doc])
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["invariants", "--form"],
+     lambda form: dict(form, field={"min_poly": form["field"]["min_poly"]}),
+     'a field needs the key "delta"'),
+    (["invariants", "--form"], lambda form: [form],
+     "a form needs a JSON object, got list"),
+    (["regular-embed", "--field", "@field", "--n", "3", "--table"],
+     lambda form: {"rows": [[0]]}, 'a table needs the key "table"'),
+], ids=["field without delta", "form as a list", "table without table"])
+def test_the_cli_names_the_document_of_a_missing_key(tmp_path, argv, doc,
+                                                     message):
+    form = serialize.form_to_json(diagonal_form(gaussian_field(), [1, -1]))
+    paths = {}
+    for name, obj in (("doc", doc(form)), ("field", form["field"])):
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+    out = io.StringIO()
+    argv = [paths["field"] if a == "@field" else a for a in argv]
+    assert main(["--json"] + argv + [paths["doc"]], out=out) == 2
+    assert json.loads(out.getvalue())["payload"] == {"message": message}
 
 
 # --- the format in one module ---------------------------------------------
