@@ -14,12 +14,12 @@ commutator subgroup is <X^s>, of order t, so G is abelian iff t = 1.  Only
 """
 
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 
 from .field import VerificationError, Verdict
 from .groups import _closure
-from .residue import _MR_BASES, _MR_BOUND, _is_prime
+from .residue import _MR_BOUND, _is_prime
 
 
 class InvalidDGroupError(ValueError):
@@ -136,10 +136,11 @@ def amitsur_filter(params, p):
     return p % params.n == 0
 
 
+@lru_cache(maxsize=64)
 def check_odd_prime(p):
-    """Refuse p unless `residue._is_prime` proves it an odd prime."""
-    if p in _MR_BASES[1:]:
-        return
+    """Refuse p unless `residue._is_prime` proves it an odd prime.  A proved
+    p is cached, so a verdict and its sub-tests, or a sweep's rows, prove
+    it once."""
     if p >= _MR_BOUND and p % 2:
         raise ValueError("p must be below %d to be proved prime" % _MR_BOUND)
     if p == 2 or not _is_prime(p):

@@ -4,20 +4,20 @@ One breadth-first product closure, `_closure`, backs `closure`,
 `MatrixGroup` (every one the closure of its generators, on which its
 facts are checked), `regular_embed`'s generating set and the metacyclic
 groups of `dgroups`.  Both embedding pipelines close a positive block
-with the one negative slot alpha of `_with_negative_slot`:
+by `hermitian.with_slot`, and choose only the slot: the negative alpha
+of `_with_negative_slot`, or c*alpha/det(block) in `_other_class`.
 `embed_first_type` forms diag(1, 1, alpha) for a catalog group,
 `regular_embed` the group-averaged block of a regular representation plus
-alpha, in the default determinant class or, twisted by `_other_class`, in
-a second one.  Running out of a closure cap or of the norm budget for a
+alpha, in the default determinant class or, by `_other_class`, in a
+second one.  Running out of a closure cap or of the norm budget for a
 second class raises a `field.BudgetExceeded`.
 """
 
 from . import linalg
 from .field import (BudgetExceeded, weak_approx_find, POSITIVE, NEGATIVE,
                     VerificationError)
-from .hermitian import (HermitianForm, diagonal_form, direct_sum,
-                        is_admissible, _twist, equivalent, NOT_EQUIVALENT,
-                        signature_profile)
+from .hermitian import (HermitianForm, NOT_EQUIVALENT, diagonal_form,
+                        direct_sum, equivalent, signature_profile, with_slot)
 
 
 class ClosureCapExceeded(BudgetExceeded):
@@ -115,16 +115,13 @@ def invariant_under(H, matrices):
 
 
 def _with_negative_slot(block, budget):
-    """(block + (alpha), alpha): alpha in F from weak approximation,
-    negative at the distinguished embedding and positive at the others,
-    the sum verified admissible."""
+    """(block + (alpha), alpha) by `with_slot`: alpha in F from weak
+    approximation, negative at the distinguished embedding and positive at
+    the others."""
     field = block.field
     pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
     alpha = field.element(weak_approx_find(field.base, pattern, budget))
-    H = direct_sum(block, diagonal_form(field, [alpha]))
-    if not is_admissible(H):
-        raise VerificationError("block + (alpha) is not admissible")
-    return H, alpha
+    return with_slot(block, alpha), alpha
 
 
 def embed_first_type(entry, budget=20):
@@ -272,11 +269,12 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
 
 
 def _other_class(H_default, positive_block, alpha, norm_budget):
-    """positive_block (verified positive definite by `average_form`) twisted
-    to determinant c*alpha for the first c in 1, 2, 3, 5, ..., 15 whose
-    twist is certified not equivalent to H_default."""
+    """positive_block (verified positive definite by `average_form`) closed
+    by the slot c*alpha/det(positive_block), so of determinant c*alpha, for
+    the first c in 1, 2, 3, 5, ..., 15 whose form is certified not
+    equivalent to H_default."""
     for c in [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15]:
-        twisted = _twist(positive_block, alpha * c)
+        twisted = with_slot(positive_block, alpha * c / positive_block.det)
         if equivalent(H_default, twisted, norm_budget) == NOT_EQUIVALENT:
             return twisted
     raise UnknownClassError(

@@ -1,6 +1,7 @@
 """Hermitian matrices over a CM field: signature profiles at all real
 embeddings, the (dim, signatures, det class) invariant, the equivalence
-decision, admissibility, direct sums, and determinant twisting.
+decision, admissibility, direct sums, and the one admissible closure
+`with_slot`: a positive definite block plus one slot, certified admissible.
 
 A form is diagonalised once by congruence, P H P^H = diag(d_1, ..., d_n)
 with det P = +-1 (`linalg.congruence_diagonal`).  The pivots d_i lie in F;
@@ -12,11 +13,10 @@ of F: a form reads only conjugate(), sign_at and the field's s.
 """
 
 from fractions import Fraction
-from math import prod
 
 from . import linalg
-from .field import POSITIVE, NEGATIVE, VerificationError, Verdict
-from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN, _factor
+from .field import POSITIVE, VerificationError, Verdict
+from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN, _square_class
 
 
 EQUIVALENT = "Equivalent"
@@ -98,16 +98,19 @@ class FormInvariant:
 
 def invariants(H):
     det = H.det
-    # cosmetic normalization: strip square rational content when det is rational
+    # any representative of det modulo norms is its class: when det is
+    # rational, strip the square factors that a bounded factoring finds
     if det.is_rational():
         det = H.field.from_rational(_squarefree_kernel(det.as_fraction()))
     return FormInvariant(H.dim, signature_profile(H), det)
 
 
+_KERNEL_STEPS = 2 * 10 ** 4  # rho squarings per cofactor of a det
+
+
 def _squarefree_kernel(q):
-    odd = [p for p, e in _factor(abs(q.numerator * q.denominator)).items()
-           if e % 2]
-    return Fraction((-1 if q < 0 else 1) * prod(odd))
+    return Fraction((-1 if q < 0 else 1) * _square_class(
+        abs(q.numerator * q.denominator), _KERNEL_STEPS))
 
 
 def equivalent(H1, H2, budget=10 ** 4):
@@ -153,6 +156,16 @@ def direct_sum(H1, H2):
     return HermitianForm(H1.field, rows)
 
 
+def with_slot(block, slot):
+    """block + (slot) certified admissible, else VerificationError.  For a
+    positive definite block, admissible iff slot is negative at the
+    distinguished embedding and positive at the others."""
+    H = direct_sum(block, diagonal_form(block.field, [slot]))
+    if not is_admissible(H):
+        raise VerificationError("block + (slot) is not admissible")
+    return H
+
+
 def twist_determinant(H_G, H_prime):
     """Append the slot beta = det(H_prime)/det(H_G), matching determinants.
 
@@ -166,20 +179,4 @@ def twist_determinant(H_G, H_prime):
         raise ValueError("H_prime must be admissible")
     if any(sig != (H_G.dim, 0) for sig in signature_profile(H_G)):
         raise ValueError("H_G must be positive definite at every embedding")
-    return _twist(H_G, H_prime.det)
-
-
-def _twist(H_G, det):
-    """H_G + (beta) with beta = det/det(H_G), for H_G positive definite and
-    det negative at the distinguished embedding and positive elsewhere (the
-    determinant of an admissible form); the result has determinant det."""
-    field = H_G.field
-    beta = det / H_G.det
-    # det(H_G) is totally positive, so beta keeps det's sign pattern
-    if beta.sign_at(0) != NEGATIVE or any(
-            beta.sign_at(ell) != POSITIVE for ell in range(1, field.s)):
-        raise VerificationError("twisted slot has the wrong sign pattern")
-    result = direct_sum(H_G, diagonal_form(field, [beta]))
-    if not is_admissible(result):
-        raise VerificationError("twisted form is not admissible")
-    return result
+    return with_slot(H_G, H_prime.det / H_G.det)

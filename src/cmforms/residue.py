@@ -11,13 +11,14 @@ supplies the witness of a decided IsNorm.
 N(x) = d when the search finds one, IsNotNorm the obstructing place.
 The prime supports come from `_factor`: trial division, Brent's rho and a
 Miller-Rabin proof of primality below 3.3e24; sympy factors only a
-cofactor beyond that bound.
+cofactor beyond that bound.  `_square_class` reads n modulo squares from
+the same steps within a squaring budget, and never calls sympy.
 """
 
 from collections import Counter
 from fractions import Fraction
 import itertools
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .field import NEGATIVE, Verdict, _SMALL_PRIMES, _candidates
 
@@ -50,12 +51,17 @@ def _is_prime(n):
                    for a in _MR_BASES)
 
 
-def _rho_split(n):
+def _rho_split(n, steps=None):
     """A proper factor of the odd composite n by Brent's rho (Cohen, GTM
-    138, 8.5): batched gcds, and the next c when a gcd comes out as n."""
+    138, 8.5): batched gcds, and the next c when a gcd comes out as n.
+    With `steps`, None once that many squarings mod n found no factor
+    (counted at the end of each doubling round)."""
+    used = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps is not None and used >= steps:
+                return None
             x, k = y, 0
             for _ in range(r):
                 y = (y * y + c) % n
@@ -65,6 +71,7 @@ def _rho_split(n):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g, k = gcd(q, n), k + 128
+            used += r + min(k, r)
             r *= 2
         if g == n:  # the batch overshot: redo it one gcd at a time
             g = 1
@@ -97,6 +104,29 @@ def _factor(n):
             g = _rho_split(m)
             stack += [g, m // g]
     return dict(out)
+
+
+def _square_class(n, steps):
+    """n >= 1 modulo squares, without sympy: the product of the factors of
+    odd exponent that trial division below 50, `_is_prime` and `_rho_split`
+    within `steps` squarings per cofactor find.  A cofactor left unsplit
+    stays whole unless `isqrt` shows it a square, so this is the squarefree
+    part of n wherever the factoring completes."""
+    odd, stack = set(), [n]
+    while stack:
+        m = stack.pop()
+        p = next((p for p in _SMALL_PRIMES if m % p == 0), None)
+        if p is not None:
+            odd ^= {p}
+            stack.append(m // p)
+        elif m > 1 and isqrt(m) ** 2 != m:
+            g = (None if m < _MR_BOUND and _is_prime(m)
+                 else _rho_split(m, steps))
+            if g is None:
+                odd ^= {m}
+            else:
+                stack += [g, m // g]
+    return prod(odd)
 
 
 def _factor_support(*fracs):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_invariants(form_file):
     assert doc["payload"]["sigma"] == [1]
     assert doc["payload"]["det_class"] == ["-1", "0"]
     assert doc["trace"]
+
+
+def test_invariants_of_a_det_with_two_30_digit_primes(form_file):
+    # det -pq is not factored: its class is kept whole, at once
+    pq = (10 ** 29 + 319) * (3 * 10 ** 29 + 7)
+    start = time.perf_counter()
+    code, doc = run_json(["--json", "invariants", "--form",
+                          form_file("h.json", [1, 1, -pq])])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert doc["payload"]["det_class"] == [str(-pq), "0"]
 
 
 def test_equivalent_exit_codes(form_file):

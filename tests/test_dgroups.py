@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import cmforms
 from cmforms import dgroups
+from cmforms.cli import main
 from cmforms.dgroups import (CYCLIC_POSSIBLE, EXCLUDED_BY_AMITSUR,
                              EXCLUDED_BY_REDUCIBILITY, InvalidDGroupError,
                              amitsur_filter, enumerate_params,
@@ -143,6 +145,27 @@ def test_verdicts():
     assert v.trace
     with pytest.raises(ValueError):
         second_type_verdict(validate(7, 2), 3, split=(3, 0))
+
+
+def test_p_is_proved_prime_once(monkeypatch):
+    proofs = []
+    is_prime = dgroups._is_prime
+
+    def counted(n):
+        proofs.append(n)
+        return is_prime(n)
+    monkeypatch.setattr(dgroups, "_is_prime", counted)
+    p = 10 ** 18 + 3
+    dgroups.check_odd_prime.cache_clear()
+    assert second_type_verdict(validate(7, 2), p) == EXCLUDED_BY_AMITSUR
+    assert proofs == [p]
+    proofs.clear()
+    dgroups.check_odd_prime.cache_clear()
+    out = io.StringIO()
+    assert main(["--json", "dgroup", "enumerate", "--max-m", "6",
+                 "--p", str(p)], out=out) == 0
+    assert len(out.getvalue().splitlines()) == 12
+    assert proofs == [p]
 
 
 def test_reducibility_check_holds_under_python_O():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cmforms import (DegenerateFormError, EQUIVALENT, HermitianForm,
@@ -10,6 +12,8 @@ from cmforms import (DegenerateFormError, EQUIVALENT, HermitianForm,
                      make_cyclotomic, signature_at, signature_profile,
                      twist_determinant, zeta)
 from cmforms.calgebra import AlgebraError, builtin_example
+from cmforms.field import VerificationError
+from cmforms.hermitian import _squarefree_kernel, with_slot
 from cmforms.polyn import sign_variations
 
 
@@ -163,6 +167,47 @@ def test_twist_determinant_into_a_non_diagonal_form():
     twisted = twist_determinant(diagonal_form(E, [1, 2]), H_prime)
     assert twisted.det == H_prime.det == E.from_rational(-3)
     assert equivalent(twisted, H_prime) == EQUIVALENT
+
+
+def test_with_slot_certifies_the_slot_over_q_zeta5():
+    E5 = make_cyclotomic(5)
+    w = E5.gen_F()  # roots 2cos(4pi/5) ~ -1.618 and 2cos(2pi/5) ~ 0.618
+    block = diagonal_form(E5, [1, 2])
+    # positive at every place, then negative at every place
+    for wrong in (E5.one(), w - 1):
+        with pytest.raises(VerificationError):
+            with_slot(block, wrong)
+    slot = 1 + w  # negative at embedding 0, positive at embedding 1
+    H = with_slot(block, slot)
+    assert H == direct_sum(block, diagonal_form(E5, [slot]))
+    assert H.det == block.det * slot
+    assert is_admissible(H)
+
+
+def _kernel_from_sympy(q):
+    q = Fraction(q)
+    factors = sympy.factorint(abs(q.numerator * q.denominator))
+    return (-1 if q < 0 else 1) * prod(p for p, e in factors.items() if e % 2)
+
+
+def test_det_kernel_matches_a_full_factorisation():
+    # every prime factor below 10^6, so the bounded factoring completes
+    rng = random.Random(20)
+    primes = list(sympy.primerange(2, 10 ** 6))
+    for _ in range(300):
+        picks = [rng.choice(primes[:15] if rng.random() < 0.5 else primes)
+                 for _ in range(rng.randint(0, 6))]
+        n = prod(p ** rng.randint(1, 4) for p in picks)
+        d = prod(rng.choice(primes[:15]) for _ in range(rng.randint(0, 2)))
+        q = Fraction(rng.choice([-1, 1]) * n, d)
+        assert _squarefree_kernel(q) == _kernel_from_sympy(q), q
+
+
+def test_det_kernel_keeps_an_unsplit_cofactor_whole():
+    # two 30-digit primes: rho splits neither within the step budget
+    p, q = 10 ** 29 + 319, 3 * 10 ** 29 + 7
+    assert _squarefree_kernel(Fraction(-p * q)) == -p * q
+    assert _squarefree_kernel(Fraction(12 * (p * q) ** 2, 5)) == 15
 
 
 def test_random_congruence_respects_invariants():

@@ -38,6 +38,9 @@ def qi_form(name, diag):
 
 h1, h2 = qi_form("h1.json", [1, 1, -1]), qi_form("h2.json", [2, 3, -6])
 run("invariants", "--form", h1)
+# det -pq with two 30-digit primes: the det class needs no factorisation
+run("invariants", "--form", qi_form(
+    "big.json", [1, 1, -(10 ** 29 + 319) * (3 * 10 ** 29 + 7)]))
 run("equivalent", "--form", h1, "--form2", h2)
 # read from JSON, so the cubic min_poly of Q(zeta7)^+ is proved irreducible
 h7 = write("h7.json", serialize.form_to_json(
