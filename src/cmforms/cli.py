@@ -9,7 +9,9 @@ it exits 1 without a traceback when its reader closes stdout early (as
 
 Budgets: weak-approximation max-norm 20, norm-witness search 10^4
 candidates, closure cap 10^4 elements; all adjustable by flags, which,
-like `--max-m`, refuse a negative value (exit 2).
+like `--max-m`, refuse a negative value (exit 2).  Factoring spends at
+most 2*10^4 Brent-rho squarings per cofactor >= 3.3e24 (no flag); a
+cofactor it leaves unsplit is named in the trace of an unknown result.
 """
 
 import argparse
@@ -70,7 +72,7 @@ def cmd_equivalent(args):
     verdict = hermitian.equivalent(H1, H2, args.budget)
     status = "unknown" if verdict == UNKNOWN else "ok"
     trace = ["compared dimensions, signature profiles and determinant "
-             "classes"]
+             "classes"] + list(verdict.trace)
     return CommandResult(status, {"verdict": verdict}, trace)
 
 

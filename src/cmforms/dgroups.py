@@ -7,10 +7,11 @@ the noncyclic finite groups that can sit inside division algebras of odd
 prime degree, and the verdict machinery reproduces the representation-
 theoretic exclusion for second-type lattices.  `second_type_verdict`
 answers with a `field.Verdict` whose `trace` records the argument; p is
-proved prime by the deterministic Miller-Rabin test of `residue._is_prime`
-(p < 3.3e24).  Verdicts read the invariants (m, r, s, t, n) alone: the
-commutator subgroup is <X^s>, of order t, so G is abelian iff t = 1.  Only
-`elements` builds the group, by the product closure of `groups`.
+proved prime by `residue._is_prime` (Miller-Rabin below 3.3e24, the n - 1
+test within the factoring budget above), and refused unproved.  Verdicts
+read the invariants (m, r, s, t, n) alone: the commutator subgroup is
+<X^s>, of order t, so G is abelian iff t = 1.  Only `elements` builds the
+group, by the product closure of `groups`.
 """
 
 from collections import namedtuple
@@ -19,7 +20,7 @@ from math import gcd
 
 from .field import VerificationError, Verdict
 from .groups import _closure
-from .residue import _MR_BOUND, _is_prime
+from .residue import _is_prime
 
 
 class InvalidDGroupError(ValueError):
@@ -138,11 +139,9 @@ def amitsur_filter(params, p):
 
 @lru_cache(maxsize=64)
 def check_odd_prime(p):
-    """Refuse p unless `residue._is_prime` proves it an odd prime.  A proved
-    p is cached, so a verdict and its sub-tests, or a sweep's rows, prove
-    it once."""
-    if p >= _MR_BOUND and p % 2:
-        raise ValueError("p must be below %d to be proved prime" % _MR_BOUND)
+    """Refuse p unless `residue._is_prime` proves it an odd prime; a prime
+    that proof cannot reach is refused alike.  A proved p is cached, so a
+    verdict and its sub-tests, or a sweep's rows, prove it once."""
     if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
 

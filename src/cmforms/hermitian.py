@@ -99,25 +99,22 @@ class FormInvariant:
 def invariants(H):
     det = H.det
     # any representative of det modulo norms is its class: when det is
-    # rational, strip the square factors that a bounded factoring finds
+    # rational, strip the square factors that the budgeted factoring finds
     if det.is_rational():
         det = H.field.from_rational(_squarefree_kernel(det.as_fraction()))
     return FormInvariant(H.dim, signature_profile(H), det)
 
 
-_KERNEL_STEPS = 2 * 10 ** 4  # rho squarings per cofactor of a det
-
-
 def _squarefree_kernel(q):
     return Fraction((-1 if q < 0 else 1) * _square_class(
-        abs(q.numerator * q.denominator), _KERNEL_STEPS))
+        abs(q.numerator * q.denominator)))
 
 
 def equivalent(H1, H2, budget=10 ** 4):
     """Theorem-of-classification decision: compare the invariant triples.
 
-    The Verdict carries the `is_norm` witness or obstruction for det H1 /
-    det H2, or the differing ("dimension", ...) or ("signatures", ...)."""
+    The Verdict carries `is_norm`'s witness, obstruction or trace for
+    det H1 / det H2, or the differing ("dimension" or "signatures", ...)."""
     if H1.field != H2.field:
         raise ValueError("forms live over different CM fields")
     if H1.dim != H2.dim:
@@ -131,7 +128,7 @@ def equivalent(H1, H2, budget=10 ** 4):
     status = {IS_NORM: EQUIVALENT,
               IS_NOT_NORM: NOT_EQUIVALENT}.get(verdict, UNKNOWN_EQUIVALENCE)
     return Verdict(status, witness=verdict.witness,
-                   obstruction=verdict.obstruction)
+                   obstruction=verdict.obstruction, trace=verdict.trace)
 
 
 def is_admissible(H):

@@ -1,21 +1,17 @@
 """Norm-residue decisions for CM quadratic extensions.
 
 Over F = Q the question "is d a norm from E = Q(sqrt(delta))?" is decided
-completely by Hilbert symbols at 2, infinity and the primes meeting d or
-delta.  Over larger totally real F we fall back on the archimedean
-obstruction and a bounded witness search, reporting Unknown otherwise.
-One search, `_norm_witness`, serves every base field: over Q it only
-supplies the witness of a decided IsNorm.
-
-`is_norm` answers with a `field.Verdict`: IsNorm carries a witness x with
-N(x) = d when the search finds one, IsNotNorm the obstructing place.
-The prime supports come from `_factor`: trial division, Brent's rho and a
-Miller-Rabin proof of primality below 3.3e24; sympy factors only a
-cofactor beyond that bound.  `_square_class` reads n modulo squares from
-the same steps within a squaring budget, and never calls sympy.
+by Hilbert symbols at 2, infinity and the primes meeting d or delta,
+completely within the factoring budget.  Over larger totally real F we
+fall back on the archimedean obstruction and a bounded witness search,
+reporting Unknown otherwise.  One search, `_norm_witness`, serves every
+base field.  `is_norm` answers with a `field.Verdict`: IsNorm carries a
+witness x with N(x) = d when the search finds one, IsNotNorm the
+obstructing place, an Unknown over Q the unsplit cofactors in its trace.
+`_factor` is the one integer factoriser, and `_is_prime` the one proof of
+primality: Miller-Rabin below 3.3e24, Pocklington's n - 1 test above.
 """
 
-from collections import Counter
 from fractions import Fraction
 import itertools
 from math import gcd, isqrt, prod
@@ -35,10 +31,18 @@ NormResidueVerdict = Verdict  # the former class name, kept public
 _MR_BASES = _SMALL_PRIMES[:13]  # the primes up to 41
 _MR_BOUND = 3317044064679887385961981
 
+# Brent-rho squarings per cofactor >= _MR_BOUND.  A smaller composite has
+# a prime below 1.9e12, which rho finds in about 10^6 squarings anyway.
+_RHO_STEPS = 2 * 10 ** 4
+
 
 def _is_prime(n):
-    """Is n a strong probable prime to every base in _MR_BASES?  A proof
-    for n < _MR_BOUND."""
+    """Is n proved prime?  Miller-Rabin to the bases _MR_BASES below
+    _MR_BOUND; above, Pocklington's n - 1 test (Brillhart, Lehmer and
+    Selfridge 1975, Thm 4) on the primes that `_factor(n - 1)` proves:
+    if their part F of n - 1 has F^2 > n and each prime q | F has a base
+    a with gcd(a^((n-1)/q) - 1, n) = 1, each prime factor of n is 1 mod F,
+    so n is prime.  False where that fails."""
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         return n in _MR_BASES
     d, s = n - 1, 0
@@ -46,9 +50,16 @@ def _is_prime(n):
         d, s = d // 2, s + 1
     # n - 1 = d 2^s, d odd: base a witnesses that n is composite unless
     # a^d = 1 or a^(d 2^k) = -1 for some k < s
-    return not any(pow(a, d, n) != 1 and all(pow(a, d << k, n) != n - 1
-                                             for k in range(s))
-                   for a in _MR_BASES)
+    strong = all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == n - 1
+                                          for k in range(s))
+                 for a in _MR_BASES)
+    if not strong or n < _MR_BOUND:
+        return strong
+    # a^(n-1) = 1 mod n for every base, since n passed them all
+    primes, _ = _factor(n - 1)
+    return (prod(q ** e for q, e in primes.items()) ** 2 > n
+            and all(any(gcd(pow(a, (n - 1) // q, n) - 1, n) == 1
+                        for a in _MR_BASES) for q in primes))
 
 
 def _rho_split(n, steps=None):
@@ -83,55 +94,36 @@ def _rho_split(n, steps=None):
 
 
 def _factor(n):
-    """{prime: exponent} for an integer n >= 1: trial division below 50,
-    then cofactors that `_is_prime` proves prime or `_rho_split` splits.
-    sympy factors a cofactor >= _MR_BOUND, where that proof stops."""
+    """(primes, unsplit) for an integer n >= 1: {prime: exponent} and
+    {cofactor: multiplicity}, whose product is n.  Trial division below
+    50; then a square cofactor counts as its root twice, a cofactor that
+    `_is_prime` proves is a prime, and any other is split by `_rho_split`
+    (within _RHO_STEPS squarings from _MR_BOUND up) or kept unsplit."""
     if n < 1:
         raise ValueError("can only factor an integer n >= 1, got %r" % (n,))
-    out = Counter()
+    primes, unsplit = {}, {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
-            n, out[p] = n // p, out[p] + 1
-    stack = [n] if n > 1 else []
+            n, primes[p] = n // p, primes.get(p, 0) + 1
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m >= _MR_BOUND:
-            import sympy
-            out.update(sympy.factorint(m))
+        m, k = stack.pop()
+        r = isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * k))
         elif _is_prime(m):
-            out[m] += 1
+            primes[m] = primes.get(m, 0) + k
+        elif g := _rho_split(m, _RHO_STEPS if m >= _MR_BOUND else None):
+            stack += [(g, k), (m // g, k)]
         else:
-            g = _rho_split(m)
-            stack += [g, m // g]
-    return dict(out)
+            unsplit[m] = unsplit.get(m, 0) + k
+    return primes, unsplit
 
 
-def _square_class(n, steps):
-    """n >= 1 modulo squares, without sympy: the product of the factors of
-    odd exponent that trial division below 50, `_is_prime` and `_rho_split`
-    within `steps` squarings per cofactor find.  A cofactor left unsplit
-    stays whole unless `isqrt` shows it a square, so this is the squarefree
-    part of n wherever the factoring completes."""
-    odd, stack = set(), [n]
-    while stack:
-        m = stack.pop()
-        p = next((p for p in _SMALL_PRIMES if m % p == 0), None)
-        if p is not None:
-            odd ^= {p}
-            stack.append(m // p)
-        elif m > 1 and isqrt(m) ** 2 != m:
-            g = (None if m < _MR_BOUND and _is_prime(m)
-                 else _rho_split(m, steps))
-            if g is None:
-                odd ^= {m}
-            else:
-                stack += [g, m // g]
-    return prod(odd)
-
-
-def _factor_support(*fracs):
-    return sorted({p for q in fracs for n in (q.numerator, q.denominator)
-                   for p in _factor(abs(n))})
+def _square_class(n):
+    """n >= 1 modulo squares: the product of the primes and unsplit
+    cofactors of odd multiplicity in `_factor(n)`."""
+    return prod(m for part in _factor(n) for m, e in part.items() if e % 2)
 
 
 def _val(q, p):
@@ -183,19 +175,24 @@ def hilbert_symbol(a, b, p):
 
 
 def rational_is_norm(d, delta):
-    """Is d in N(Q(sqrt(delta))^x)?  Complete local-global decision.
+    """Is d in N(Q(sqrt(delta))^x)?  Local-global decision, complete within
+    the factoring budget.
 
     d is a norm iff the form x^2 - delta*y^2 represents d over Q, iff the
     Hilbert symbol (delta, d)_v is trivial at every place v; checking the
-    support of d and delta plus {2, infinity} suffices.
+    support of d and delta plus {2, infinity} suffices.  (None, cofactors)
+    says no known place obstructs, but `_factor` left these unsplit.
     """
     d, delta = Fraction(d), Fraction(delta)
     if d == 0:
         raise ValueError("d must be nonzero")
-    for p in [0, 2] + _factor_support(d, delta):
+    parts = [_factor(abs(n)) for n in (d.numerator, d.denominator,
+                                       delta.numerator, delta.denominator)]
+    for p in [0, 2] + sorted({p for primes, _ in parts for p in primes}):
         if hilbert_symbol(delta, d, p) != 1:
             return False, p
-    return True, None
+    unsplit = sorted({m for _, rest in parts for m in rest})
+    return (None, unsplit) if unsplit else (True, None)
 
 
 def _is_rational_square(q):
@@ -241,12 +238,15 @@ def is_norm(d, cmfield, budget=10 ** 4):
         if d.sign_at(ell) == NEGATIVE:
             return Verdict(IS_NOT_NORM, obstruction=("real place", ell))
 
-    # over Q the Hilbert symbols decide, and the search only adds a witness
-    if cmfield.s == 1:
-        ok, bad_p = rational_is_norm(d.a[0], cmfield.delta[0])
-        if not ok:
-            return Verdict(IS_NOT_NORM, obstruction=("prime", bad_p))
+    # over Q the Hilbert symbols decide, and the search only adds a witness,
+    # unless the factoring left a cofactor unsplit
+    decided, reason = (rational_is_norm(d.a[0], cmfield.delta[0])
+                       if cmfield.s == 1 else (None, ()))
+    if decided is False:
+        return Verdict(IS_NOT_NORM, obstruction=("prime", reason))
     witness = _norm_witness(d, cmfield, budget)
-    if witness is None and cmfield.s > 1:
-        return Verdict(UNKNOWN)
+    if witness is None and not decided:
+        return Verdict(UNKNOWN, trace=[
+            "cofactor %d neither proved prime nor split by %d rho squarings"
+            % (m, _RHO_STEPS) for m in reason])
     return Verdict(IS_NORM, witness=witness)

@@ -282,7 +282,11 @@ def test_algebra_norm_reads_a_spec_without_involution(tmp_path):
     (["check", "--m", "7", "--r", "2",
       "--p", str((10 ** 9 + 7) * (10 ** 9 + 9))], 2),
     (["enumerate", "--max-m", "4", "--p", "1000000000000000003"], 0),
-    (["check", "--m", "7", "--r", "2", "--p", str(10 ** 25 + 13)], 2),
+    # a 40-digit prime that the n - 1 test cannot prove: refused
+    (["check", "--m", "7", "--r", "2", "--p",
+      str(10 * (10 ** 19 + 51) * (2 * 10 ** 19 + 11) + 1)], 2),
+    # beyond the Miller-Rabin bound, proved by the n - 1 test
+    (["check", "--m", "7", "--r", "2", "--p", str(10 ** 25 + 13)], 0),
 ])
 def test_dgroup_large_p_is_decided_quickly(argv, code):
     # primality by trial division up to sqrt(p) would run for minutes here
@@ -292,6 +296,25 @@ def test_dgroup_large_p_is_decided_quickly(argv, code):
     assert proc.returncode == code, proc.stdout
     if code == 2:
         assert "p must be" in json.loads(proc.stdout)["payload"]["message"]
+
+
+def test_equivalent_on_an_unsplit_det_is_unknown_quickly(tmp_path):
+    # det -pq, p and q 30-digit primes: rho leaves pq unsplit, no known
+    # place obstructs, and the witness search runs out, all within seconds
+    p, q = 10 ** 29 + 319, 3 * 10 ** 29 + 7
+    E = gaussian_field()
+    paths = [_write(tmp_path, name, serialize.form_to_json(
+        diagonal_form(E, [1, 1, d]))) for name, d in
+        (("big.json", -p * q), ("h1.json", -1))]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforms", "--json", "equivalent",
+         "--form", paths[0], "--form2", paths[1]],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=10)
+    assert proc.returncode == 3, proc.stdout
+    doc = json.loads(proc.stdout)
+    assert doc["payload"] == {"verdict": "Unknown"}
+    assert doc["trace"][1] == ("cofactor %d neither proved prime nor split "
+                               "by 20000 rho squarings" % (p * q))
 
 
 def test_budget_zero_is_unknown_in_both_embeddings(tmp_path):

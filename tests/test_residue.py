@@ -4,7 +4,7 @@ import pytest
 
 from cmforms import (IS_NORM, IS_NOT_NORM, gaussian_field,
                      hilbert_symbol, is_norm, make_cyclotomic)
-from cmforms.residue import rational_is_norm
+from cmforms.residue import UNKNOWN, rational_is_norm
 
 
 def _sum_of_two_squares(n):
@@ -104,3 +104,17 @@ def test_is_norm_rejects_zero():
     E = gaussian_field()
     with pytest.raises(ValueError):
         is_norm(E.zero(), E)
+
+
+def test_an_unsplit_cofactor_leaves_the_decision_open():
+    # p, q 30-digit primes, both 3 mod 4: rho leaves p q unsplit, so only
+    # a place outside it can refute, and is_norm answers Unknown naming it
+    p, q = 10 ** 29 + 319, 3 * 10 ** 29 + 7
+    assert rational_is_norm(p * q, -4) == (None, [p * q])
+    assert rational_is_norm(-p * q, -4) == (False, 0)
+    assert rational_is_norm(Fraction(21 * p * q, 5), -4) == (False, 3)
+    E = gaussian_field()
+    v = is_norm(E.from_rational(p * q), E, budget=100)
+    assert v == UNKNOWN and v.witness is None
+    assert v.trace == ("cofactor %d neither proved prime nor split by 20000 "
+                       "rho squarings" % (p * q),)
