@@ -10,7 +10,7 @@ it exits 1 without a traceback when its reader closes stdout early (as
 Budgets: weak-approximation max-norm 20, norm-witness search 10^4
 candidates, closure cap 10^4 elements; all adjustable by flags, which,
 like `--max-m`, refuse a negative value (exit 2).  Factoring spends at
-most 2*10^4 Brent-rho squarings per cofactor >= 3.3e24 (no flag); a
+most 5*10^5 Brent-rho squarings per cofactor >= 3.3e24 (no flag); a
 cofactor it leaves unsplit is named in the trace of an unknown result.
 """
 

@@ -139,11 +139,12 @@ def amitsur_filter(params, p):
 
 @lru_cache(maxsize=64)
 def check_odd_prime(p):
-    """Refuse p unless `residue._is_prime` proves it an odd prime; a prime
-    that proof cannot reach is refused alike.  A proved p is cached, so a
+    """Refuse p unless `residue._is_prime` proves it an odd prime, naming
+    the n - 1 test when p passed Miller-Rabin.  A proved p is cached, so a
     verdict and its sub-tests, or a sweep's rows, prove it once."""
-    if p == 2 or not _is_prime(p):
-        raise ValueError("p must be an odd prime")
+    if not (proved := _is_prime(p)) or p == 2:
+        raise ValueError("p must be an odd prime" + (
+            " that the n - 1 test proves" if proved is None else ""))
 
 
 def faithful_reducible_exists(params, p):

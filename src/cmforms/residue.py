@@ -31,18 +31,18 @@ NormResidueVerdict = Verdict  # the former class name, kept public
 _MR_BASES = _SMALL_PRIMES[:13]  # the primes up to 41
 _MR_BOUND = 3317044064679887385961981
 
-# Brent-rho squarings per cofactor >= _MR_BOUND.  A smaller composite has
-# a prime below 1.9e12, which rho finds in about 10^6 squarings anyway.
-_RHO_STEPS = 2 * 10 ** 4
+# Brent-rho squarings per cofactor >= _MR_BOUND, enough for its primes below
+# about 1e10; a smaller composite has one below 1.9e12 and gets no budget.
+_RHO_STEPS = 5 * 10 ** 5
 
 
 def _is_prime(n):
     """Is n proved prime?  Miller-Rabin to the bases _MR_BASES below
     _MR_BOUND; above, Pocklington's n - 1 test (Brillhart, Lehmer and
-    Selfridge 1975, Thm 4) on the primes that `_factor(n - 1)` proves:
-    if their part F of n - 1 has F^2 > n and each prime q | F has a base
-    a with gcd(a^((n-1)/q) - 1, n) = 1, each prime factor of n is 1 mod F,
-    so n is prime.  False where that fails."""
+    Selfridge 1975, Thm 4) on the primes `_factor(n - 1)` proves: if their
+    part F of n - 1 has F^2 > n and each prime q | F has a base a with
+    gcd(a^((n-1)/q) - 1, n) = 1, each prime factor of n is 1 mod F, so n
+    is prime.  False if Miller-Rabin finds n composite, None if F fails."""
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         return n in _MR_BASES
     d, s = n - 1, 0
@@ -59,7 +59,7 @@ def _is_prime(n):
     primes, _ = _factor(n - 1)
     return (prod(q ** e for q, e in primes.items()) ** 2 > n
             and all(any(gcd(pow(a, (n - 1) // q, n) - 1, n) == 1
-                        for a in _MR_BASES) for q in primes))
+                        for a in _MR_BASES) for q in primes)) or None
 
 
 def _rho_split(n, steps=None):
@@ -93,12 +93,21 @@ def _rho_split(n, steps=None):
             return g
 
 
+def _iroot(m, k):
+    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def _factor(n):
     """(primes, unsplit) for an integer n >= 1: {prime: exponent} and
     {cofactor: multiplicity}, whose product is n.  Trial division below
-    50; then a square cofactor counts as its root twice, a cofactor that
-    `_is_prime` proves is a prime, and any other is split by `_rho_split`
-    (within _RHO_STEPS squarings from _MR_BOUND up) or kept unsplit."""
+    50; then a cofactor that `_is_prime` proves is a prime, a j-th power
+    is its root j times (a root is >= 53 > 2^5, so j <= bits / 5), and
+    any other is split by `_rho_split` (within _RHO_STEPS squarings from
+    _MR_BOUND up) or kept unsplit."""
     if n < 1:
         raise ValueError("can only factor an integer n >= 1, got %r" % (n,))
     primes, unsplit = {}, {}
@@ -108,11 +117,11 @@ def _factor(n):
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, k = stack.pop()
-        r = isqrt(m)
-        if r * r == m:
-            stack.append((r, 2 * k))
-        elif _is_prime(m):
+        if _is_prime(m):
             primes[m] = primes.get(m, 0) + k
+        elif j := next((j for j in range(m.bit_length() // 5, 1, -1)
+                        if _iroot(m, j) ** j == m), 0):
+            stack.append((_iroot(m, j), j * k))
         elif g := _rho_split(m, _RHO_STEPS if m >= _MR_BOUND else None):
             stack += [(g, k), (m // g, k)]
         else:

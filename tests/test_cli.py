@@ -314,7 +314,7 @@ def test_equivalent_on_an_unsplit_det_is_unknown_quickly(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["payload"] == {"verdict": "Unknown"}
     assert doc["trace"][1] == ("cofactor %d neither proved prime nor split "
-                               "by 20000 rho squarings" % (p * q))
+                               "by 500000 rho squarings" % (p * q))
 
 
 def test_budget_zero_is_unknown_in_both_embeddings(tmp_path):

@@ -129,6 +129,23 @@ def test_amitsur_filter():
         amitsur_filter(validate(7, 2), 4)  # p not an odd prime
 
 
+@pytest.mark.parametrize("p, message", [
+    (2, "p must be an odd prime"),
+    (4, "p must be an odd prime"),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), "p must be an odd prime"),
+    # psi_13 passes Miller-Rabin to every base, and is not proved
+    (3317044064679887385961981,
+     "p must be an odd prime that the n - 1 test proves"),
+    # a 40-digit prime whose n - 1 the budgeted factoring cannot finish
+    (10 * (10 ** 19 + 51) * (2 * 10 ** 19 + 11) + 1,
+     "p must be an odd prime that the n - 1 test proves"),
+])
+def test_a_refused_p_is_named_correctly(p, message):
+    with pytest.raises(ValueError) as err:
+        dgroups.check_odd_prime(p)
+    assert str(err.value) == message
+
+
 def test_faithful_reducible_oracle():
     assert not faithful_reducible_exists(validate(7, 2), 3)
     assert not faithful_reducible_exists(validate(13, 3), 3)

@@ -79,6 +79,23 @@ def test_a_square_cofactor_counts_as_its_root_twice():
     assert _factor(5 * (p * q) ** 2) == ({5: 1}, {p * q: 2})
 
 
+@pytest.mark.parametrize("n", [
+    (10 ** 10 + 19) ** 3, 7 * (10 ** 10 + 19) ** 6, (10 ** 25 + 13) ** 3,
+    53 ** 2 * 59 ** 5 * (10 ** 25 + 13) ** 5])
+def test_a_power_cofactor_counts_as_its_root_j_times(n):
+    assert _factor(n) == _proved(n)
+
+
+def test_small_primes_beyond_the_bound_are_split():
+    # every prime below about 1e10 falls to rho within the budget
+    rng = random.Random(10)
+    for _ in range(4):
+        n = prod(_random_prime(rng, 10) for _ in range(3))
+        assert n >= _MR_BOUND and _factor(n) == _proved(n), n
+    n = (10 ** 10 + 19) * _random_prime(rng, 15)
+    assert n >= _MR_BOUND and _factor(n) == _proved(n)
+
+
 def test_zero_is_refused():
     with pytest.raises(ValueError):
         _factor(0)
@@ -131,12 +148,13 @@ def test_no_composite_is_proved(n):
 
 
 def test_products_of_proved_primes_match_sympy():
-    # one large prime that the n - 1 test proves, times primes below 10^7
+    # a power of a large prime that the n - 1 test proves, times primes
+    # below 10^7
     rng = random.Random(21)
     proved = [p for p in (_random_prime(rng, rng.choice([26, 28, 30]))
                           for _ in range(12)) if _is_prime(p)]
     assert len(proved) >= 6
     for p in proved:
-        n = p ** rng.randint(1, 2) * prod(
+        n = p ** rng.randint(1, 3) * prod(
             sympy.randprime(2, 10 ** 7) for _ in range(rng.randint(0, 3)))
         assert _factor(n) == _proved(n), n

@@ -116,5 +116,5 @@ def test_an_unsplit_cofactor_leaves_the_decision_open():
     E = gaussian_field()
     v = is_norm(E.from_rational(p * q), E, budget=100)
     assert v == UNKNOWN and v.witness is None
-    assert v.trace == ("cofactor %d neither proved prime nor split by 20000 "
+    assert v.trace == ("cofactor %d neither proved prime nor split by 500000 "
                        "rho squarings" % (p * q),)
