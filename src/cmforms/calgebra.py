@@ -448,28 +448,26 @@ def make_involution(algebra, beta):
 
 
 def verify_involution(inv):
-    """Check the involution axioms exhaustively on basis pairs.
-
-    Raises naming the failing pair; returns the involution on success."""
+    """Check the involution axioms on generators; raises naming the first
+    failure, returns the involution on success.  star is theta-semilinear
+    and E central, so (ab)* = b* a* for a in the basis and b in 1, y, X
+    gives it for all a, b (those b form an E-subalgebra; y, X generate A).
+    Then x** is an E-algebra map, the identity once it fixes 1, y and X,
+    and a* = 1* a* for all a gives 1* = 1, so star restricts to theta on E."""
     algebra = inv.algebra
     basis = algebra.basis()
     star = inv.apply
     stars = [star(a) for a in basis]
-    # anti-multiplicativity on all 81 pairs
-    for (la, a, sa) in zip(_LABELS, basis, stars):
-        for (lb, b, sb) in zip(_LABELS, basis, stars):
-            if star(a * b) != sb * sa:
-                raise InvolutionError(
-                    "(xy)* != y* x* at basis pair %s, %s" % (la, lb))
-    # involutivity on the basis
-    for (la, a, sa) in zip(_LABELS, basis, stars):
-        if star(sa) != a:
-            raise InvolutionError("(x*)* != x at basis element %s" % (la,))
-    # restriction to E is theta
-    sq = algebra.E.sqrt_delta()
-    for lam in (algebra.E.one(), sq, algebra.E.from_rational(3) + sq):
-        if star(algebra.element(lam)) != algebra.element(lam.conjugate()):
-            raise InvolutionError("star does not restrict to theta on E")
+    gens = (0, 1, 3)  # 1, y, X in _LABELS order
+    for k in gens:
+        for (la, a, sa) in zip(_LABELS, basis, stars):
+            if star(a * basis[k]) != stars[k] * sa:
+                raise InvolutionError("(xy)* != y* x* at basis pair %s, %s"
+                                      % (la, _LABELS[k]))
+    for k in gens:
+        if star(stars[k]) != basis[k]:
+            raise InvolutionError("(x*)* != x at basis element %s"
+                                  % (_LABELS[k],))
     # splitting compatibility: star corresponds to conjugate-transposition
     # up to the fixed conjugator D
     if inv.splitting_conjugator is not None:

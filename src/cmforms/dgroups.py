@@ -86,23 +86,6 @@ def elements(params):
                            partial(multiply, params), order(params)))
 
 
-def element_order(params, x):
-    """Order via the quotient by <X>: project to Z/n, then land in <X>."""
-    n, m = params.n, params.m
-    b = x[1]
-    nb = n // gcd(b, n) if b else 1
-    p = identity()
-    for _ in range(nb):
-        p = multiply(params, p, x)
-    assert p[1] == 0
-    a = p[0]
-    return nb * (m // gcd(a, m) if a else 1)
-
-
-def max_element_order(params):
-    return max(element_order(params, e) for e in elements(params))
-
-
 def is_cyclic(params):
     return params.n == 1
 

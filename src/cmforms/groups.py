@@ -173,23 +173,26 @@ def check_table(table):
 
 
 class IntegralRep:
-    """A faithful integer matrix representation of a finite group."""
+    """A faithful integer representation of the group `check_table` proves,
+    checked on `generators`: rho(e) = 1 and rho(a) rho(g) = rho(ag) for each
+    a and generator g give rho(ab) = rho(a) rho(b) by induction on b's word."""
 
     def __init__(self, table, matrices):
+        e = check_table(table)
         self.table = [list(r) for r in table]
-        self.matrices = [tuple(tuple(int(x) for x in row) for row in M)
-                         for M in matrices]
-        self.m = len(self.matrices[0]) if self.matrices else 0
-        self.group_order = len(self.table)
-        if len(self.matrices) != self.group_order:
+        self.generators = _generators(self.table)
+        self.matrices = rho = [tuple(tuple(int(x) for x in row) for row in M)
+                               for M in matrices]
+        self.group_order = n = len(self.table)
+        if len(rho) != n:
             raise ValueError("need one matrix per group element")
-        # homomorphism + faithfulness
-        for a in range(self.group_order):
-            for b in range(self.group_order):
-                if _int_mat_mul(self.matrices[a], self.matrices[b]) \
-                        != self.matrices[self.table[a][b]]:
-                    raise ValueError("matrix map is not a homomorphism")
-        if len(set(self.matrices)) != self.group_order:
+        self.m = m = len(rho[0])
+        one = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        if rho[e] != one or any(
+                _int_mat_mul(rho[a], rho[g]) != rho[self.table[a][g]]
+                for a in range(n) for g in self.generators):
+            raise ValueError("matrix map is not a homomorphism")
+        if len(set(rho)) != n:
             raise ValueError("matrix map is not faithful")
 
 
@@ -201,11 +204,10 @@ def _int_mat_mul(A, B):
 
 def regular_rep(table):
     """Left regular representation by permutation matrices."""
-    check_table(table)
     n = len(table)
-    # g sends the basis vector e_h to e_{gh}
-    return IntegralRep(table, [[[int(table[g][h] == i) for h in range(n)]
-                                for i in range(n)] for g in range(n)])
+    # g sends e_h to e_{gh}; built lazily, once IntegralRep checked the table
+    return IntegralRep(table, ([[int(table[g][h] == i) for h in range(n)]
+                                for i in range(n)] for g in range(n)))
 
 
 def _generators(table):
@@ -240,15 +242,15 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
                   budget=20, norm_budget=10 ** 4):
     """Admissible invariant form containing rep's group, in dimension n.
 
-    Averages over the group closed from a generating set of rep's table
-    for a positive definite block, pads it with an identity block, and
-    closes with a weak-approximation negative slot; class_selector =
+    Averages over the group closed from rep.generators for a positive
+    definite block, pads it with an identity block, and closes with a
+    weak-approximation negative slot; class_selector =
     "other" lands in a different determinant class via the twisting
     construction.  rho holds the image of every element, in table order."""
     if n < rep.m + 1:
         raise ValueError("need n >= m + 1 to fit the negative slot")
     field = cmfield
-    gens = _generators(rep.table)
+    gens = rep.generators
     group = MatrixGroup(field, [_embed_int_matrix(rep.matrices[g], field,
                                                   rep.m) for g in gens])
     H_G = average_form(group)

@@ -149,13 +149,6 @@ def root_bound(p):
     return Fraction(b)
 
 
-def count_real_roots(p):
-    p = pmonic(trim(p))
-    chain = sturm_chain(p)
-    b = root_bound(p)
-    return sturm_count(chain, -b, b)
-
-
 def isolate_real_roots(p):
     """Disjoint open-ish rational intervals (lo, hi], one distinct real root
     each, sorted increasingly.  p must be squarefree."""

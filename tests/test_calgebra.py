@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import cmforms
 from cmforms import linalg
-from cmforms.calgebra import (AlgebraElement, AlgebraError, CyclicAlgebra,
+from cmforms.calgebra import (_LABELS, AlgebraElement, AlgebraError,
+                              CyclicAlgebra,
                               CubicExtElement, CyclicCubicExtension,
                               IN_GROUP, Involution,
                               InvolutionError, NOT_DIVISION, NOT_IN_GROUP,
@@ -367,7 +368,7 @@ def test_division_candidate_builtin_unknown(builtin):
 
 def test_involution_axioms(builtin):
     algebra, involution = builtin
-    verify_involution(involution)  # all 81 pairs + splitting compatibility
+    verify_involution(involution)  # on 1, y, X + splitting compatibility
     star = involution.apply
     assert star(algebra.one()) == algebra.one()
     rng = random.Random(5)
@@ -387,6 +388,18 @@ def test_builtin_is_built_once_with_conjugator():
                        linalg.identity(3, ext.one(), ext.zero()))
     with pytest.raises(InvolutionError, match="splitting compatibility"):
         verify_involution(wrong)
+
+
+@pytest.mark.parametrize("label", _LABELS, ids=lambda l: "y%dX%d" % l)
+def test_each_wrong_image_is_refused(builtin, label):
+    # the generator checks see a wrong image of any basis element, not
+    # only of 1, y and X; without the splitting conjugator as well
+    algebra, involution = builtin
+    images = dict(involution.images)
+    images[label] = images[label] + 1
+    for D in (involution.splitting_conjugator, None):
+        with pytest.raises(InvolutionError):
+            verify_involution(Involution(algebra, images, D))
 
 
 def test_involution_requires_matching_beta(builtin):

@@ -139,6 +139,20 @@ def test_regular_embed(tmp_path):
     assert H.dim == 7
 
 
+@pytest.mark.parametrize("table, got", [
+    ([[0, 1], [1, 0]], "list"), (5, "int")], ids=["bare_list", "number"])
+def test_regular_embed_needs_a_table_object(tmp_path, table, got):
+    # a table is read like every other document: a JSON object
+    tp = tmp_path / "t.json"
+    tp.write_text(json.dumps(table))
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(serialize.field_to_json(gaussian_field())))
+    code, doc = run_json(["regular-embed", "--table", str(tp),
+                          "--field", str(fp), "--n", "3"])
+    assert code == 2 and doc["payload"] == {
+        "message": "a table needs a JSON object, got %s" % got}
+
+
 def test_dgroup_check():
     code, doc = run_json(["dgroup", "check", "--m", "7", "--r", "2",
                           "--p", "3"])
@@ -321,7 +335,7 @@ def test_budget_zero_is_unknown_in_both_embeddings(tmp_path):
     # no weak-approximation candidate at max-norm 0, also over Q(i)
     code, doc = run_json(["embed-first-type", "C2", "--budget", "0"])
     assert code == 3 and doc["status"] == "unknown"
-    tp = _write(tmp_path, "c2.json", [[0, 1], [1, 0]])
+    tp = _write(tmp_path, "c2.json", {"table": [[0, 1], [1, 0]]})
     fp = _write(tmp_path, "qi.json", serialize.field_to_json(gaussian_field()))
     code, doc = run_json(["regular-embed", "--table", tp, "--field", fp,
                           "--n", "3", "--budget", "0"])
@@ -341,7 +355,7 @@ def test_closure_cap_is_unknown(tmp_path):
 
 def test_uncertified_other_class_is_unknown(tmp_path):
     # over Q(zeta8) no second class is certified within norm budget 200
-    tp = _write(tmp_path, "c2.json", [[0, 1], [1, 0]])
+    tp = _write(tmp_path, "c2.json", {"table": [[0, 1], [1, 0]]})
     fp = _write(tmp_path, "q8.json",
                 serialize.field_to_json(make_cyclotomic(8)))
     code, doc = run_json(["regular-embed", "--table", tp, "--field", fp,

@@ -68,43 +68,43 @@ def resolve(tmp_path_factory):
 
 CASES = [
     ('embed-first-type C2', 0,
-     '90d3796e60a671c29322f0cd920c0953bdb7c247514ab7010d626636751bf05b'),
+     '8e282ee3efe1ce26f695448f4e0844d48ac8b618baf080ab898555b6dcf5f1eb'),
     ('embed-first-type C3', 0,
-     '8954446b75a6a3590c879e195a9f97427ea510f1529df8cc44134d7eaf678559'),
+     'ef036930f630ede98862aa68805f334bc695984b98046f81003a2d24920a7235'),
     ('embed-first-type C4', 0,
-     '95b53a91d796e31af8c912634746ebcc186bde38739e7851d8d7914799460966'),
+     '46d7ce9c7cdf02cdaf4d68c9cdf412a15be4fb9b65f2a83134f64b396ff7a29e'),
     ('embed-first-type C5', 0,
-     '90f232c88135a956e0af09bcd46524717046a79f6d31ff252827301726e5f4ca'),
+     '47f5e40053efa7784a401a80708c576c7c312456c9a26e92d336dffeaa4dbb82'),
     ('embed-first-type C7', 0,
-     'a54ac336bc5b7d206d587b75134760f4fba73dd5901644468e10e2487d51a19e'),
+     '2004658494c1bd25dc55759ab196e9bd7783beb7b7f62109b943e38a9afd281c'),
     ('embed-first-type C8', 0,
-     '67057ce833a24865a2f009c8a60e2189163cdba3824e6d7fa71f4bf3110d21e8'),
+     'edbe3423669d33efbb01e86ee778179f19036518691eb037d21829b97a7655c3'),
     ('embed-first-type C9', 0,
-     '5d090c0ef94fead05872fb45275f707a7698efba240e26d206bab4b46868a8f2'),
+     '4f879a090f7e1c01ae98db7355ce02a6a0cd484a4472d7f8af64a340cc2fad5c'),
     ('embed-first-type C12', 0,
-     '90fc1cf229c9db9754f6460b7c5a598d5ee1b21f8c841da40e67e0308e078259'),
+     'cfe8129871114212a839f4463f7ab589f3602732e14aa16efe5987bd07ab8e35'),
     ('embed-first-type C5xU1_5', 0,
-     '2b26f70d2bd1d776b8c7eec5c41f543222c19d3db1871a8255bb6835a40ad6ed'),
+     '280d8ba6abae2a347b692959a11fcff476f77535ebba2ce2c48d664474ad84a1'),
     ('embed-first-type center_zeta3', 0,
-     '0e5c2b4079b09fefe5de3c09c8c0b9c5914e7005a6980bd4437f7c9d9eb429f6'),
+     'b31b05412914446be8f75f92f60ef835b91c65a19e151ad02e09fea2e54bb017'),
     ('embed-first-type Q8', 0,
-     'edb7428c49be81b8775b9ce89f556a571b652701814249cf7960494f10145b95'),
+     'd1a7029f7aa142503de21865309e1d013cb4d3f89274b9b09fe8d8f086b0c312'),
     ('embed-first-type Q8xU1_4', 0,
-     '56f46b7433bc42f32fa7a1604ba069b9510c33ab312da9b18c81bd10c7cdbca7'),
+     '3a2a3c5b66c42ee631de53091503dd407d05645e4574abd90859eaccab72f09d'),
     ('embed-first-type 2D3', 0,
-     'dab4690aa2643bb851537dad8366bcea2a8d2067aac8b41256d9d03b3f999c31'),
+     'b3b5c7f08cce62f0086813b311edeb00c2efe93f9b3ba3aa4a67edb46c413acd'),
     ('embed-first-type 2D4', 0,
-     '7c6a9015bd0830897e1474c64e6586ddfaa0872c210fa0959db8235cc8477dad'),
+     '4d948ce5207adf64e5eb479bc94b43def22e3d11a248e809ab21ab77c711f7e9'),
     ('embed-first-type 2D5', 0,
-     'b4e96ceca573e7d625683a5d945886688b7a316f20c0dd73b25c9afdef53f2d0'),
+     'd62f527cd6dc9d442b86dcc7bf519dd1dde8bfad3d46aea1d9b61a219e63a836'),
     ('embed-first-type 2D6', 0,
-     '430e84c382f4defda731845cf63114e5db0d0715bc513d075db5cdccdd4ac1a8'),
+     '4da4d3caf986e0a2d0d4442d38c2fdd8344d805a42553c4979204eefb8358940'),
     ('embed-first-type 2T', 0,
-     'f6d90ac63b988cb161b81cd7bb1431228dccf6c45a1cee7916158e2aadfb554b'),
+     '4d026d9f766e8a1ed0ce0650aabf156efe9367323fff0f146b77d2a67d81383c'),
     ('embed-first-type 2O', 0,
-     '44797d94270a026a05aa74ea55f3ef201e97da9af4fa3543337a9ddc42f2f7bd'),
+     'b36c8502ee434a1d6b3bf87ada36436edbb1e232026d4dce9af9d471bfd4b62c'),
     ('embed-first-type 2I', 0,
-     'ead8a07dea3daec9566d44e912155761b118822eca1dd0a6029d6a7b3ff3356e'),
+     '3db6d84cf4c4ae84f1a93218ae429d0e5210f53a8295b58e75e41ce7ca54e2ef'),
     ('regular-embed --table @table:2 --field @field:4 --n 4 --cls default', 0,
      '7fb5b1efcd30b5ddd407f2fa6e9d6e3f8880cc4725c23d72c2ce3e42be4e3c8f'),
     ('regular-embed --table @table:2 --field @field:4 --n 4 --cls other', 0,
@@ -178,9 +178,9 @@ CASES = [
     ('dgroup enumerate --max-m 12 --p 3', 0,
      '23b1f652010fdb649b5741305c6e5f60431dbe5c199576d4fc5a2203bf270f57'),
     ('algebra check --division-budget 300', 3,
-     '72caf60ec1492e7018c28fe61542bf7e395e870c08a2aa427da9fe41d94298f6'),
+     'f75ea2fd62539c5803ff449e5af64424e6406d7d8e7b8239d1cf865ece78cddd'),
     ('algebra check', 0,
-     '1ac6001619ff7276bb3ee75452617243c50cde57a916262c30f176ff154b5954'),
+     '597339c5b2b191e79463d737619ed224f6ba036659a2880e9028cfddfdd6c12c'),
     ('algebra norm --element @alg:X', 0,
      '26da0521d2598972b9af4f6e361c1e6fdebacc243ce2264745ec67e7184ae66a'),
     ('algebra norm --element @alg:mixed', 0,
@@ -190,7 +190,7 @@ CASES = [
     ('algebra membership --h @alg:one --x @alg:mixed', 0,
      '01b93ec2cd3ca6f1e36d5c42105a99a43d3a23d147c545115959dbeffda0b678'),
     ('algebra check --spec @spec:builtin', 0,
-     '1ac6001619ff7276bb3ee75452617243c50cde57a916262c30f176ff154b5954'),
+     '597339c5b2b191e79463d737619ed224f6ba036659a2880e9028cfddfdd6c12c'),
 ]
 
 

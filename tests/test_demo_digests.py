@@ -22,7 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
     "cyclic_algebra_tour.py":
-        "e9df429c65c7ec8351db64693969bf4fe1631a61e47f14c753d84a304688bf84",
+        "c9cda3b2b74e737bc6bdadb2ccfae1cf274ff13f0cd14a66f4d67358d8226030",
     "first_type_forms.py":
         "2ed12b25e019782f8fc281618a1b5fa05bd3730b29e1bc5ebc5e7d6f10d73112",
     "second_type_cyclic_only.py":

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cmforms import (ClosureCapExceeded, DEFAULT_CLASS, MatrixGroup,
-                     NOT_EQUIVALENT, NotAGroupError, OTHER_CLASS,
+from cmforms import (ClosureCapExceeded, DEFAULT_CLASS, IntegralRep,
+                     MatrixGroup, NOT_EQUIVALENT, NotAGroupError, OTHER_CLASS,
                      UnknownClassError, average_form, check_table, closure,
                      diagonal_form, embed_first_type, equivalent,
                      gaussian_field, groups, hermitian, invariant_under,
@@ -17,11 +17,15 @@ from cmforms.catalog import CatalogEntry, catalog_entry, verify_entry
 from cmforms.field import FieldElement, VerificationError
 
 
-def _s3_table():
-    perms = list(itertools.permutations(range(3)))
+def _sym_table(n):
+    perms = list(itertools.permutations(range(n)))
     idx = {p: k for k, p in enumerate(perms)}
-    return [[idx[tuple(p[q[k]] for k in range(3))] for q in perms]
+    return [[idx[tuple(p[q[k]] for k in range(n))] for q in perms]
             for p in perms]
+
+
+def _s3_table():
+    return _sym_table(3)
 
 
 def _cyclic_table(n):
@@ -201,6 +205,51 @@ def test_regular_rep_faithful():
     rep = regular_rep(table)
     assert rep.group_order == 6 and rep.m == 6
     assert len(set(rep.matrices)) == 6
+
+
+@pytest.mark.parametrize("table, products", [
+    (_sym_table(4), 72), (_cyclic_table(32), 32)], ids=["S4", "C32"])
+def test_regular_rep_multiplies_by_the_generators_only(monkeypatch, table,
+                                                       products):
+    # rho(a) rho(g) = rho(ag) for every a and generator g: n * |S| integer
+    # matrix products, where all pairs took n^2 (576 for S4, 1024 for C32)
+    calls = [0]
+    mul = groups._int_mat_mul
+
+    def counted(A, B):
+        calls[0] += 1
+        return mul(A, B)
+    monkeypatch.setattr(groups, "_int_mat_mul", counted)
+    rep = regular_rep(table)
+    assert calls[0] == len(table) * len(rep.generators) == products
+
+
+def test_a_map_wrong_off_the_generators_is_refused():
+    # doubling the image of one element that is not a generator (the
+    # identity included) keeps the map faithful but not multiplicative
+    table = _sym_table(4)
+    rep = regular_rep(table)
+    others = [k for k in range(len(table)) if k not in rep.generators]
+    assert len(others) == 21
+    for k in others:
+        wrong = list(rep.matrices)
+        wrong[k] = [[2 * x for x in row] for row in wrong[k]]
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            IntegralRep(table, wrong)
+
+
+def test_integral_rep_proves_the_table_a_group():
+    # a Latin square with identity 0 that is not associative (an order-5
+    # loop), with its left multiplication maps as the matrices
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    matrices = [[[int(loop[g][h] == i) for h in range(5)] for i in range(5)]
+                for g in range(5)]
+    with pytest.raises(NotAGroupError, match="associativity fails"):
+        IntegralRep(loop, matrices)
 
 
 def test_regular_embed_default():
