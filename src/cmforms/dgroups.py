@@ -83,7 +83,7 @@ def elements(params):
     """Closure of {X, Y} under multiply, sorted and capped at the group
     order; must agree with the normal forms."""
     return sorted(_closure(identity(), [(1 % params.m, 0), (0, 1 % params.n)],
-                           partial(multiply, params), order(params)))
+                           partial(multiply, params), order(params))[0])
 
 
 def is_cyclic(params):

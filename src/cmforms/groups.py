@@ -1,11 +1,13 @@
 """Finite matrix groups over a CM field and their admissible invariant forms.
 
-One breadth-first product closure, `_closure`, backs `closure`,
-`MatrixGroup` (every one the closure of its generators, on which its
-facts are checked), `regular_embed`'s generating set and the metacyclic
-groups of `dgroups`.  Both embedding pipelines close a positive block
-by `hermitian.with_slot`, and choose only the slot: the negative alpha
-of `_with_negative_slot`, or c*alpha/det(block) in `_other_class`.
+One product closure, `_closure` (Dimino's: the identity first, then the
+closure grown coset by coset), backs `closure`, `MatrixGroup` (every one
+the closure of its generators, on which its facts are checked),
+`_generators`, the generating set `regular_embed` closes, and the
+metacyclic groups of `dgroups`.  Both embedding pipelines close a
+positive block by `hermitian.with_slot`, and choose only the slot: the
+negative alpha of `_with_negative_slot`, or c*alpha/det(block) in
+`_other_class`.
 `embed_first_type` forms diag(1, 1, alpha) for a catalog group,
 `regular_embed` the group-averaged block of a regular representation plus
 alpha, in the default determinant class or, by `_other_class`, in a
@@ -14,8 +16,8 @@ second class raises a `field.BudgetExceeded`.
 """
 
 from . import linalg
-from .field import (BudgetExceeded, weak_approx_find, POSITIVE, NEGATIVE,
-                    VerificationError)
+from .field import (BudgetExceeded, FieldElement, FieldError, NEGATIVE,
+                    POSITIVE, VerificationError, weak_approx_find)
 from .hermitian import (HermitianForm, NOT_EQUIVALENT, diagonal_form,
                         direct_sum, equivalent, signature_profile, with_slot)
 
@@ -29,29 +31,54 @@ class UnknownClassError(BudgetExceeded):
 
 
 def _closure(identity, gens, mul, cap):
-    """Breadth-first product closure: every product of gens reached from
-    identity, in the order found, told apart by the products' own == and
-    hash; raises ClosureCapExceeded on reaching more than cap elements."""
+    """Dimino's closure: every product of gens, identity first.
+
+    Generators are taken in turn, and one already in the closure H of
+    those before it is skipped.  A new one s grows H by right cosets:
+    each representative t (s first, then each r*g for a representative
+    r and a used generator g that is not yet known) adds the products
+    h*t for h in H.  The union holds the identity and is closed under
+    right multiplication by every used generator, so it is the closure,
+    of a monoid too.  Elements are told apart by their own == and hash
+    and listed coset by coset; a product already known (cosets of a
+    monoid can meet) is not added again.  Returns the elements and the
+    generators used; raises ClosureCapExceeded on reaching more than
+    cap elements."""
     elems = {identity: None}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                p = mul(x, g)
-                if p not in elems:
-                    if len(elems) >= cap:
-                        raise ClosureCapExceeded(
-                            "closure exceeded cap %d" % cap)
-                    elems[p] = None
-                    new.append(p)
-        frontier = new
-    return list(elems)
+    used = []
+
+    def add(p):
+        if p not in elems:
+            if len(elems) >= cap:
+                raise ClosureCapExceeded("closure exceeded cap %d" % cap)
+            elems[p] = None
+
+    for s in gens:
+        if s in elems:
+            continue
+        H = list(elems)[1:]  # h * t for h = identity is t itself
+        used.append(s)
+        reps = []
+
+        def coset(t):
+            add(t)
+            for h in H:
+                add(mul(h, t))
+            reps.append(t)
+        coset(s)
+        for r in reps:  # grows while it is read
+            for g in used:
+                t = mul(r, g)
+                if t not in elems:
+                    coset(t)
+    return list(elems), used
 
 
 def closure(generators, cap=10 ** 4):
-    """Product closure of matrices; exact matrix equality throughout.
-    The generators must be square matrices of one size."""
+    """Product closure of matrices, the identity first; exact matrix
+    equality throughout.  The generators must be square matrices of one
+    size over a CM field: any other entry is refused with a FieldError
+    naming it."""
     gens = [linalg.mat(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator (use the identity "
@@ -63,9 +90,13 @@ def closure(generators, cap=10 ** 4):
                 "generator %d is %s; generators must be nonempty square "
                 "matrices of one size (generator 0 has %d rows)"
                 % (k, linalg.shape(g), n))
+        for x in (x for row in g for x in row):
+            if not isinstance(x, FieldElement):
+                raise FieldError("generator %d has the entry %r; entries "
+                                 "must be elements of a CM field" % (k, x))
     field = gens[0][0][0].field
     ident = linalg.identity(n, field.one(), field.zero())
-    return _closure(ident, gens, linalg.mat_mul, cap)
+    return _closure(ident, gens, linalg.mat_mul, cap)[0]
 
 
 class MatrixGroup:
@@ -215,12 +246,9 @@ def _generators(table):
     element, in table order, that the closure of those before it misses
     (the identity alone for the trivial group)."""
     e = table[0].index(0)  # 0 * e = 0
-    gens, reached = [], {e}
-    for g in range(len(table)):
-        if g not in reached:
-            gens.append(g)
-            reached = set(_closure(e, gens, lambda a, b: table[a][b],
-                                   len(table)))
+    # _closure skips exactly the elements the earlier ones generate
+    gens = _closure(e, range(len(table)), lambda a, b: table[a][b],
+                    len(table))[1]
     return gens or [e]
 
 

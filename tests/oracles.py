@@ -6,7 +6,7 @@ library reaches another way, or no longer needs.
 
 from math import gcd
 
-from cmforms import dgroups, polyn
+from cmforms import ClosureCapExceeded, dgroups, polyn
 
 
 def count_real_roots(p):
@@ -32,3 +32,39 @@ def element_order(params, x):
 
 def max_element_order(params):
     return max(element_order(params, e) for e in dgroups.elements(params))
+
+
+def bfs_closure(identity, gens, mul, cap):
+    """Breadth-first product closure: every product of gens reached from
+    identity, in the order found; raises ClosureCapExceeded on reaching
+    more than cap elements.  Each element is multiplied by every
+    generator, |G| * |S| products in all."""
+    elems = {identity: None}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                p = mul(x, g)
+                if p not in elems:
+                    if len(elems) >= cap:
+                        raise ClosureCapExceeded(
+                            "closure exceeded cap %d" % cap)
+                    elems[p] = None
+                    new.append(p)
+        frontier = new
+    return list(elems)
+
+
+def table_generators(table):
+    """Each element, in table order, that the closure of those before it
+    misses (the identity alone for the trivial group), each closure made
+    anew by `bfs_closure`."""
+    e = table[0].index(0)
+    gens, reached = [], {e}
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached = set(bfs_closure(e, gens, lambda a, b: table[a][b],
+                                      len(table)))
+    return gens or [e]

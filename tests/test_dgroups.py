@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 import cmforms
 from cmforms import dgroups
 from cmforms.cli import main
+from cmforms.groups import ClosureCapExceeded, _closure
 from cmforms.dgroups import (CYCLIC_POSSIBLE, EXCLUDED_BY_AMITSUR,
                              EXCLUDED_BY_REDUCIBILITY, InvalidDGroupError,
                              amitsur_filter, enumerate_params,
@@ -106,6 +108,28 @@ def _commutator_closure(params):
                     if y not in sub]
         sub.update(frontier)
     return sub
+
+
+def _closure_args(p):
+    """(identity, generators X and Y, multiply, cap |G|) for G_{m,r}."""
+    return (dgroups.identity(), [(1 % p.m, 0), (0, 1 % p.n)],
+            partial(dgroups.multiply, p), dgroups.order(p))
+
+
+def test_elements_match_breadth_first_closure():
+    for p in enumerate_params(20):
+        elems = dgroups.elements(p)
+        assert elems == sorted(oracles.bfs_closure(*_closure_args(p)))
+        assert len(elems) == dgroups.order(p)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_the_closure_cap_fires_exactly_above_the_order(r):
+    p = validate(17, r)
+    identity, gens, mul, order = _closure_args(p)
+    assert len(_closure(identity, gens, mul, order)[0]) == order
+    with pytest.raises(ClosureCapExceeded, match="cap %d" % (order - 1)):
+        _closure(identity, gens, mul, order - 1)
 
 
 def test_commutator_subgroup_size():
