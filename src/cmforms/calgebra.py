@@ -5,9 +5,11 @@ L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  Elements of
 L and A are `field.Element`s: E-coordinates over 1, y, y^2 and L-parts
 over 1, X, X^2; L and A are `field.Parent`s, keyed by E, g, tau(y), c(y)
-and by L, alpha.  Arithmetic uses that structure directly: tau and the
-conjugation act through their images of y and y^2, and an inverse in L is
-tau(x) tau^2(x) / N_{L/E}(x).
+and by L, alpha.  Arithmetic uses that structure directly: a product in
+L is one pass through L's Q-structure table, built once per L (Cohen,
+GTM 138, Sec. 4.2), on integer numerators over one denominator per
+operand; tau and the conjugation act through their images of y and y^2;
+and an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
 A goes through it: a product xy is row 0 of S(x) S(y), built only from the
@@ -29,6 +31,7 @@ involution built from beta = 5 (N_{K/Q}(5) = 125 = alpha * theta(alpha)).
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 from . import linalg
@@ -41,6 +44,14 @@ from .residue import UNKNOWN
 
 class AlgebraError(ValueError):
     pass
+
+
+def _numerators(x):
+    """(d, pairs): the Q-coordinates of x in L are n / d for d the lcm of
+    their denominators, and pairs lists (index, n) for each nonzero one."""
+    ratios = [q.as_integer_ratio() for c in x.coords for q in c.coords]
+    d = lcm(*[e for _, e in ratios])
+    return d, [(a, n * (d // e)) for a, (n, e) in enumerate(ratios) if n]
 
 
 class CubicExtElement(CommutativeElement):
@@ -60,15 +71,21 @@ class CubicExtElement(CommutativeElement):
         o = self._operand(other)
         if o is NotImplemented:
             return o
-        E = self.ext.E
-        prod = [E.zero()] * 5
-        right = [(j, b) for j, b in enumerate(o.coeffs) if not b.is_zero()]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in right:
-                prod[i + j] = prod[i + j] + a * b
-        return self.ext._combine(prod[:3], prod[3:], self.ext._y34)
+        # the bilinear form of L's structure table on integer numerators
+        ext = self.ext
+        dx, xs = _numerators(self)
+        dy, ys = _numerators(o)
+        acc = [0] * len(ext._table)
+        for a, u in xs:
+            row = ext._table[a]
+            for b, v in ys:
+                uv = u * v
+                for k, c in row[b]:
+                    acc[k] += uv * c
+        den, m, E = dx * dy * ext._den, ext._m, ext.E
+        return CubicExtElement(ext, tuple(
+            FieldElement(E, tuple(Fraction(n, den) for n in acc[r:r + m]))
+            for r in range(0, 3 * m, m)))
 
     __rmul__ = __mul__
 
@@ -123,7 +140,11 @@ class CyclicCubicExtension(Parent):
     1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.
     tau is applied as the E-linear map sum c_i y^i -> sum c_i tau(y^i),
     c as the theta-semilinear one, from the images of y and y^2 computed
-    once here; y^3 and y^4 mod g do the same for multiplication."""
+    once here.  A product is read off the Q-structure table, also built
+    once here from the images of y^3 and y^4 mod g (`_structure_table`):
+    each operand's Q-coordinates become integer numerators over their lcm
+    denominator, the table's bilinear form sums their products, and each
+    result coordinate is one Fraction."""
 
     _element = CubicExtElement
 
@@ -133,10 +154,8 @@ class CyclicCubicExtension(Parent):
         if len(g) != 4 or g[3] != cmfield.one():
             raise AlgebraError("g must be a monic cubic")
         self.g = g
-        # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
-        y3 = tuple(-c for c in g[:3])
-        y4 = (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1])
-        self._y34 = (y3, y4)
+        self._m = 2 * cmfield.s  # the degree of E over Q
+        self._table, self._den = self._structure_table()
         self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
         self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
         t, c = self.element(self.tau_poly), self.element(self.conj_poly)
@@ -155,6 +174,33 @@ class CyclicCubicExtension(Parent):
 
     def _key(self):
         return self.E, self.g, self.tau_poly, self.conj_poly
+
+    def _structure_table(self):
+        """L's Q-structure table and its one common denominator den.  The
+        Q-basis of L is y^i e_p, at index i*m + p, e_p running over E's
+        Q-basis in `FieldElement.coords` order.  Entry [a][b] lists (k, n)
+        for each nonzero Q-coordinate n / den of the product of basis
+        elements a and b: e_p e_q y^(i+j), y^3 and y^4 read as their
+        images mod g.  Entries with equal i + j, p and q are shared."""
+        E, m, g = self.E, self._m, self.g
+        # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
+        y34 = ((-g[0], -g[1], -g[2]),
+               (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1]))
+        e = [FieldElement(E, [Fraction(int(t == p)) for t in range(m)])
+             for p in range(m)]
+        prods = {}  # (k, p, q): the Q-coordinates of e_p e_q y^k, k < 5
+        for p, q in itertools.product(range(m), repeat=2):
+            pq = e[p] * e[q]
+            for k in range(5):
+                coeffs = ([pq * c for c in y34[k - 3]] if k > 2 else
+                          [pq if r == k else E.zero() for r in range(3)])
+                prods[k, p, q] = [v for c in coeffs for v in c.coords]
+        den = lcm(*(v.denominator for vec in prods.values() for v in vec))
+        entries = {key: [(idx, int(v * den)) for idx, v in enumerate(vec) if v]
+                   for key, vec in prods.items()}
+        basis = list(itertools.product(range(3), range(m)))
+        return [[entries[i + j, p, q] for j, q in basis]
+                for i, p in basis], den
 
     def _combine(self, head, tail, images):
         """head + sum tail[k] * images[k] on coordinate vectors over E,

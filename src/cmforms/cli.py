@@ -15,6 +15,7 @@ cofactor it leaves unsplit is named in the trace of an unknown result.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,7 +220,10 @@ def cmd_algebra_membership(args):
 
 # --- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process: parse_args
+    leaves it unchanged, so each call of `main` reuses it."""
     p = argparse.ArgumentParser(
         prog="cmforms",
         description="Exact hermitian-form and cyclic-algebra pipelines "

@@ -68,3 +68,19 @@ def table_generators(table):
             reached = set(bfs_closure(e, gens, lambda a, b: table[a][b],
                                       len(table)))
     return gens or [e]
+
+
+def schoolbook_lmul(x, y):
+    """x * y in L = E[y]/(g) without L's structure table: the convolution
+    of the E-coordinates, then y^4 and y^3 folded away by long division
+    by the monic cubic g."""
+    ext = x.parent
+    prod = [ext.E.zero()] * 5
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] = prod[i + j] + a * b
+    for k in (4, 3):  # y^k = -y^(k-3) (g0 + g1 y + g2 y^2)
+        c, prod[k] = prod[k], ext.E.zero()
+        for t in range(3):
+            prod[k - 3 + t] = prod[k - 3 + t] - c * ext.g[t]
+    return ext.element(prod[:3])

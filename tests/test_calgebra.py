@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmforms
+import oracles
 from cmforms import linalg
 from cmforms.calgebra import (_LABELS, AlgebraElement, AlgebraError,
                               CyclicAlgebra,
@@ -20,7 +21,7 @@ from cmforms.calgebra import (_LABELS, AlgebraElement, AlgebraError,
                               builtin_example, is_division_candidate,
                               make_involution, splitting_signature,
                               unitary_membership, verify_involution)
-from cmforms.field import FieldElement, make_cyclotomic
+from cmforms.field import CMField, FieldElement, make_cyclotomic, rationals
 from cmforms.polyn import sign_variations
 from cmforms.serialize import algebra_from_json, algebra_to_json
 
@@ -321,31 +322,80 @@ def test_split_algebra_zero_divisor_has_no_inverse():
     _assert_raises_zero_division(_SPLIT_A, "algebra.inverse(x)")
 
 
+def _oracle_extensions():
+    """The built-in L over Q(i), the Q(zeta5) one of the elimination test
+    and one over Q(sqrt(-3/2)), whose structure table has denominator 2."""
+    cubic = ([-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    return {"qi": builtin_example()[0].ext,
+            "qzeta5": CyclicCubicExtension(make_cyclotomic(5), *cubic),
+            "q-3/2": CyclicCubicExtension(
+                CMField(rationals(), [Fraction(-3, 2)]), *cubic)}
+
+
+@pytest.mark.parametrize("name", ["qi", "qzeta5", "q-3/2"])
+def test_l_product_matches_the_schoolbook_oracle(name):
+    ext = _oracle_extensions()[name]
+    E, s = ext.E, ext.E.s
+    assert name != "q-3/2" or ext._den == 2
+    rng = random.Random(21)
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) \
+            if rng.random() < 0.7 else Fraction(0)
+
+    def element():
+        if rng.random() < 0.15:  # an E-constant
+            return ext.from_E(E.element([q() for _ in range(s)],
+                                        [q() for _ in range(s)]))
+        return ext.element([E.zero() if rng.random() < 0.2 else
+                            E.element([q() for _ in range(s)],
+                                      [q() for _ in range(s)])
+                            for _ in range(3)])
+    pairs = [(ext.zero(), ext.gen()), (ext.one(), ext.gen()),
+             (ext.gen(), ext.gen() * ext.gen())]
+    pairs += [(element(), element()) for _ in range(150)]
+    for x, y in pairs:
+        got, want = x * y, oracles.schoolbook_lmul(x, y)
+        assert [c.coords for c in got.coords] == \
+            [c.coords for c in want.coords]
+        assert hash(got) == hash(want)
+
+
 def test_e_multiplication_counts(builtin, monkeypatch):
     # pins the cost of the cofactor norm and inverse, of a product with a
     # sparse left factor and of the involution check, in E-multiplications
+    # and in L-multiplications; an L-product makes no E-product, since it
+    # is read off L's structure table, so the E-products are tau's, the
+    # conjugation's and the E-scalar ones
     algebra, involution = builtin
     rng = random.Random(5)
     x = _random_A(algebra, rng)
     y = _random_A(algebra, rng)
     X = algebra.X()
-    calls = [0]
-    mul = FieldElement.__mul__
+    calls = {FieldElement: 0, CubicExtElement: 0}
 
-    def counted(a, b):
-        calls[0] += 1
-        return mul(a, b)
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
-    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    def counted(cls):
+        mul = cls.__mul__
+
+        def call(a, b):
+            calls[cls] += 1
+            return mul(a, b)
+        monkeypatch.setattr(cls, "__mul__", call)
+        monkeypatch.setattr(cls, "__rmul__", call)
+    counted(FieldElement)
+    counted(CubicExtElement)
 
     def count(fn):
-        calls[0] = 0
+        calls.update(dict.fromkeys(calls, 0))
         fn()
-        return calls[0]
-    assert count(lambda: algebra.reduced_norm(x)) <= 180
-    assert count(lambda: algebra.inverse(x)) <= 190
-    assert count(lambda: X * y) <= 30
-    assert count(lambda: verify_involution(involution)) <= 1526
+        return calls[FieldElement], calls[CubicExtElement]
+    e_nrd, l_nrd = count(lambda: algebra.reduced_norm(x))
+    e_inv, l_inv = count(lambda: algebra.inverse(x))
+    e_xy, l_xy = count(lambda: X * y)
+    e_inv_check, l_inv_check = count(lambda: verify_involution(involution))
+    assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 4, 303)
+    assert e_nrd <= 45 and e_inv <= 55 and e_xy <= 21
+    assert e_inv_check <= 239
 
 
 def test_division_candidate_trivial(builtin):

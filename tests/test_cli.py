@@ -9,7 +9,7 @@ import time
 import pytest
 
 import cmforms
-from cmforms import (HermitianForm, diagonal_form, gaussian_field,
+from cmforms import (HermitianForm, cli, diagonal_form, gaussian_field,
                      make_cyclotomic, serialize, zeta)
 from cmforms.calgebra import builtin_example
 from cmforms.serialize import (algebra_to_json,
@@ -392,6 +392,31 @@ def test_closed_stdout_exits_quietly():
         os.close(w)
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "" and proc.returncode == 1
+
+
+_PARSE_TWICE = """
+import io, sys
+from cmforms import cli
+assert cli.main(["--json", "embed-first-type"]) == 2  # no name
+out = io.StringIO()
+assert cli.main(["--json", "embed-first-type", "C2"], out=out) == 0
+assert cli.build_parser.cache_info().misses == 1
+sys.stdout.write(out.getvalue())
+"""
+
+
+def test_the_parser_is_built_once_and_reused_after_a_failed_parse():
+    assert cli.build_parser() is cli.build_parser()
+    env = _subprocess_env()
+    reused = subprocess.run([sys.executable, "-c", _PARSE_TWICE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert reused.returncode == 0, reused.stderr
+    assert "the following arguments are required: name" in reused.stderr
+    fresh = subprocess.run(
+        [sys.executable, "-m", "cmforms", "--json", "embed-first-type", "C2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0 and fresh.stdout
+    assert reused.stdout == fresh.stdout
 
 
 class _BrokenOut:
