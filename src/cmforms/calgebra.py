@@ -5,11 +5,10 @@ L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  Elements of
 L and A are `field.Element`s: E-coordinates over 1, y, y^2 and L-parts
 over 1, X, X^2; L and A are `field.Parent`s, keyed by E, g, tau(y), c(y)
-and by L, alpha.  Arithmetic uses that structure directly: a product in
-L is one pass through L's Q-structure table, built once per L (Cohen,
-GTM 138, Sec. 4.2), on integer numerators over one denominator per
-operand; tau and the conjugation act through their images of y and y^2;
-and an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
+and by L, alpha.  Arithmetic uses that structure directly.  L has one
+integer kernel, built once per L (Cohen, GTM 138, Sec. 4.2): a product, tau
+and the conjugation each read integer numerators off L's Q-structure table
+or a sparse Q-linear map; an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
 A goes through it: a product xy is row 0 of S(x) S(y), built only from the
@@ -46,12 +45,17 @@ class AlgebraError(ValueError):
     pass
 
 
-def _numerators(x):
-    """(d, pairs): the Q-coordinates of x in L are n / d for d the lcm of
-    their denominators, and pairs lists (index, n) for each nonzero one."""
-    ratios = [q.as_integer_ratio() for c in x.coords for q in c.coords]
-    d = lcm(*[e for _, e in ratios])
-    return d, [(a, n * (d // e)) for a, (n, e) in enumerate(ratios) if n]
+def _encode(vectors):
+    """(rows, den) for vectors of E-coordinates over 1, y, y^2: row k lists
+    (a, n) for each nonzero Q-coordinate n / den of vectors[k], a indexing
+    L's Q-basis (see `_structure_table`) and den the lcm of all their
+    denominators.  The one encoder of operands, of L's structure table and
+    of its maps tau and c."""
+    ratios = [[q.as_integer_ratio() for c in vec for q in c.coords]
+              for vec in vectors]
+    den = lcm(*[e for r in ratios for _, e in r])
+    return [[(a, n * (den // e)) for a, (n, e) in enumerate(r) if n]
+            for r in ratios], den
 
 
 class CubicExtElement(CommutativeElement):
@@ -64,17 +68,12 @@ class CubicExtElement(CommutativeElement):
     coeffs = property(attrgetter("coords"))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            # E-scalar: scale the nonzero coordinates
-            return CubicExtElement(self.ext, tuple(
-                c if c.is_zero() else c * other for c in self.coeffs))
         o = self._operand(other)
         if o is NotImplemented:
             return o
         # the bilinear form of L's structure table on integer numerators
         ext = self.ext
-        dx, xs = _numerators(self)
-        dy, ys = _numerators(o)
+        (xs, ys), d = _encode((self.coords, o.coords))
         acc = [0] * len(ext._table)
         for a, u in xs:
             row = ext._table[a]
@@ -82,10 +81,7 @@ class CubicExtElement(CommutativeElement):
                 uv = u * v
                 for k, c in row[b]:
                     acc[k] += uv * c
-        den, m, E = dx * dy * ext._den, ext._m, ext.E
-        return CubicExtElement(ext, tuple(
-            FieldElement(E, tuple(Fraction(n, den) for n in acc[r:r + m]))
-            for r in range(0, 3 * m, m)))
+        return ext._decode(acc, d * d * ext._den)
 
     __rmul__ = __mul__
 
@@ -99,10 +95,7 @@ class CubicExtElement(CommutativeElement):
 
     def conjugate(self):
         """The conjugation of L, theta-semilinear."""
-        zero = self.ext.E.zero()
-        c0, c1, c2 = (c.conjugate() for c in self.coeffs)
-        return self.ext._combine((c0, zero, zero), (c1, c2),
-                                 self.ext._conj_y12)
+        return self.ext._apply(self.ext._conj, self)
 
     def sign_at(self, ell):
         """Certified sign at the ell-th real place of K; the element must
@@ -137,14 +130,11 @@ class CyclicCubicExtension(Parent):
     """L = E[y]/(g) with Galois automorphism tau and conjugation c.
 
     tau_poly and conj_poly are the coordinate vectors (over the basis
-    1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.
-    tau is applied as the E-linear map sum c_i y^i -> sum c_i tau(y^i),
-    c as the theta-semilinear one, from the images of y and y^2 computed
-    once here.  A product is read off the Q-structure table, also built
-    once here from the images of y^3 and y^4 mod g (`_structure_table`):
-    each operand's Q-coordinates become integer numerators over their lcm
-    denominator, the table's bilinear form sums their products, and each
-    result coordinate is one Fraction."""
+    1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.  The
+    structure table and the Q-linear maps tau and c are built once here,
+    each as integer numerators over one denominator by `_encode`, which
+    also encodes the operands.  A product is the table's bilinear form,
+    tau and c are `_apply`, and `_decode` makes every result."""
 
     _element = CubicExtElement
 
@@ -154,13 +144,16 @@ class CyclicCubicExtension(Parent):
         if len(g) != 4 or g[3] != cmfield.one():
             raise AlgebraError("g must be a monic cubic")
         self.g = g
-        self._m = 2 * cmfield.s  # the degree of E over Q
-        self._table, self._den = self._structure_table()
+        m = self._m = 2 * cmfield.s  # the degree of E over Q
+        # E's Q-basis e_p, in `FieldElement.coords` order
+        e = [FieldElement(cmfield, [Fraction(int(t == p)) for t in range(m)])
+             for p in range(m)]
+        self._table, self._den = self._structure_table(e)
         self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
         self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
-        t, c = self.element(self.tau_poly), self.element(self.conj_poly)
-        self._tau_y12 = (t.coeffs, (t * t).coeffs)
-        self._conj_y12 = (c.coeffs, (c * c).coeffs)
+        self._tau = self._map(e, self.element(self.tau_poly), lambda c: c)
+        self._conj = self._map(e, self.element(self.conj_poly),
+                               FieldElement.conjugate)
         self._validate()
 
     def _lift(self, x):
@@ -175,41 +168,53 @@ class CyclicCubicExtension(Parent):
     def _key(self):
         return self.E, self.g, self.tau_poly, self.conj_poly
 
-    def _structure_table(self):
+    def _structure_table(self, e):
         """L's Q-structure table and its one common denominator den.  The
         Q-basis of L is y^i e_p, at index i*m + p, e_p running over E's
-        Q-basis in `FieldElement.coords` order.  Entry [a][b] lists (k, n)
-        for each nonzero Q-coordinate n / den of the product of basis
-        elements a and b: e_p e_q y^(i+j), y^3 and y^4 read as their
-        images mod g.  Entries with equal i + j, p and q are shared."""
+        Q-basis e.  Entry [a][b] lists (k, n) for each nonzero
+        Q-coordinate n / den of the product of basis elements a and b:
+        e_p e_q y^(i+j), y^3 and y^4 read as their images mod g.  Entries
+        with equal i + j, p and q are shared."""
         E, m, g = self.E, self._m, self.g
         # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
         y34 = ((-g[0], -g[1], -g[2]),
                (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1]))
-        e = [FieldElement(E, [Fraction(int(t == p)) for t in range(m)])
-             for p in range(m)]
-        prods = {}  # (k, p, q): the Q-coordinates of e_p e_q y^k, k < 5
+        prods = {}  # (k, p, q): the E-coordinates of e_p e_q y^k, k < 5
         for p, q in itertools.product(range(m), repeat=2):
             pq = e[p] * e[q]
             for k in range(5):
-                coeffs = ([pq * c for c in y34[k - 3]] if k > 2 else
-                          [pq if r == k else E.zero() for r in range(3)])
-                prods[k, p, q] = [v for c in coeffs for v in c.coords]
-        den = lcm(*(v.denominator for vec in prods.values() for v in vec))
-        entries = {key: [(idx, int(v * den)) for idx, v in enumerate(vec) if v]
-                   for key, vec in prods.items()}
+                prods[k, p, q] = ([pq * c for c in y34[k - 3]] if k > 2 else
+                                  [pq if r == k else E.zero()
+                                   for r in range(3)])
+        rows, den = _encode(list(prods.values()))
+        entries = dict(zip(prods, rows))
         basis = list(itertools.product(range(3), range(m)))
         return [[entries[i + j, p, q] for j, q in basis]
                 for i, p in basis], den
 
-    def _combine(self, head, tail, images):
-        """head + sum tail[k] * images[k] on coordinate vectors over E,
-        skipping zero tail coefficients."""
-        out = list(head)
-        for c, img in zip(tail, images):
-            if not c.is_zero():
-                out = [u + c * v for u, v in zip(out, img)]
-        return CubicExtElement(self, tuple(out))
+    def _map(self, e, image_of_y, on_E):
+        """The Q-linear map y^i e_p -> on_E(e_p) image_of_y^i of L as
+        `_encode`'s (rows, den), row a the image of basis element a: tau
+        with on_E the identity, c with theta."""
+        powers = (self.one(), image_of_y, image_of_y * image_of_y)
+        return _encode([(w * on_E(ep)).coords for w in powers for ep in e])
+
+    def _apply(self, qmap, x):
+        """x under the Q-linear map qmap, one of `_map`'s."""
+        rows, den = qmap
+        (xs,), dx = _encode((x.coords,))
+        acc = [0] * len(rows)
+        for a, u in xs:
+            for k, c in rows[a]:
+                acc[k] += u * c
+        return self._decode(acc, dx * den)
+
+    def _decode(self, acc, den):
+        """The element of L whose Q-coordinates are n / den, n in acc."""
+        m, E = self._m, self.E
+        return CubicExtElement(self, tuple(
+            FieldElement(E, tuple(Fraction(n, den) for n in acc[r:r + m]))
+            for r in range(0, 3 * m, m)))
 
     # --- element constructors -------------------------------------------
 
@@ -249,9 +254,7 @@ class CyclicCubicExtension(Parent):
     # --- field maps -------------------------------------------------------
 
     def tau_of(self, x):
-        zero = self.E.zero()
-        return self._combine((x.coeffs[0], zero, zero), x.coeffs[1:],
-                             self._tau_y12)
+        return self._apply(self._tau, x)
 
     @functools.cached_property
     def real_subfield(self):
@@ -259,12 +262,9 @@ class CyclicCubicExtension(Parent):
         degree 3, and g to have rational coefficients."""
         if self.E.s > 1:
             raise AlgebraError("K extraction needs F = Q")
-        coeffs = []
-        for c in self.g:
-            if not c.is_rational():
-                raise AlgebraError("K extraction needs a rational cubic g")
-            coeffs.append(c.as_fraction())
-        return TotallyRealField(coeffs)
+        if not all(c.is_rational() for c in self.g):
+            raise AlgebraError("K extraction needs a rational cubic g")
+        return TotallyRealField([c.as_fraction() for c in self.g])
 
     @property
     def s(self):
@@ -456,12 +456,11 @@ class Involution:
         acc = self.algebra.zero()
         for i, j in _LABELS:
             lam = x.parts[j].coeffs[i]
-            if lam.is_zero():
-                continue
-            c = lam.conjugate()
-            img = self.images[(i, j)].parts
-            acc = acc + AlgebraElement(self.algebra, tuple(
-                p if p.is_zero() else p * c for p in img))
+            if not lam.is_zero():
+                c = lam.conjugate()
+                acc = acc + AlgebraElement(self.algebra, tuple(
+                    p if p.is_zero() else p * c
+                    for p in self.images[(i, j)].parts))
         return acc
 
 
@@ -484,12 +483,9 @@ def make_involution(algebra, beta):
     conj_y = [algebra.from_L((y ** i).conjugate()) for i in range(3)]
     images = {(i, j): (Xstar ** j) * conj_y[i] if j else conj_y[i]
               for i, j in _LABELS}
-    tb = ext.tau_of(beta)
-    conjugator = linalg.mat([
-        [tb, ext.zero(), ext.zero()],
-        [ext.zero(), ext.one(), ext.zero()],
-        [ext.zero(), ext.zero(), ext.tau_of(tb).inverse()],
-    ])
+    tb, z = ext.tau_of(beta), ext.zero()
+    conjugator = linalg.mat([[tb, z, z], [z, ext.one(), z],
+                             [z, z, ext.tau_of(tb).inverse()]])
     return Involution(algebra, images, splitting_conjugator=conjugator)
 
 

@@ -119,7 +119,8 @@ def cmd_regular_embed(args):
                                   args.budget, args.norm_budget)
     payload = {
         "form": serialize.form_to_json(H),
-        "generators": [serialize.matrix_to_json(M) for M in rho],
+        "generators": [serialize.matrix_to_json(rho[g])
+                       for g in rep.generators],
         "class": args.cls,
     }
     return CommandResult("ok", payload,
@@ -131,11 +132,7 @@ def cmd_regular_embed(args):
 
 def cmd_dgroup_check(args):
     params = dgroups.validate(args.m, args.r)
-    split = None
-    if args.split:
-        p1, p2 = (int(v) for v in args.split.split(","))
-        split = (p1, p2)
-    verdict = dgroups.second_type_verdict(params, args.p, split)
+    verdict = dgroups.second_type_verdict(params, args.p, args.split)
     return CommandResult("ok", _dgroup_row(params, verdict),
                          list(verdict.trace))
 
@@ -239,6 +236,15 @@ def build_parser():
             raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
         return value
 
+    def split_pair(text):
+        """The type of --split: exactly two comma-separated integers."""
+        try:
+            p1, p2 = map(int, text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected p1,p2 (two integers), got %r" % text) from None
+        return p1, p2
+
     def add_budgets(sp, norm=False):
         sp.add_argument("--budget", type=nonnegative, default=20,
                         help="weak-approximation max-norm budget")
@@ -289,7 +295,8 @@ def build_parser():
     spc.add_argument("--m", type=int, required=True)
     spc.add_argument("--r", type=int, required=True)
     spc.add_argument("--p", type=int, required=True)
-    spc.add_argument("--split", help="p1,p2 with p1+p2=p")
+    spc.add_argument("--split", type=split_pair,
+                     help="p1,p2 with p1+p2=p")
     spc.set_defaults(func=cmd_dgroup_check)
     spe = dsub.add_parser("enumerate")
     spe.add_argument("--max-m", type=nonnegative, required=True)

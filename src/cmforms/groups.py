@@ -274,27 +274,23 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
     definite block, pads it with an identity block, and closes with a
     weak-approximation negative slot; class_selector =
     "other" lands in a different determinant class via the twisting
-    construction.  rho holds the image of every element, in table order."""
+    construction.  rho holds the image of every element, in table order;
+    it is faithful, as `IntegralRep` proved rep an injective homomorphism
+    and the identity padding keeps images distinct."""
     if n < rep.m + 1:
         raise ValueError("need n >= m + 1 to fit the negative slot")
-    field = cmfield
     gens = rep.generators
-    group = MatrixGroup(field, [_embed_int_matrix(rep.matrices[g], field,
-                                                  rep.m) for g in gens])
-    H_G = average_form(group)
-
+    H_G = average_form(MatrixGroup(cmfield, [
+        _embed_int_matrix(rep.matrices[g], cmfield, rep.m) for g in gens]))
     pad = n - 1 - rep.m
     positive_block = H_G if pad == 0 else direct_sum(
-        H_G, diagonal_form(field, [1] * pad))
+        H_G, diagonal_form(cmfield, [1] * pad))
     H, alpha = _with_negative_slot(positive_block, budget)
     if class_selector == OTHER_CLASS:
         H = _other_class(H, positive_block, alpha, norm_budget)
-
-    rho = [_embed_int_matrix(M, field, n) for M in rep.matrices]
+    rho = [_embed_int_matrix(M, cmfield, n) for M in rep.matrices]
     if not invariant_under(H, [rho[g] for g in gens]):
         raise VerificationError("representation does not preserve the form")
-    if group.order != rep.group_order:
-        raise VerificationError("embedded representation is not faithful")
     return H, rho
 
 

@@ -84,3 +84,17 @@ def schoolbook_lmul(x, y):
         for t in range(3):
             prod[k - 3 + t] = prod[k - 3 + t] - c * ext.g[t]
     return ext.element(prod[:3])
+
+
+def combine_images(x, image_of_y, conjugate=False):
+    """sum c_i * image_of_y^i over the E-coordinates c_i of x, with theta
+    applied to each c_i if `conjugate`, every product through
+    `schoolbook_lmul`: tau(x) for image_of_y = tau(y), and the conjugation
+    c(x) for image_of_y = c(y) and conjugate=True."""
+    ext = x.parent
+    out, power = ext.zero(), ext.one()
+    for c in x.coeffs:
+        c = c.conjugate() if conjugate else c
+        out = out + schoolbook_lmul(ext.from_E(c), power)
+        power = schoolbook_lmul(power, image_of_y)
+    return out

@@ -323,50 +323,83 @@ def test_split_algebra_zero_divisor_has_no_inverse():
 
 
 def _oracle_extensions():
-    """The built-in L over Q(i), the Q(zeta5) one of the elimination test
-    and one over Q(sqrt(-3/2)), whose structure table has denominator 2."""
+    """The built-in L over Q(i), the Q(zeta5) one of the elimination test,
+    one over Q(sqrt(-3/2)), whose structure table has denominator 2, and
+    the built-in L on the generator i*eta, where c(y) = -y: there g is
+    y^3 + i y^2 + 2y + i and tau(y) = -i y^2 - 2i."""
     cubic = ([-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    E = make_cyclotomic(4)
+    i = E.element([0], [Fraction(1, 2)])  # sqrt(delta) = 2i
     return {"qi": builtin_example()[0].ext,
             "qzeta5": CyclicCubicExtension(make_cyclotomic(5), *cubic),
             "q-3/2": CyclicCubicExtension(
-                CMField(rationals(), [Fraction(-3, 2)]), *cubic)}
+                CMField(rationals(), [Fraction(-3, 2)]), *cubic),
+            "i-eta": CyclicCubicExtension(E, [i, 2, i, 1],
+                                          [-2 * i, 0, -i], [0, -1])}
 
 
-@pytest.mark.parametrize("name", ["qi", "qzeta5", "q-3/2"])
-def test_l_product_matches_the_schoolbook_oracle(name):
-    ext = _oracle_extensions()[name]
+def _oracle_element(ext, rng):
+    """A random element of L with some zero parts; now and then in E."""
     E, s = ext.E, ext.E.s
-    assert name != "q-3/2" or ext._den == 2
-    rng = random.Random(21)
 
     def q():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) \
             if rng.random() < 0.7 else Fraction(0)
 
-    def element():
-        if rng.random() < 0.15:  # an E-constant
-            return ext.from_E(E.element([q() for _ in range(s)],
-                                        [q() for _ in range(s)]))
-        return ext.element([E.zero() if rng.random() < 0.2 else
-                            E.element([q() for _ in range(s)],
-                                      [q() for _ in range(s)])
-                            for _ in range(3)])
+    if rng.random() < 0.15:  # an E-constant
+        return ext.from_E(E.element([q() for _ in range(s)],
+                                    [q() for _ in range(s)]))
+    return ext.element([E.zero() if rng.random() < 0.2 else
+                        E.element([q() for _ in range(s)],
+                                  [q() for _ in range(s)])
+                        for _ in range(3)])
+
+
+def _assert_same(got, want):
+    assert [c.coords for c in got.coords] == [c.coords for c in want.coords]
+    assert hash(got) == hash(want)
+
+
+_ORACLE_NAMES = ["qi", "qzeta5", "q-3/2", "i-eta"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_l_product_matches_the_schoolbook_oracle(name):
+    ext = _oracle_extensions()[name]
+    assert name != "q-3/2" or ext._den == 2
+    rng = random.Random(21)
     pairs = [(ext.zero(), ext.gen()), (ext.one(), ext.gen()),
              (ext.gen(), ext.gen() * ext.gen())]
-    pairs += [(element(), element()) for _ in range(150)]
+    pairs += [(_oracle_element(ext, rng), _oracle_element(ext, rng))
+              for _ in range(150)]
     for x, y in pairs:
-        got, want = x * y, oracles.schoolbook_lmul(x, y)
-        assert [c.coords for c in got.coords] == \
-            [c.coords for c in want.coords]
-        assert hash(got) == hash(want)
+        _assert_same(x * y, oracles.schoolbook_lmul(x, y))
+
+
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_tau_and_conjugation_match_the_combination_oracle(name):
+    ext = _oracle_extensions()[name]
+    assert name != "i-eta" or ext.gen().conjugate() == -ext.gen()
+    tau_y, c_y = ext.element(ext.tau_poly), ext.element(ext.conj_poly)
+    rng = random.Random(22)
+    xs = [ext.zero(), ext.one(), ext.gen()]
+    xs += [_oracle_element(ext, rng) for _ in range(150)]
+    for x in xs:
+        _assert_same(ext.tau_of(x), oracles.combine_images(x, tau_y))
+        _assert_same(x.conjugate(),
+                     oracles.combine_images(x, c_y, conjugate=True))
+        # an E-scalar multiplies as its constant in L, either way round
+        e = x.coeffs[1]
+        _assert_same(e * x, ext.from_E(e) * x)
+        _assert_same(x * e, ext.from_E(e) * x)
 
 
 def test_e_multiplication_counts(builtin, monkeypatch):
     # pins the cost of the cofactor norm and inverse, of a product with a
     # sparse left factor and of the involution check, in E-multiplications
-    # and in L-multiplications; an L-product makes no E-product, since it
-    # is read off L's structure table, so the E-products are tau's, the
-    # conjugation's and the E-scalar ones
+    # and in L-multiplications; an L-product, tau and the conjugation make
+    # no E-product, since all three are read off L's integer kernel, so
+    # the E-products left are the one each inverse in E makes
     algebra, involution = builtin
     rng = random.Random(5)
     x = _random_A(algebra, rng)
@@ -394,8 +427,11 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     e_xy, l_xy = count(lambda: X * y)
     e_inv_check, l_inv_check = count(lambda: verify_involution(involution))
     assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 4, 303)
-    assert e_nrd <= 45 and e_inv <= 55 and e_xy <= 21
-    assert e_inv_check <= 239
+    assert e_nrd == 0 and e_inv <= 1 and e_xy == 0
+    assert e_inv_check <= 4
+    b = x.parts[1]
+    assert count(lambda: algebra.ext.tau_of(b)) == (0, 0)
+    assert count(lambda: b.conjugate()) == (0, 0)
 
 
 def test_division_candidate_trivial(builtin):

@@ -9,8 +9,9 @@ import time
 import pytest
 
 import cmforms
-from cmforms import (HermitianForm, cli, diagonal_form, gaussian_field,
-                     make_cyclotomic, serialize, zeta)
+from cmforms import (HermitianForm, cli, closure, diagonal_form,
+                     gaussian_field, invariant_under, make_cyclotomic,
+                     serialize, zeta)
 from cmforms.calgebra import builtin_example
 from cmforms.serialize import (algebra_to_json,
                                element_to_json as _alg_element_to_json)
@@ -137,6 +138,13 @@ def test_regular_embed(tmp_path):
     assert code == 0
     H = serialize.form_from_json(doc["payload"]["form"])
     assert H.dim == 7
+    # the payload's generators are the images of the generating set the
+    # invariance was verified on; they close to S3 and preserve the form
+    gens = [serialize.matrix_from_json(H.field, M)
+            for M in doc["payload"]["generators"]]
+    assert len(gens) == 2
+    assert len(closure(gens)) == 6
+    assert invariant_under(H, gens)
 
 
 @pytest.mark.parametrize("table, got", [
@@ -162,6 +170,14 @@ def test_dgroup_check():
     code, doc = run_json(["dgroup", "check", "--m", "6", "--r", "2",
                           "--p", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("split", ["", "1,2,3", "1", "a,b"])
+def test_dgroup_check_refuses_a_malformed_split(capsys, split):
+    assert run(["dgroup", "check", "--m", "7", "--r", "2", "--p", "3",
+                "--split", split]) == (2, "")
+    assert ("argument --split: expected p1,p2 (two integers), got %r"
+            % split) in capsys.readouterr().err
 
 
 def test_dgroup_enumerate_json_lines():

@@ -106,29 +106,29 @@ CASES = [
     ('embed-first-type 2I', 0,
      '3db6d84cf4c4ae84f1a93218ae429d0e5210f53a8295b58e75e41ce7ca54e2ef'),
     ('regular-embed --table @table:2 --field @field:4 --n 4 --cls default', 0,
-     '7fb5b1efcd30b5ddd407f2fa6e9d6e3f8880cc4725c23d72c2ce3e42be4e3c8f'),
+     '49b04e95fe11a481a5a14e7c64d84cf3d7cba966e270d9052338fd268d9f90e2'),
     ('regular-embed --table @table:2 --field @field:4 --n 4 --cls other', 0,
-     '39aba1c9cc6cec3f7db7628b81a2fee7c6947fd305bd78f0087aa8bb286b6969'),
+     'a2a0bf7178ba31f1140e1c1284956b53bc4b614ba3f6c9e3b8b60f50c213c8be'),
     ('regular-embed --table @table:2 --field @field:5 --n 4 --cls default', 0,
-     '18310e53f0e3734c1e95a3efffac5266d2ecb13712e54d6220069e452cac0b40'),
+     '9892253bfb806e325be3c855c992abebc2fe6c6ee3aeffbb73bd839ae341d3d9'),
     ('regular-embed --table @table:2 --field @field:4 --n 5 --cls default', 0,
-     '08b690cbf6a7cf294290763768b1aaf6a63382b03a1bb9608204c3b236bf1deb'),
+     'f59b0a85bc9c850aa7267174d972291bf430cb8bc3a6c6721ddd5cf7eda92c20'),
     ('regular-embed --table @table:2 --field @field:4 --n 5 --cls other', 0,
-     'f8869186c5c7f4898bc8b104a64bb1e5ced59fd461b1f33476a2f4c3ddee9e36'),
+     'b18ec764deb3745cba00e6c758199cdb56cb2a3eb334e7e89702f5ebb89fbb8b'),
     ('regular-embed --table @table:2 --field @field:5 --n 5 --cls default', 0,
-     '6a024809d294fd391186f7eb7fd701de689213b4038dd91d0aa08696ccdb22ab'),
+     'b629fd8aafa231cd9d932bce8b67a9212310bf9078de1288c40a7bdfdd67252a'),
     ('regular-embed --table @table:3 --field @field:4 --n 4 --cls default', 0,
-     '2d9d605a2ff4c8a7883f94375dc83e816258791f00398a0ca02a1c60f55fd71c'),
+     'c1d67845147cc5dec9490c8377c0c5d20a4e19f7802d6591fcdaa4cffff89ecc'),
     ('regular-embed --table @table:3 --field @field:4 --n 4 --cls other', 0,
-     'f601799a5456ab9a8f0bca15b1e31af91066bc8547adfecbe3382d6927b0f0d8'),
+     '9f84140c1038cbe90e1cd9949d51f50d0d827705ec845e3ad3694ddddb661eec'),
     ('regular-embed --table @table:3 --field @field:5 --n 4 --cls default', 0,
-     '9b1ad4583dc5f8ba559a5ae1cf651b3d50ffe2582d662e35d1afd7cb5cc74960'),
+     '33a5a7e6475f1cb5d054a1f6c4898708d792770f33602e769598047cffb8671e'),
     ('regular-embed --table @table:3 --field @field:4 --n 5 --cls default', 0,
-     '52e3b911d28183542106badb68f040dc66e3dcf61fd8b29ab5047ee1316d5595'),
+     'a74ecb925a819ca522818193ae3bd346bba19f30feac993afcb69e3f98c681eb'),
     ('regular-embed --table @table:3 --field @field:4 --n 5 --cls other', 0,
-     '0cb3ffd045072a3c79cd42f9e3e2623ae3c8af10b59ad1723f7b6bf1c096f75d'),
+     '791b846caf05987a51632278615c3fb31c9c3cf4943639e9a979ca7c9e2f4224'),
     ('regular-embed --table @table:3 --field @field:5 --n 5 --cls default', 0,
-     '2432cdbfc734110f12cbfddf4832c01bff13bf2a802eaf8aca9d1e5dd84491b7'),
+     'ffd9a3f93da81a8f80fff25ef6177ca3bb43efb27ce077ebc79638119b1f4838'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,1,-2', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,1,-3', 0,
