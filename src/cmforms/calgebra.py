@@ -5,10 +5,9 @@ L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  Elements of
 L and A are `field.Element`s: E-coordinates over 1, y, y^2 and L-parts
 over 1, X, X^2; L and A are `field.Parent`s, keyed by E, g, tau(y), c(y)
-and by L, alpha.  Arithmetic uses that structure directly.  L has one
-integer kernel, built once per L (Cohen, GTM 138, Sec. 4.2): a product, tau
-and the conjugation each read integer numerators off L's Q-structure table
-or a sparse Q-linear map; an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
+and by L, alpha.  A product in L, tau, the conjugation and an involution
+of A run on `field`'s integer kernel, off L's Q-structure table or a sparse
+Q-linear map; an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
 A goes through it: a product xy is row 0 of S(x) S(y), built only from the
@@ -29,14 +28,14 @@ involution built from beta = 5 (N_{K/Q}(5) = 125 = alpha * theta(alpha)).
 
 import functools
 import itertools
+import types
 from fractions import Fraction
-from math import lcm
 from operator import attrgetter
 
 from . import linalg
 from .field import (CommutativeElement, Element, FieldElement, FieldError,
-                    Parent, TotallyRealField, Verdict, _candidates,
-                    make_cyclotomic)
+                    Parent, TotallyRealField, Verdict, _apply, _candidates,
+                    _decode, _encode, make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
@@ -45,17 +44,14 @@ class AlgebraError(ValueError):
     pass
 
 
-def _encode(vectors):
-    """(rows, den) for vectors of E-coordinates over 1, y, y^2: row k lists
-    (a, n) for each nonzero Q-coordinate n / den of vectors[k], a indexing
-    L's Q-basis (see `_structure_table`) and den the lcm of all their
-    denominators.  The one encoder of operands, of L's structure table and
-    of its maps tau and c."""
-    ratios = [[q.as_integer_ratio() for c in vec for q in c.coords]
-              for vec in vectors]
-    den = lcm(*[e for r in ratios for _, e in r])
-    return [[(a, n * (den // e)) for a, (n, e) in enumerate(r) if n]
-            for r in ratios], den
+def _map(E, images, on_E):
+    """The Q-linear map of L or A sending e_p b_k to on_E(e_p) images[k],
+    as `_encode`'s (rows, den): e_p runs over E's Q-basis and b_k over the
+    E-basis y^i (of L) or y^i X^j in _LABELS order (of A), so row k*2s + p
+    is that image.  tau and c of L, with on_E the identity and theta, and
+    an involution of A, with theta."""
+    e = E._q_basis()
+    return _encode([on_E(ep) * w for w in images for ep in e])
 
 
 class CubicExtElement(CommutativeElement):
@@ -73,7 +69,7 @@ class CubicExtElement(CommutativeElement):
             return o
         # the bilinear form of L's structure table on integer numerators
         ext = self.ext
-        (xs, ys), d = _encode((self.coords, o.coords))
+        (xs, ys), d = _encode((self, o))
         acc = [0] * len(ext._table)
         for a, u in xs:
             row = ext._table[a]
@@ -81,7 +77,7 @@ class CubicExtElement(CommutativeElement):
                 uv = u * v
                 for k, c in row[b]:
                     acc[k] += uv * c
-        return ext._decode(acc, d * d * ext._den)
+        return _decode(ext, acc, d * d * ext._den)
 
     __rmul__ = __mul__
 
@@ -95,7 +91,7 @@ class CubicExtElement(CommutativeElement):
 
     def conjugate(self):
         """The conjugation of L, theta-semilinear."""
-        return self.ext._apply(self.ext._conj, self)
+        return _apply(self.ext._conj, self)
 
     def sign_at(self, ell):
         """Certified sign at the ell-th real place of K; the element must
@@ -131,29 +127,24 @@ class CyclicCubicExtension(Parent):
 
     tau_poly and conj_poly are the coordinate vectors (over the basis
     1, y, y^2) of tau(y) and c(y); c acts on E-coefficients by theta.  The
-    structure table and the Q-linear maps tau and c are built once here,
-    each as integer numerators over one denominator by `_encode`, which
-    also encodes the operands.  A product is the table's bilinear form,
-    tau and c are `_apply`, and `_decode` makes every result."""
+    structure table and the Q-linear maps tau and c are built once here."""
 
     _element = CubicExtElement
 
     def __init__(self, cmfield, g_coeffs, tau_poly, conj_poly):
-        self.E = cmfield
+        self.E = self._below = cmfield
+        self._dim = 3 * cmfield._dim
         g = tuple(map(cmfield.coerce, g_coeffs))
         if len(g) != 4 or g[3] != cmfield.one():
             raise AlgebraError("g must be a monic cubic")
         self.g = g
-        m = self._m = 2 * cmfield.s  # the degree of E over Q
-        # E's Q-basis e_p, in `FieldElement.coords` order
-        e = [FieldElement(cmfield, [Fraction(int(t == p)) for t in range(m)])
-             for p in range(m)]
-        self._table, self._den = self._structure_table(e)
+        self._table, self._den = self._structure_table()
         self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
         self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
-        self._tau = self._map(e, self.element(self.tau_poly), lambda c: c)
-        self._conj = self._map(e, self.element(self.conj_poly),
-                               FieldElement.conjugate)
+        t, c = self.element(self.tau_poly), self.element(self.conj_poly)
+        self._tau = _map(cmfield, (self.one(), t, t * t), lambda e: e)
+        self._conj = _map(cmfield, (self.one(), c, c * c),
+                          FieldElement.conjugate)
         self._validate()
 
     def _lift(self, x):
@@ -168,53 +159,30 @@ class CyclicCubicExtension(Parent):
     def _key(self):
         return self.E, self.g, self.tau_poly, self.conj_poly
 
-    def _structure_table(self, e):
+    def _structure_table(self):
         """L's Q-structure table and its one common denominator den.  The
         Q-basis of L is y^i e_p, at index i*m + p, e_p running over E's
-        Q-basis e.  Entry [a][b] lists (k, n) for each nonzero
+        Q-basis e of m elements.  Entry [a][b] lists (k, n) for each nonzero
         Q-coordinate n / den of the product of basis elements a and b:
         e_p e_q y^(i+j), y^3 and y^4 read as their images mod g.  Entries
         with equal i + j, p and q are shared."""
-        E, m, g = self.E, self._m, self.g
+        E, e, g = self.E, self.E._q_basis(), self.g
+        m = len(e)
         # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
         y34 = ((-g[0], -g[1], -g[2]),
                (g[2] * g[0], g[2] * g[1] - g[0], g[2] * g[2] - g[1]))
-        prods = {}  # (k, p, q): the E-coordinates of e_p e_q y^k, k < 5
+        prods = {}  # (k, p, q): e_p e_q y^k, k < 5
         for p, q in itertools.product(range(m), repeat=2):
             pq = e[p] * e[q]
             for k in range(5):
-                prods[k, p, q] = ([pq * c for c in y34[k - 3]] if k > 2 else
-                                  [pq if r == k else E.zero()
-                                   for r in range(3)])
+                prods[k, p, q] = CubicExtElement(self, [
+                    pq * c for c in y34[k - 3]] if k > 2 else [
+                    pq if r == k else E.zero() for r in range(3)])
         rows, den = _encode(list(prods.values()))
         entries = dict(zip(prods, rows))
         basis = list(itertools.product(range(3), range(m)))
         return [[entries[i + j, p, q] for j, q in basis]
                 for i, p in basis], den
-
-    def _map(self, e, image_of_y, on_E):
-        """The Q-linear map y^i e_p -> on_E(e_p) image_of_y^i of L as
-        `_encode`'s (rows, den), row a the image of basis element a: tau
-        with on_E the identity, c with theta."""
-        powers = (self.one(), image_of_y, image_of_y * image_of_y)
-        return _encode([(w * on_E(ep)).coords for w in powers for ep in e])
-
-    def _apply(self, qmap, x):
-        """x under the Q-linear map qmap, one of `_map`'s."""
-        rows, den = qmap
-        (xs,), dx = _encode((x.coords,))
-        acc = [0] * len(rows)
-        for a, u in xs:
-            for k, c in rows[a]:
-                acc[k] += u * c
-        return self._decode(acc, dx * den)
-
-    def _decode(self, acc, den):
-        """The element of L whose Q-coordinates are n / den, n in acc."""
-        m, E = self._m, self.E
-        return CubicExtElement(self, tuple(
-            FieldElement(E, tuple(Fraction(n, den) for n in acc[r:r + m]))
-            for r in range(0, 3 * m, m)))
 
     # --- element constructors -------------------------------------------
 
@@ -254,7 +222,7 @@ class CyclicCubicExtension(Parent):
     # --- field maps -------------------------------------------------------
 
     def tau_of(self, x):
-        return self._apply(self._tau, x)
+        return _apply(self._tau, self.coerce(x))
 
     @functools.cached_property
     def real_subfield(self):
@@ -307,7 +275,8 @@ class CyclicAlgebra(Parent):
     _element = AlgebraElement
 
     def __init__(self, ext, alpha):
-        self.ext = ext
+        self.ext = self._below = ext
+        self._dim = 3 * ext._dim
         self.E = ext.E
         alpha = self.E.coerce(alpha)
         if alpha.is_zero():
@@ -419,15 +388,12 @@ def is_division_candidate(algebra, budget=10 ** 4):
     A witness certifies NotDivision (alpha is a norm, so the algebra has
     zero divisors) and is the Verdict's `witness`; exhaustion yields
     Unknown since no complete local test is implemented here."""
-    E = algebra.E
-    s = E.s
+    ext = algebra.ext
     # simplest candidates first: small L1 norm, positive leading signs
-    candidates = _candidates(6 * s, key=lambda c: (
+    candidates = _candidates(ext._dim, key=lambda c: (
         sum(abs(v) for v in c), tuple(-v for v in c)))
     for c in itertools.islice(candidates, max(budget, 0)):
-        # three E-coordinates (a, b) of gamma over the basis 1, y, y^2 of L
-        gamma = algebra.ext.element([E.element(c[k:k + s], c[k + s:k + 2 * s])
-                                     for k in range(0, 6 * s, 2 * s)])
+        gamma = ext.from_rationals(c)
         if gamma.relative_norm() == algebra.alpha:
             return Verdict(NOT_DIVISION, witness=gamma)
     return Verdict(UNKNOWN)
@@ -442,26 +408,22 @@ class InvolutionError(ValueError):
 class Involution:
     """A theta-semilinear anti-automorphism given by basis images.
 
-    images[(i, j)] is the image of y^i X^j; the map extends by
-    lambda * y^i X^j  |->  theta(lambda) * images[(i, j)]."""
+    images[(i, j)] is the image of y^i X^j, a read-only mapping; the map
+    extends by lambda * y^i X^j  |->  theta(lambda) * images[(i, j)], and
+    is built once as a sparse Q-linear map (`_map`)."""
 
     def __init__(self, algebra, images, splitting_conjugator=None):
         self.algebra = algebra
-        self.images = dict(images)
-        if set(self.images) != set(_LABELS):
+        if set(images) != set(_LABELS):
             raise InvolutionError("need images for all nine basis elements")
+        self.images = types.MappingProxyType(
+            {label: algebra.coerce(images[label]) for label in _LABELS})
+        self._qmap = _map(algebra.E, self.images.values(),
+                          FieldElement.conjugate)
         self.splitting_conjugator = splitting_conjugator
 
     def apply(self, x):
-        acc = self.algebra.zero()
-        for i, j in _LABELS:
-            lam = x.parts[j].coeffs[i]
-            if not lam.is_zero():
-                c = lam.conjugate()
-                acc = acc + AlgebraElement(self.algebra, tuple(
-                    p if p.is_zero() else p * c
-                    for p in self.images[(i, j)].parts))
-        return acc
+        return _apply(self._qmap, self.algebra.coerce(x))
 
 
 def make_involution(algebra, beta):

@@ -74,7 +74,10 @@ def cmd_equivalent(args):
     status = "unknown" if verdict == UNKNOWN else "ok"
     trace = ["compared dimensions, signature profiles and determinant "
              "classes"] + list(verdict.trace)
-    return CommandResult(status, {"verdict": verdict}, trace)
+    payload = {"verdict": verdict}
+    if verdict.obstruction is not None:
+        payload["obstruction"] = verdict.obstruction
+    return CommandResult(status, payload, trace)
 
 
 def cmd_admissible(args):

@@ -1,18 +1,21 @@
 """Totally real fields F = Q[x]/(f), CM extensions E = F(sqrt(delta)),
 and certified sign evaluation at every real embedding; the `Parent` and
-`Element` protocol that E, L and A share.
+`Element` protocol that E, L and A share, and their one integer kernel.
 
 An element x = a + b*sqrt(delta) of E carries the coordinates of a, then
 those of b, over the power basis of F.  Elements of F are the ones with
 b = 0.  All sign decisions go through exact interval refinement against
 the stored root isolators; zero testing is exact coordinate comparison.
 The isolators also prove the minimal polynomial irreducible
-(`_is_irreducible`).
+(`_is_irreducible`).  Only `Element.rationals` and `Parent.from_rationals`
+know the flat Q-coordinates of an element of E, L or A; the integer
+kernel (`_encode`, `_apply`, `_decode`; Cohen, GTM 138, Sec. 4.2) reads
+only them.
 """
 
 from fractions import Fraction
 import itertools
-from math import ceil, floor
+from math import ceil, floor, lcm
 from operator import add, attrgetter, neg, sub
 
 from . import polyn
@@ -63,11 +66,8 @@ NEGATIVE = -1
 ZERO = 0
 
 
-def _frac_tuple(coords, length=None):
-    t = tuple(Fraction(c) for c in coords)
-    if length is not None and len(t) != length:
-        raise FieldError("expected %d coordinates, got %d" % (length, len(t)))
-    return t
+def _frac_tuple(coords):
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 class TotallyRealField:
@@ -188,8 +188,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class Parent:
     """E, L or A: the CMField, CyclicCubicExtension or CyclicAlgebra.  It
     states `_element`, its element type; `_lift(x)`, the one place where a
-    lower-level value is lifted or any other refused with a ValueError; and
-    `_key()`, the data that identifies it.  The rest is derived here."""
+    lower-level value is lifted or any other refused with a ValueError;
+    `_key()`, the data that identifies it; `_dim`, its dimension over Q;
+    and `_below`, the parent of its coordinates (None for E, over Q).  The
+    rest is derived here."""
 
     def coerce(self, x):
         """x if it lies in this parent or an equal one, else _lift(x)."""
@@ -203,6 +205,24 @@ class Parent:
 
     def one(self):
         return self._lift(1)
+
+    def from_rationals(self, qs):
+        """The element whose `rationals()` are qs."""
+        qs, n, below = tuple(qs), self._dim, self._below
+        if len(qs) != n:
+            raise FieldError("%s needs %d rational coordinates, got %d"
+                             % (type(self).__name__, n, len(qs)))
+        if below is None:
+            return self._element(self, _frac_tuple(qs))
+        k = below._dim
+        return self._element(self, [below.from_rationals(qs[r:r + k])
+                                    for r in range(0, n, k)])
+
+    def _q_basis(self):
+        """The elements whose `rationals()` are the unit vectors."""
+        n = self._dim
+        return [self.from_rationals([int(a == b) for b in range(n)])
+                for a in range(n)]
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -274,6 +294,13 @@ class Element:
 
     def is_zero(self):
         return not any(self.coords)
+
+    def rationals(self):
+        """The flat Q-coordinates: `coords` in E; in L and A the
+        rationals() of each coordinate in turn."""
+        if self._level == 1:
+            return self.coords
+        return sum([c.rationals() for c in self.coords], ())
 
     def __pow__(self, k):
         """Square-and-multiply; a negative k inverts first."""
@@ -378,7 +405,8 @@ class CMField(Parent):
     def __init__(self, base, delta_coords):
         self.base = base
         self.s = base.degree
-        self.delta = _frac_tuple(_pad(delta_coords, self.s), self.s)
+        self._dim, self._below = 2 * self.s, None
+        self.delta = _frac_tuple(_pad(delta_coords, self.s))
         for ell in range(self.s):
             if base.sign_of_coords(self.delta, ell) != NEGATIVE:
                 raise FieldError("delta must be totally negative")
@@ -415,7 +443,7 @@ class CMField(Parent):
     def _fmul(self, u, v):
         w = polyn.pmod(polyn.pmul(polyn.trim(u), polyn.trim(v)),
                        self.base.min_poly)
-        return _frac_tuple(_pad(w, self.s), self.s)
+        return _frac_tuple(_pad(w, self.s))
 
     def _fadd(self, u, v):
         return tuple(x + y for x, y in zip(u, v))
@@ -433,7 +461,7 @@ class CMField(Parent):
             s0, s1 = s1, polyn.psub(s0, polyn.pmul(q, s1))
         assert polyn.degree(r0) == 0
         inv = polyn.pscale(s0, 1 / r0[0])
-        return _frac_tuple(_pad(inv, self.s), self.s)
+        return _frac_tuple(_pad(inv, self.s))
 
     def __repr__(self):
         return "CMField(F=%r, delta=%s)" % (self.base, list(map(str, self.delta)))
@@ -444,6 +472,37 @@ def _pad(coords, s):
     if len(c) > s:
         raise FieldError("coordinate vector too long")
     return c + [Fraction(0)] * (s - len(c))
+
+
+# --- the integer kernel ----------------------------------------------------
+
+def _encode(elements):
+    """(rows, den) for elements of one level: row k lists (a, n) for each
+    nonzero flat Q-coordinate n / den of elements[k], a its index in
+    `rationals()` and den the lcm of all their denominators.  The one
+    encoder of operands, of L's structure table and of the Q-linear maps
+    tau, c and an involution of A."""
+    ratios = [[q.as_integer_ratio() for q in x.rationals()] for x in elements]
+    den = lcm(*[e for r in ratios for _, e in r])
+    return [[(a, n * (den // e)) for a, (n, e) in enumerate(r) if n]
+            for r in ratios], den
+
+
+def _apply(qmap, x):
+    """x under the Q-linear map qmap of its parent, `_encode`'s (rows, den)
+    with row a the image of the a-th element of `Parent._q_basis`."""
+    rows, den = qmap
+    (xs,), dx = _encode((x,))
+    acc = [0] * len(rows)
+    for a, u in xs:
+        for k, c in rows[a]:
+            acc[k] += u * c
+    return _decode(x.parent, acc, dx * den)
+
+
+def _decode(parent, acc, den):
+    """The element of parent whose `rationals()` are n / den, n in acc."""
+    return parent.from_rationals([Fraction(n, den) for n in acc])
 
 
 # --- constructions -------------------------------------------------------

@@ -218,12 +218,11 @@ def _norm_witness(d, cmfield, budget):
     a rational r, x/r is a witness.  x and its conjugate have the same
     norm, so a candidate whose b has a negative first nonzero coordinate
     is skipped and not counted."""
-    s = cmfield.s
     k = next(j for j, c in enumerate(d.a) if c)
-    candidates = (v for v in _candidates(2 * s)
-                  if next((c for c in v[s:] if c), 0) >= 0)
-    for coords in itertools.islice(candidates, max(budget, 0)):
-        x = cmfield.element(coords[:s], coords[s:])
+    candidates = (x for x in map(cmfield.from_rationals,
+                                 _candidates(cmfield._dim))
+                  if next((c for c in x.b if c), 0) >= 0)
+    for x in itertools.islice(candidates, max(budget, 0)):
         n = x.relative_norm().a
         # N(x) = q * d for a rational q, compared in F-coordinates
         q = n[k] / d.a[k]

@@ -7,6 +7,7 @@ library reaches another way, or no longer needs.
 from math import gcd
 
 from cmforms import ClosureCapExceeded, dgroups, polyn
+from cmforms.calgebra import _LABELS
 
 
 def count_real_roots(p):
@@ -98,3 +99,20 @@ def combine_images(x, image_of_y, conjugate=False):
         out = out + schoolbook_lmul(ext.from_E(c), power)
         power = schoolbook_lmul(power, image_of_y)
     return out
+
+
+def star_by_images(involution, x):
+    """x* for an element x of A, from the nine basis images alone: the sum
+    of theta(lambda) * images[(i, j)] over the E-coordinates lambda of
+    y^i X^j in x, each part of an image multiplied by theta(lambda)
+    through `schoolbook_lmul`."""
+    algebra = involution.algebra
+    ext = algebra.ext
+    acc = algebra.zero()
+    for i, j in _LABELS:
+        lam = x.parts[j].coeffs[i]
+        if not lam.is_zero():
+            c = ext.from_E(lam.conjugate())
+            acc = acc + algebra.element(*[
+                schoolbook_lmul(p, c) for p in involution.images[(i, j)].parts])
+    return acc

@@ -394,12 +394,85 @@ def test_tau_and_conjugation_match_the_combination_oracle(name):
         _assert_same(x * e, ext.from_E(e) * x)
 
 
+def test_tau_of_lifts_a_value_of_E_or_Q(builtin):
+    # tau fixes E, so an E-element or a rational comes back lifted to L
+    ext = builtin[0].ext
+    for value in (ext.E.one(), 3, Fraction(1, 2)):
+        got = ext.tau_of(value)
+        assert type(got) is CubicExtElement and got == ext.from_E(value)
+
+
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_l_rationals_round_trip(name):
+    ext = _oracle_extensions()[name]
+    rng = random.Random(23)
+    for x in [ext.zero(), ext.gen()] + [_oracle_element(ext, rng)
+                                        for _ in range(50)]:
+        qs = x.rationals()
+        assert len(qs) == 6 * ext.E.s
+        _assert_same(ext.from_rationals(qs), x)
+
+
+def test_algebra_rationals_are_labels_times_E_basis(builtin):
+    # the flat index of lambda y^i X^j is k * 2s + p, (i, j) = _LABELS[k]
+    # and p the index of lambda's coordinate in E
+    algebra, _ = builtin
+    E, rng = algebra.E, random.Random(24)
+    m = 2 * E.s
+    for x in [_random_A(algebra, rng) for _ in range(20)]:
+        qs = x.rationals()
+        assert qs == tuple(q for i, j in _LABELS
+                           for q in x.parts[j].coeffs[i].coords)
+        assert algebra.from_rationals(qs) == x
+    basis, e = algebra._q_basis(), E._q_basis()
+    assert basis == [b * ep for b in algebra.basis() for ep in e]
+    assert len(basis) == 9 * m
+
+
+def test_from_rationals_refuses_a_wrong_length(builtin):
+    algebra, _ = builtin
+    for parent, n in ((algebra.E, 2), (algebra.ext, 6), (algebra, 18)):
+        assert len(parent.one().rationals()) == n
+        for qs in ([1] * (n - 1), [1] * (n + 1), ()):
+            with pytest.raises(ValueError, match="needs %d " % n):
+                parent.from_rationals(qs)
+
+
+def _assert_same_A(got, want):
+    assert got.rationals() == want.rationals()
+    assert hash(got) == hash(want)
+
+
+def test_involution_matches_the_image_oracle(builtin):
+    algebra, involution = builtin
+    loaded = algebra_from_json(algebra_to_json(algebra, involution))[1]
+    images = dict(involution.images)
+    images[(1, 0)] = images[(1, 0)] + algebra.X()
+    changed = Involution(algebra, images)
+    rng = random.Random(25)
+    xs = algebra.basis() + [algebra.zero(), algebra.one()]
+    xs += [_random_A(algebra, rng) for _ in range(30)]
+    for inv in (involution, loaded, changed):
+        for x in xs:
+            _assert_same_A(inv.apply(x), oracles.star_by_images(inv, x))
+    # the changed image is what the changed map reads
+    y = algebra.basis()[1]
+    assert changed.apply(y) == involution.apply(y) + algebra.X()
+
+
+def test_involution_images_are_read_only(builtin):
+    algebra, involution = builtin
+    with pytest.raises(TypeError):
+        involution.images[(0, 0)] = algebra.one()
+    assert involution.apply(algebra.one()) == algebra.one()
+
+
 def test_e_multiplication_counts(builtin, monkeypatch):
     # pins the cost of the cofactor norm and inverse, of a product with a
     # sparse left factor and of the involution check, in E-multiplications
-    # and in L-multiplications; an L-product, tau and the conjugation make
-    # no E-product, since all three are read off L's integer kernel, so
-    # the E-products left are the one each inverse in E makes
+    # and in L-multiplications; an L-product, tau, the conjugation and the
+    # involution make no E-product, since all four are read off the integer
+    # kernel, so the E-products left are the one each inverse in E makes
     algebra, involution = builtin
     rng = random.Random(5)
     x = _random_A(algebra, rng)
@@ -426,12 +499,13 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     e_inv, l_inv = count(lambda: algebra.inverse(x))
     e_xy, l_xy = count(lambda: X * y)
     e_inv_check, l_inv_check = count(lambda: verify_involution(involution))
-    assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 4, 303)
+    assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 4, 249)
     assert e_nrd == 0 and e_inv <= 1 and e_xy == 0
     assert e_inv_check <= 4
     b = x.parts[1]
     assert count(lambda: algebra.ext.tau_of(b)) == (0, 0)
     assert count(lambda: b.conjugate()) == (0, 0)
+    assert count(lambda: involution.apply(x)) == (0, 0)
 
 
 def test_division_candidate_trivial(builtin):

@@ -71,9 +71,11 @@ def test_equivalent_exit_codes(form_file):
     h2 = form_file("h2.json", [1, 1, -4])
     h3 = form_file("h3.json", [1, 1, -3])
     code, doc = run_json(["equivalent", "--form", h1, "--form2", h2])
-    assert code == 0 and doc["payload"]["verdict"] == "Equivalent"
+    assert code == 0 and doc["payload"] == {"verdict": "Equivalent"}
+    # a NotEquivalent payload names the obstructing place
     code, doc = run_json(["equivalent", "--form", h1, "--form2", h3])
-    assert code == 0 and doc["payload"]["verdict"] == "NotEquivalent"
+    assert code == 0 and doc["payload"] == {"verdict": "NotEquivalent",
+                                            "obstruction": ["prime", 2]}
 
 
 def test_admissible(form_file):

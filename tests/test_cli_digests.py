@@ -132,47 +132,47 @@ CASES = [
     ('equivalent --form @form:1,1,-1 --form2 @form:1,1,-2', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,1,-3', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,2,-3', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,1,-1 --form2 @form:2,3,-6', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,1,-5', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,-1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '009aa25063eaf407f8aaba9876aab69f7b0f180b2e0716ba699a4beaa5a1feee'),
     ('equivalent --form @form:1,1,-2 --form2 @form:1,1,-3', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,1,-2 --form2 @form:1,2,-3', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,1,-2 --form2 @form:2,3,-6', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-2 --form2 @form:1,1,-5', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-2 --form2 @form:1,-1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '009aa25063eaf407f8aaba9876aab69f7b0f180b2e0716ba699a4beaa5a1feee'),
     ('equivalent --form @form:1,1,-3 --form2 @form:1,2,-3', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:1,1,-3 --form2 @form:2,3,-6', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,1,-3 --form2 @form:1,1,-5', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,1,-3 --form2 @form:1,-1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '009aa25063eaf407f8aaba9876aab69f7b0f180b2e0716ba699a4beaa5a1feee'),
     ('equivalent --form @form:1,2,-3 --form2 @form:2,3,-6', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,2,-3 --form2 @form:1,1,-5', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     'b0dd8579b34ff5c7ab8be635e6999772d93170f6e23e463dc6bd77864b182f5d'),
     ('equivalent --form @form:1,2,-3 --form2 @form:1,-1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '009aa25063eaf407f8aaba9876aab69f7b0f180b2e0716ba699a4beaa5a1feee'),
     ('equivalent --form @form:2,3,-6 --form2 @form:1,1,-5', 0,
      '1421581674e75b4bfbbb8b9e47be809cf1f596f3f051bee4617239c741523984'),
     ('equivalent --form @form:2,3,-6 --form2 @form:1,-1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '009aa25063eaf407f8aaba9876aab69f7b0f180b2e0716ba699a4beaa5a1feee'),
     ('equivalent --form @form:1,1,-5 --form2 @form:1,-1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '009aa25063eaf407f8aaba9876aab69f7b0f180b2e0716ba699a4beaa5a1feee'),
     ('equivalent --form @form:1,1,-1 --form2 @form:1,-1', 0,
-     '159ba431c6008b7416bda1e074f0897158c2edf355d8578580c23696eb0894b2'),
+     '7a64d1c630fcbd0f850b00c6cef4ab782551df63335a16177eb49655cd6379a4'),
     ('dgroup check --m 7 --r 2 --p 3', 0,
      '3447008b218a71b4ed6a4df649cf6c97ca82c67564dfe6a05079874d1fb9e6ec'),
     ('dgroup enumerate --max-m 12 --p 3', 0,

@@ -158,6 +158,18 @@ def test_additive_group_and_zero_from_the_coordinates(x, y):
     assert twin == x and hash(twin) == hash(x)
 
 
+@given(_elements(gaussian_field()), _elements(make_cyclotomic(5)))
+def test_e_rationals_round_trip(x, z):
+    for w in (x, z):
+        qs = w.rationals()
+        assert qs == w.a + w.b
+        back = w.parent.from_rationals(qs)
+        assert back == w and back.coords == w.coords and hash(back) == hash(w)
+        assert all(type(q) is Fraction for q in back.coords)
+    # integers come back as Fraction coordinates
+    assert x.parent.from_rationals([1, 2]).coords == (Fraction(1), Fraction(2))
+
+
 def test_element_is_a_parent_and_coordinates_with_read_only_views():
     E = make_cyclotomic(5)
     x = E.element([1, 2], [3, 4])
@@ -180,15 +192,19 @@ def test_one_coercion_refuses_another_field():
         assert E.one() != stranger
 
 
+def _module_trees():
+    """(module, syntax tree) for every module under src/cmforms."""
+    src = os.path.dirname(os.path.abspath(cmforms.__file__))
+    for module in sorted(os.listdir(src)):
+        if module.endswith(".py"):
+            with open(os.path.join(src, module)) as fh:
+                yield module, ast.parse(fh.read(), module)
+
+
 def _class_bodies():
     """(module, class name, base names, names bound in the class body) for
     every class under src/cmforms."""
-    src = os.path.dirname(os.path.abspath(cmforms.__file__))
-    for module in sorted(os.listdir(src)):
-        if not module.endswith(".py"):
-            continue
-        with open(os.path.join(src, module)) as fh:
-            tree = ast.parse(fh.read(), module)
+    for module, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bound = {n.name for n in node.body if isinstance(
@@ -206,6 +222,10 @@ def test_field_parent_alone_states_the_parent_protocol():
     classes = list(_class_bodies())
     assert [(m, c) for m, c, _, bound in classes
             if bound & {"coerce", "zero", "one"}] == [("field.py", "Parent")]
+    # the flat Q-coordinates are read and written in field only
+    assert {(m, c) for m, c, _, bound in classes
+            if bound & {"rationals", "from_rationals"}} == {
+        ("field.py", "Element"), ("field.py", "Parent")}
     parents = {"Parent"}
     while True:
         more = {c for _, c, bases, _ in classes if bases & parents} - parents
@@ -215,3 +235,13 @@ def test_field_parent_alone_states_the_parent_protocol():
     assert {"CMField", "CyclicCubicExtension", "CyclicAlgebra"} < parents
     assert [(m, c) for m, c, _, bound in classes if c in parents - {"Parent"}
             and bound & {"__eq__", "__hash__"}] == []
+
+
+def test_field_alone_defines_the_integer_kernel():
+    # _encode, _apply and _decode are defined in field and nowhere else
+    defined = {(module, n.name) for module, tree in _module_trees()
+               for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and n.name in {"_encode", "_apply", "_decode"}}
+    assert defined == {("field.py", "_encode"), ("field.py", "_apply"),
+                       ("field.py", "_decode")}
