@@ -390,8 +390,7 @@ def is_division_candidate(algebra, budget=10 ** 4):
     Unknown since no complete local test is implemented here."""
     ext = algebra.ext
     # simplest candidates first: small L1 norm, positive leading signs
-    candidates = _candidates(ext._dim, key=lambda c: (
-        sum(abs(v) for v in c), tuple(-v for v in c)))
+    candidates = _candidates(ext._dim, l1_first=True)
     for c in itertools.islice(candidates, max(budget, 0)):
         gamma = ext.from_rationals(c)
         if gamma.relative_norm() == algebra.alpha:

@@ -9,9 +9,11 @@ it exits 1 without a traceback when its reader closes stdout early (as
 
 Budgets: weak-approximation max-norm 20, norm-witness search 10^4
 candidates, closure cap 10^4 elements; all adjustable by flags, which,
-like `--max-m`, refuse a negative value (exit 2).  Factoring spends at
-most 5*10^5 Brent-rho squarings per cofactor >= 3.3e24 (no flag); a
-cofactor it leaves unsplit is named in the trace of an unknown result.
+like `--max-m`, refuse a negative value (exit 2).  Over Q the norm
+budget bounds only the search after a cofactor stays unsplit: a decided
+norm gets its witness by descent.  Factoring spends at most 5*10^5
+Brent-rho squarings per cofactor >= 3.3e24 (no flag); a cofactor it
+leaves unsplit is named in the trace of an unknown result.
 """
 
 import argparse
@@ -248,12 +250,13 @@ def build_parser():
                 "expected p1,p2 (two integers), got %r" % text) from None
         return p1, p2
 
+    norm_help = "norm-witness search budget (over Q: unsplit cofactors only)"
     def add_budgets(sp, norm=False):
         sp.add_argument("--budget", type=nonnegative, default=20,
                         help="weak-approximation max-norm budget")
         if norm:
             sp.add_argument("--norm-budget", type=nonnegative,
-                            default=10 ** 4, help="norm-witness search budget")
+                            default=10 ** 4, help=norm_help)
 
     sp = sub.add_parser("invariants", help="form invariants")
     sp.add_argument("--form", required=True)
@@ -263,7 +266,7 @@ def build_parser():
     sp.add_argument("--form", required=True)
     sp.add_argument("--form2", required=True)
     sp.add_argument("--budget", type=nonnegative, default=10 ** 4,
-                    help="norm-witness search budget")
+                    help=norm_help)
     sp.set_defaults(func=cmd_equivalent)
 
     sp = sub.add_parser("admissible", help="test the signature condition")

@@ -589,20 +589,26 @@ def weak_approx_find(field, pattern, budget=20):
     raise BudgetExceeded("no sign-pattern witness with max-norm <= %d" % budget)
 
 
-_SORT_LIMIT = 300000
-
-
-def _candidates(dim, max_norm=None, key=None):
+def _candidates(dim, max_norm=None, l1_first=False):
     """Nonzero integer vectors of length dim, the one enumerator behind every
     bounded search: shells of max-norm 1, 2, ... (up to max_norm), each in
-    lexicographic order, or sorted by `key` while the cube [-n, n]^dim has
-    at most _SORT_LIMIT points.  Callers take budgets with islice."""
+    lexicographic order or, with `l1_first`, lazily by L1 norm and then in
+    descending lexicographic order.  Callers take budgets with islice."""
     norm = 0
     while max_norm is None or norm < max_norm:
         norm += 1
-        rng = range(-norm, norm + 1)
-        shell = (v for v in itertools.product(rng, repeat=dim)
-                 if max(map(abs, v)) == norm)
-        if key is not None and (2 * norm + 1) ** dim <= _SORT_LIMIT:
-            shell = sorted(shell, key=key)
-        yield from shell
+        vecs = (v for l1 in range(norm, dim * norm + 1)
+                for v in _l1_vectors(dim, norm, l1)) if l1_first else \
+            itertools.product(range(-norm, norm + 1), repeat=dim)
+        yield from (v for v in vecs if max(map(abs, v)) == norm)
+
+
+def _l1_vectors(dim, norm, l1):
+    """The vectors in [-norm, norm]^dim of L1 norm l1, lazily and in
+    descending lexicographic order."""
+    if not 0 <= l1 <= dim * norm:
+        return ()
+    if dim == 0:
+        return [()]
+    return ((v,) + tail for v in range(norm, -norm - 1, -1)
+            for tail in _l1_vectors(dim - 1, norm, l1 - abs(v)))

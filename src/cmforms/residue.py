@@ -2,21 +2,24 @@
 
 Over F = Q the question "is d a norm from E = Q(sqrt(delta))?" is decided
 by Hilbert symbols at 2, infinity and the primes meeting d or delta,
-completely within the factoring budget.  Over larger totally real F we
-fall back on the archimedean obstruction and a bounded witness search,
-reporting Unknown otherwise.  One search, `_norm_witness`, serves every
-base field.  `is_norm` answers with a `field.Verdict`: IsNorm carries a
-witness x with N(x) = d when the search finds one, IsNotNorm the
-obstructing place, an Unknown over Q the unsplit cofactors in its trace.
-`_factor` is the one integer factoriser, and `_is_prime` the one proof of
-primality: Miller-Rabin below 3.3e24, Pocklington's n - 1 test above.
+completely within the factoring budget, and Lagrange's descent builds the
+witness of a decided norm.  Over larger totally real F we fall back on the
+archimedean obstruction and a bounded witness search, reporting Unknown
+otherwise.  One search, `_norm_witness`, serves every base field, and Q
+only after `_factor` leaves a cofactor unsplit.  `is_norm` answers with a
+`field.Verdict`: IsNorm carries a witness x with N(x) = d when one is
+found, IsNotNorm the obstructing place, an Unknown over Q the unsplit
+cofactors in its trace.  `_factor` is the one integer factoriser, and
+`_is_prime` the one proof of primality: Miller-Rabin below 3.3e24,
+Pocklington's n - 1 test above.
 """
 
 from fractions import Fraction
 import itertools
 from math import gcd, isqrt, prod
 
-from .field import NEGATIVE, Verdict, _SMALL_PRIMES, _candidates
+from .field import (NEGATIVE, VerificationError, Verdict, _SMALL_PRIMES,
+                    _candidates)
 
 
 IS_NORM = "IsNorm"
@@ -129,10 +132,18 @@ def _factor(n):
     return primes, unsplit
 
 
+def _square_split(*parts):
+    """(odd, r) with n_1 ... n_k = prod(odd) r^2 for the `_factor` outputs
+    `parts` of coprime n_i: `odd` holds the factors of odd multiplicity."""
+    factors = [f for part in parts for half in part for f in half.items()]
+    return ([m for m, e in factors if e % 2],
+            prod(m ** (e // 2) for m, e in factors))
+
+
 def _square_class(n):
     """n >= 1 modulo squares: the product of the primes and unsplit
     cofactors of odd multiplicity in `_factor(n)`."""
-    return prod(m for part in _factor(n) for m, e in part.items() if e % 2)
+    return prod(_square_split(_factor(n))[0])
 
 
 def _val(q, p):
@@ -192,6 +203,11 @@ def rational_is_norm(d, delta):
     support of d and delta plus {2, infinity} suffices.  (None, cofactors)
     says no known place obstructs, but `_factor` left these unsplit.
     """
+    return _local_global(d, delta)[:2]
+
+
+def _local_global(d, delta):
+    """`rational_is_norm`'s answer and the `_factor` outputs it read."""
     d, delta = Fraction(d), Fraction(delta)
     if d == 0:
         raise ValueError("d must be nonzero")
@@ -199,9 +215,72 @@ def rational_is_norm(d, delta):
                                        delta.numerator, delta.denominator)]
     for p in [0, 2] + sorted({p for primes, _ in parts for p in primes}):
         if hilbert_symbol(delta, d, p) != 1:
-            return False, p
+            return False, p, parts
     unsplit = sorted({m for _, rest in parts for m in rest})
-    return (None, unsplit) if unsplit else (True, None)
+    return (None, unsplit, parts) if unsplit else (True, None, parts)
+
+
+def _sqrt_mod(a, p):
+    """A square root of a modulo the prime p, or None if a is no square mod
+    p: Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^e, q odd
+    q = (p - 1) >> e
+    n = next(n for n in itertools.count(2) if pow(n, (p - 1) // 2, p) != 1)
+    # x^2 = a b holds while the order 2^m of b drops to 1
+    z, x, b = pow(n, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        m = next(m for m in itertools.count(1) if pow(b, 1 << m, p) == 1)
+        t = pow(z, 1 << (e - m - 1), p)
+        z, e, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
+
+
+def _descend(a, b, pa, pb):
+    """Integers (x, y, z), z != 0, with x^2 - a y^2 = b z^2 for squarefree
+    a, b with primes pa, pb, b a norm from Q(sqrt a), or None if `_factor`
+    leaves a cofactor unsplit.  Lagrange's descent (Cremona and Rusin, Math.
+    Comp. 72, 2003): for |a| <= |b|, t^2 = a mod b with |t| <= |b|/2 gives
+    t^2 - a = b c, |c| <= |b|/4 + 1, and b = N(t + sqrt a) / N(u) where
+    N(u) = c; else a and b swap.  |a| + |b| drops at every step."""
+    if b == 1:
+        return 1, 0, 1
+    if a == 1:
+        return b + 1, b - 1, 2
+    if abs(a) > abs(b):  # X^2 - b Y^2 = a Z^2 is x^2 - a y^2 = b z^2
+        s = _descend(b, a, pb, pa)
+        return s and (s[0], s[2], s[1])
+    m = abs(b)
+    # a root of None (a no square mod p) counts as 0 and fails the check
+    t = (sum((_sqrt_mod(a, p) or 0) * (m // p) * pow(m // p, -1, p)
+             for p in pb) + m // 2) % m - m // 2
+    c, rem = divmod(t * t - a, b)
+    if rem:
+        raise VerificationError("t^2 != %d mod %d at t = %d" % (a, b, t))
+    (_, unsplit) = parts = _factor(abs(c))
+    pc, r = _square_split(parts)
+    s = None if unsplit else _descend(a, c // (r * r), pa, pc)
+    return s and (r * (t * s[0] - a * s[1]), r * (s[0] - t * s[1]), c * s[2])
+
+
+def _descent_witness(d, cmfield, parts):
+    """x in E = Q(sqrt(delta)) with N(x) = d by `_descend` from the
+    `_local_global` factorings `parts`, checked exactly, or None."""
+    q, delta = d.a[0], cmfield.delta[0]
+    (pb, rb), (pa, ra) = _square_split(*parts[:2]), _square_split(*parts[2:])
+    # d = b u^2 and delta = a v^2 for squarefree integers a, b
+    u, v = Fraction(rb, q.denominator), Fraction(ra, delta.denominator)
+    s = _descend(int(delta / v ** 2), int(q / u ** 2), pa, pb)
+    if s is None:
+        return None
+    w = cmfield.element([s[0] * u / s[2]], [s[1] * u / (v * s[2])])
+    if w * w.conjugate() != d:
+        raise VerificationError("N(x) != d for the descent's witness")
+    return w
 
 
 def _is_rational_square(q):
@@ -234,7 +313,10 @@ def _norm_witness(d, cmfield, budget):
 
 
 def is_norm(d, cmfield, budget=10 ** 4):
-    """Three-valued norm-residue test for d in F over the CM field E/F."""
+    """Three-valued norm-residue test for d in F over the CM field E/F.
+    Over Q an IsNorm carries the descent's witness; `budget` bounds only
+    the search, over larger F or after a cofactor of d, delta or a descent
+    step stays unsplit."""
     d = cmfield.coerce(d)
     if not d.is_in_F():
         raise ValueError("is_norm expects an element of F")
@@ -246,13 +328,13 @@ def is_norm(d, cmfield, budget=10 ** 4):
         if d.sign_at(ell) == NEGATIVE:
             return Verdict(IS_NOT_NORM, obstruction=("real place", ell))
 
-    # over Q the Hilbert symbols decide, and the search only adds a witness,
-    # unless the factoring left a cofactor unsplit
-    decided, reason = (rational_is_norm(d.a[0], cmfield.delta[0])
-                       if cmfield.s == 1 else (None, ()))
+    # over Q the Hilbert symbols decide and the descent builds the witness
+    decided, reason, parts = (_local_global(d.a[0], cmfield.delta[0])
+                              if cmfield.s == 1 else (None, (), None))
     if decided is False:
         return Verdict(IS_NOT_NORM, obstruction=("prime", reason))
-    witness = _norm_witness(d, cmfield, budget)
+    witness = ((decided and _descent_witness(d, cmfield, parts))
+               or _norm_witness(d, cmfield, budget))
     if witness is None and not decided:
         return Verdict(UNKNOWN, trace=[
             "cofactor %d neither proved prime nor split by %d rho squarings"

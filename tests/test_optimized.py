@@ -1,5 +1,6 @@
-"""Errors on caller input are raised, not asserted: each case below must
-raise the same error under `python -O` as without it, and never hang."""
+"""Errors on caller input, and failed exact checks, are raised, not
+asserted: each case below must raise the same error under `python -O` as
+without it, and never hang."""
 
 import os
 import subprocess
@@ -48,13 +49,20 @@ CASES = [
      "polyn.pmonic(())", "ValueError"),
     ("from cmforms import polyn\n"
      "polyn.root_bound((3,))", "ValueError"),
+    # a descent step fed a wrong square root of -1 mod 13 fails its exact
+    # check t^2 = a mod b, which no assert makes
+    ("from cmforms import residue\n"
+     "from cmforms.field import gaussian_field\n"
+     "residue._sqrt_mod = lambda a, p: 0\n"
+     "E = gaussian_field()\n"
+     "residue.is_norm(E.from_rational(13), E)", "VerificationError"),
 ]
 
 
 @pytest.mark.parametrize("code, error", CASES, ids=[
     "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod", "cyclotomic",
     "real_cyclotomic", "sign_of_coords", "mat_mul", "form_field",
-    "isolate_real_roots", "pmonic", "root_bound"])
+    "isolate_real_roots", "pmonic", "root_bound", "descent_step"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())

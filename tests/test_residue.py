@@ -1,10 +1,13 @@
 from fractions import Fraction
+import random
 
 import pytest
 
-from cmforms import (IS_NORM, IS_NOT_NORM, gaussian_field,
-                     hilbert_symbol, is_norm, make_cyclotomic)
-from cmforms.residue import UNKNOWN, rational_is_norm
+from cmforms import (IS_NORM, IS_NOT_NORM, CMField, gaussian_field,
+                     hilbert_symbol, is_norm, make_cyclotomic, rationals)
+from cmforms import residue
+from cmforms.residue import UNKNOWN, _is_prime, _sqrt_mod, rational_is_norm
+from test_search import _record_candidates
 
 
 def _sum_of_two_squares(n):
@@ -118,3 +121,90 @@ def test_an_unsplit_cofactor_leaves_the_decision_open():
     assert v == UNKNOWN and v.witness is None
     assert v.trace == ("cofactor %d neither proved prime nor split by 500000 "
                        "rho squarings" % (p * q),)
+
+
+def _fields():
+    """Q(sqrt delta) for delta in {-1, -2, -3, -7}, Q(i) as Q(zeta4)
+    (delta = -4) and a non-integral delta = -3/2."""
+    return ([CMField(rationals(), [delta]) for delta in (-1, -2, -3, -7)]
+            + [make_cyclotomic(4), CMField(rationals(), [Fraction(-3, 2)])])
+
+
+@pytest.mark.parametrize("E", _fields(),
+                         ids=lambda E: "delta=%s" % E.delta[0])
+def test_decided_norms_carry_descent_witnesses(E, monkeypatch):
+    # IsNorm comes with a witness of norm d exactly when the Hilbert
+    # symbols say so, and no search candidate is tried on the way
+    tried = _record_candidates(monkeypatch)
+    delta = E.delta[0]
+    for d in [n for n in range(-200, 201) if n] + [Fraction(9, 5),
+                                                   Fraction(-7, 12)]:
+        decided, _ = rational_is_norm(d, delta)
+        v = is_norm(E.from_rational(d), E)
+        assert v == (IS_NORM if decided else IS_NOT_NORM), d
+        if decided:
+            assert v.witness * v.witness.conjugate() == E.from_rational(d)
+    assert tried == []
+
+
+@pytest.mark.parametrize("delta", [-1, -2, -3, -7])
+def test_large_norms_carry_witnesses(delta, monkeypatch):
+    # d = p^2 - delta q^2 around 1e24: far beyond the budgeted search
+    E = CMField(rationals(), [delta])
+    rng = random.Random(delta)
+    tried = _record_candidates(monkeypatch)
+    for _ in range(60):
+        p, q = rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12)
+        d = E.from_rational(p * p - delta * q * q)
+        v = is_norm(d, E, budget=0)
+        assert v == IS_NORM and v.witness * v.witness.conjugate() == d
+    assert tried == []
+
+
+def test_is_norm_factors_d_and_delta_once(monkeypatch):
+    # 2 * 5^2 * 13 / 17 over Q(i): the numerators and denominators of d and
+    # delta are each factored once, then the one descent step's
+    # c = (t^2 + 1) / 442 = 1
+    calls = []
+    factor = residue._factor
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+    monkeypatch.setattr(residue, "_factor", counted)
+    E = gaussian_field()
+    d = Fraction(2 * 5 ** 2 * 13, 17)
+    v = is_norm(E.from_rational(d), E)
+    assert v == IS_NORM and v.witness * v.witness.conjugate() == \
+        E.from_rational(d)
+    assert calls == [650, 17, 4, 1, 1]
+
+
+def test_an_unsplit_descent_step_falls_back_on_the_search(monkeypatch):
+    # were a descent step's cofactor left unsplit, the search would still
+    # find the witness: 13 = N(3 + 2i) over Q(i)
+    factor = residue._factor
+    seen = []
+
+    def unsplit_after_four(n):
+        seen.append(n)
+        return factor(n) if len(seen) <= 4 else ({}, {n: 1})
+    monkeypatch.setattr(residue, "_factor", unsplit_after_four)
+    tried = _record_candidates(monkeypatch)
+    E = gaussian_field()
+    v = is_norm(E.from_rational(13), E)
+    assert v == IS_NORM and v.witness.relative_norm() == E.from_rational(13)
+    assert len(seen) == 5 and tried
+
+
+def test_sqrt_mod_matches_brute_force():
+    for p in [p for p in range(2, 1000) if _is_prime(p)]:
+        roots = {}
+        for t in range(p):
+            roots.setdefault(t * t % p, set()).add(t)
+        for a in range(-1, p + 1):
+            t = _sqrt_mod(a, p)
+            if a % p in roots:
+                assert t in roots[a % p], (a, p)
+            else:
+                assert t is None, (a, p)

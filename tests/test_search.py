@@ -7,7 +7,8 @@ import pytest
 
 from cmforms import (IS_NORM, UNKNOWN, builtin_example, gaussian_field,
                      is_division_candidate, is_norm)
-from cmforms import calgebra, field
+from cmforms import calgebra
+from cmforms.calgebra import NOT_DIVISION
 from cmforms.field import FieldElement, _candidates, make_cyclotomic
 from cmforms.residue import _norm_witness
 
@@ -30,7 +31,7 @@ def _l1(v):
 @pytest.mark.parametrize("dim, max_norm", [(1, 4), (2, 3), (3, 2), (4, 2)])
 def test_candidates_match_brute_force(dim, max_norm):
     assert list(_candidates(dim, max_norm)) == _brute_force(dim, max_norm)
-    assert list(_candidates(dim, max_norm, key=_l1)) == \
+    assert list(_candidates(dim, max_norm, l1_first=True)) == \
         _brute_force(dim, max_norm, key=_l1)
     # without max_norm the walk goes on into the next shell
     n = len(_brute_force(dim, max_norm))
@@ -39,14 +40,25 @@ def test_candidates_match_brute_force(dim, max_norm):
     assert max(map(abs, more[n])) == max_norm + 1
 
 
-def test_candidates_sort_only_small_shells(monkeypatch):
-    # shell 2 in dimension 2 spans a 5x5 cube, shell 3 a 7x7 one
-    monkeypatch.setattr(field, "_SORT_LIMIT", 30)
-    walk = list(_candidates(2, 3, key=_l1))
-    sorted_part = _brute_force(2, 2, key=_l1)
-    assert walk[:len(sorted_part)] == sorted_part
-    shell3 = [v for v in _brute_force(2, 3) if max(map(abs, v)) == 3]
-    assert walk[len(sorted_part):] == shell3
+def _signed_units(dim, k):
+    """The vectors of length dim with k entries +-1 and the rest 0."""
+    for places in itertools.combinations(range(dim), k):
+        for signs in itertools.product((1, -1), repeat=k):
+            v = [0] * dim
+            for j, sign in zip(places, signs):
+                v[j] = sign
+            yield tuple(v)
+
+
+def test_candidates_l1_order_at_every_dimension():
+    # whole shells at dimension 6 and the head of shell 1 at dimension 12
+    # (3^12 points, once too many to sort) come in the L1 order
+    assert list(_candidates(6, 2, l1_first=True)) == \
+        _brute_force(6, 2, key=_l1)
+    head = sorted([*_signed_units(12, 1), *_signed_units(12, 2)], key=_l1)
+    walk = _candidates(12, l1_first=True)
+    assert list(itertools.islice(walk, len(head) + 1)) == \
+        head + [(1, 1, 1) + (0,) * 9]
 
 
 def test_candidates_empty_without_shells():
@@ -70,6 +82,16 @@ def test_division_search_spends_its_budget(builtin, monkeypatch, budget):
     monkeypatch.setattr(calgebra.CubicExtElement, "relative_norm", counted)
     assert is_division_candidate(algebra, budget=budget) == UNKNOWN
     assert len(calls) == budget
+
+
+def test_division_search_tries_one_first_over_q_zeta5():
+    # L has Q-dimension 12 over E = Q(zeta5): gamma = 1 is the first
+    # candidate, as at every other dimension
+    E5 = make_cyclotomic(5)
+    ext5 = calgebra.CyclicCubicExtension(E5, [-1, -2, 1, 1], [-2, 0, 1],
+                                         [0, 1])
+    v = is_division_candidate(calgebra.CyclicAlgebra(ext5, E5.one()), 2000)
+    assert v == NOT_DIVISION and v.witness == ext5.one()
 
 
 def _record_candidates(monkeypatch):
