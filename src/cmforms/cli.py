@@ -10,7 +10,7 @@ it exits 1 without a traceback when its reader closes stdout early (as
 Budgets: weak-approximation max-norm 20, norm-witness search 10^4
 candidates, closure cap 10^4 elements; all adjustable by flags, which,
 like `--max-m`, refuse a negative value (exit 2).  Over Q the norm
-budget bounds only the search after a cofactor stays unsplit: a decided
+budget bounds the search only when d or delta stays unsplit: a decided
 norm gets its witness by descent.  Factoring spends at most 5*10^5
 Brent-rho squarings per cofactor >= 3.3e24 (no flag); a cofactor it
 leaves unsplit is named in the trace of an unknown result.
@@ -250,7 +250,8 @@ def build_parser():
                 "expected p1,p2 (two integers), got %r" % text) from None
         return p1, p2
 
-    norm_help = "norm-witness search budget (over Q: unsplit cofactors only)"
+    norm_help = ("norm-witness search budget (over Q: only when d or delta"
+                 " stays unsplit)")
     def add_budgets(sp, norm=False):
         sp.add_argument("--budget", type=nonnegative, default=20,
                         help="weak-approximation max-norm budget")

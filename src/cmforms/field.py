@@ -538,7 +538,9 @@ def zeta(field, r):
 
     z0 = (w + sqrt(delta)) / 2 is the field's defining primitive root; its
     order k is found by iteration and z0^(k/r) is returned, so r may be any
-    divisor of k."""
+    divisor of k; r < 1 is refused."""
+    if r < 1:
+        raise FieldError("r must be a positive integer, got %r" % (r,))
     w = field.gen_F()
     z0 = (w + field.sqrt_delta()) / 2
     one = field.one()

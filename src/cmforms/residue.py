@@ -1,17 +1,15 @@
 """Norm-residue decisions for CM quadratic extensions.
 
-Over F = Q the question "is d a norm from E = Q(sqrt(delta))?" is decided
-by Hilbert symbols at 2, infinity and the primes meeting d or delta,
-completely within the factoring budget, and Lagrange's descent builds the
-witness of a decided norm.  Over larger totally real F we fall back on the
-archimedean obstruction and a bounded witness search, reporting Unknown
-otherwise.  One search, `_norm_witness`, serves every base field, and Q
-only after `_factor` leaves a cofactor unsplit.  `is_norm` answers with a
-`field.Verdict`: IsNorm carries a witness x with N(x) = d when one is
-found, IsNotNorm the obstructing place, an Unknown over Q the unsplit
-cofactors in its trace.  `_factor` is the one integer factoriser, and
-`_is_prime` the one proof of primality: Miller-Rabin below 3.3e24,
-Pocklington's n - 1 test above.
+Over F = Q, "is d a norm from E = Q(sqrt(delta))?" is decided by Hilbert
+symbols at 2, infinity and the primes of d and delta, complete within the
+factoring budget, and Lagrange's descent builds a decided norm's witness.
+Over larger totally real F the archimedean obstruction and the bounded
+search `_norm_witness` answer, or Unknown; over Q the search runs only
+while a cofactor of d or delta stays unsplit.  `is_norm`'s `field.Verdict`
+carries a witness x with N(x) = d (IsNorm, when found), the obstructing
+place (IsNotNorm) or, over Q, the unsplit cofactors (Unknown).  `_factor`
+is the one integer factoriser, and `_is_prime` the one proof of primality:
+Miller-Rabin below 3.3e24, Pocklington's n - 1 test above.
 """
 
 from fractions import Fraction
@@ -167,7 +165,8 @@ def _legendre(a, p):
 
 
 def hilbert_symbol(a, b, p):
-    """Hilbert symbol (a, b)_p for nonzero rationals; p = 0 means infinity.
+    """Hilbert symbol (a, b)_p for nonzero rationals; p must be 0 (for
+    infinity) or a prime, and p = 1 or p < 0 is refused.
 
     Serre, A Course in Arithmetic, III.1.2: with a = p^alpha u and
     b = p^beta v, the symbol at odd p is (-1)^(alpha beta (p-1)/2)
@@ -177,6 +176,8 @@ def hilbert_symbol(a, b, p):
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("the Hilbert symbol needs nonzero arguments")
+    if p != 0 and p < 2:  # _val would never end at p = 1
+        raise ValueError("p must be 0 or a prime, got %r" % (p,))
     if p == 0:
         return -1 if (a < 0 and b < 0) else 1
     alpha, beta = _val(a, p), _val(b, p)
@@ -195,14 +196,11 @@ def hilbert_symbol(a, b, p):
 
 
 def rational_is_norm(d, delta):
-    """Is d in N(Q(sqrt(delta))^x)?  Local-global decision, complete within
-    the factoring budget.
-
-    d is a norm iff the form x^2 - delta*y^2 represents d over Q, iff the
-    Hilbert symbol (delta, d)_v is trivial at every place v; checking the
-    support of d and delta plus {2, infinity} suffices.  (None, cofactors)
-    says no known place obstructs, but `_factor` left these unsplit.
-    """
+    """Is d in N(Q(sqrt(delta))^x)?  d is a norm iff x^2 - delta y^2
+    represents d over Q, iff the Hilbert symbol (delta, d)_v is 1 at every
+    place v; the primes of d and delta, 2 and infinity suffice, so this is
+    complete within the factoring budget.  (None, cofactors) says no known
+    place obstructs, but `_factor` left these unsplit."""
     return _local_global(d, delta)[:2]
 
 
@@ -240,55 +238,65 @@ def _sqrt_mod(a, p):
     return x
 
 
-def _descend(a, b, pa, pb):
-    """Integers (x, y, z), z != 0, with x^2 - a y^2 = b z^2 for squarefree
-    a, b with primes pa, pb, b a norm from Q(sqrt a), or None if `_factor`
-    leaves a cofactor unsplit.  Lagrange's descent (Cremona and Rusin, Math.
-    Comp. 72, 2003): for |a| <= |b|, t^2 = a mod b with |t| <= |b|/2 gives
-    t^2 - a = b c, |c| <= |b|/4 + 1, and b = N(t + sqrt a) / N(u) where
-    N(u) = c; else a and b swap.  |a| + |b| drops at every step."""
-    if b == 1:
-        return 1, 0, 1
-    if a == 1:
-        return b + 1, b - 1, 2
-    if abs(a) > abs(b):  # X^2 - b Y^2 = a Z^2 is x^2 - a y^2 = b z^2
-        s = _descend(b, a, pb, pa)
-        return s and (s[0], s[2], s[1])
-    m = abs(b)
-    # a root of None (a no square mod p) counts as 0 and fails the check
-    t = (sum((_sqrt_mod(a, p) or 0) * (m // p) * pow(m // p, -1, p)
-             for p in pb) + m // 2) % m - m // 2
-    c, rem = divmod(t * t - a, b)
-    if rem:
-        raise VerificationError("t^2 != %d mod %d at t = %d" % (a, b, t))
-    (_, unsplit) = parts = _factor(abs(c))
-    pc, r = _square_split(parts)
-    s = None if unsplit else _descend(a, c // (r * r), pa, pc)
-    return s and (r * (t * s[0] - a * s[1]), r * (s[0] - t * s[1]), c * s[2])
+def _root_mod(a, primes):
+    """t with t^2 = a mod m, |t| <= m/2, for m the product of the distinct
+    `primes`, by `_sqrt_mod` at each and the CRT; a non-square's root of
+    None counts as 0 and fails the caller's exact check."""
+    m = prod(primes)
+    return (sum((_sqrt_mod(a, p) or 0) * (m // p) * pow(m // p, -1, p)
+                for p in primes) + m // 2) % m - m // 2
+
+
+def _descend(a, b, t, pa):
+    """Integers (x, y, z), z != 0, with x^2 - a y^2 = b z^2 for a squarefree
+    a with primes pa, b a norm from Q(sqrt a) and t^2 = a mod b, or None if
+    `_factor` leaves a swap's modulus unsplit.  Lagrange's descent (Cremona
+    and Rusin, Math. Comp. 72, 2003): for |a| <= |b|, |t| <= |b|/2 gives
+    t^2 - a = b c, |c| <= |b|/4 + 1, b = N(t + sqrt a) / N(u) for N(u) = c,
+    and t stays a root of a mod c, so no step factors c.  For |a| > |b| the
+    roles swap: b = b0 r^2 by `_factor(|b|)`, b0's root mod a from pa.  The
+    steps loop (only a swap recurses) and are undone in lowest terms."""
+    steps = []
+    while b != 1 and a != 1 and abs(a) <= abs(b):
+        m = abs(b)
+        t = (t + m // 2) % m - m // 2
+        c, rem = divmod(t * t - a, b)
+        if rem or c == b:  # c == b only for b = a = -1, which no x solves
+            raise VerificationError("no descent from (%d, %d) at t = %d"
+                                    % (a, b, t))
+        steps.append((t, c))
+        b = c
+    if b == 1 or a == 1:
+        x, y, z = (1, 0, 1) if b == 1 else (b + 1, b - 1, 2)
+    else:  # X^2 - b0 Y^2 = a Z^2 is x^2 - a y^2 = b z^2
+        (_, unsplit) = parts = _factor(abs(b))
+        pb, r = _square_split(parts)
+        b0 = b // (r * r)
+        if unsplit or not (s := _descend(b0, a, _root_mod(b0, pa), pb)):
+            return None
+        x, y, z = r * s[0], r * s[2], s[1]
+    for t, c in reversed(steps):
+        x, y, z = t * x - a * y, x - t * y, c * z
+        g = gcd(x, y, z)
+        x, y, z = x // g, y // g, z // g
+    return x, y, z
 
 
 def _descent_witness(d, cmfield, parts):
-    """x in E = Q(sqrt(delta)) with N(x) = d by `_descend` from the
+    """x in E = Q(sqrt(delta)) with N(x) = d by `_descend` from the split
     `_local_global` factorings `parts`, checked exactly, or None."""
     q, delta = d.a[0], cmfield.delta[0]
     (pb, rb), (pa, ra) = _square_split(*parts[:2]), _square_split(*parts[2:])
     # d = b u^2 and delta = a v^2 for squarefree integers a, b
     u, v = Fraction(rb, q.denominator), Fraction(ra, delta.denominator)
-    s = _descend(int(delta / v ** 2), int(q / u ** 2), pa, pb)
+    a, b = int(delta / v ** 2), int(q / u ** 2)
+    s = _descend(a, b, _root_mod(a, pb), pa)
     if s is None:
         return None
     w = cmfield.element([s[0] * u / s[2]], [s[1] * u / (v * s[2])])
     if w * w.conjugate() != d:
         raise VerificationError("N(x) != d for the descent's witness")
     return w
-
-
-def _is_rational_square(q):
-    if q >= 0:
-        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-        if rn * rn == q.numerator and rd * rd == q.denominator:
-            return Fraction(rn, rd)
-    return None
 
 
 def _norm_witness(d, cmfield, budget):
@@ -305,18 +313,19 @@ def _norm_witness(d, cmfield, budget):
         n = x.relative_norm().a
         # N(x) = q * d for a rational q, compared in F-coordinates
         q = n[k] / d.a[k]
-        if all(nj == q * dj for nj, dj in zip(n, d.a)):
-            r = _is_rational_square(q)
-            if r:
-                return x / r
+        if q > 0 and all(nj == q * dj for nj, dj in zip(n, d.a)):
+            rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+            if rn * rn == q.numerator and rd * rd == q.denominator:
+                return x / Fraction(rn, rd)
     return None
 
 
 def is_norm(d, cmfield, budget=10 ** 4):
     """Three-valued norm-residue test for d in F over the CM field E/F.
-    Over Q an IsNorm carries the descent's witness; `budget` bounds only
-    the search, over larger F or after a cofactor of d, delta or a descent
-    step stays unsplit."""
+    Over Q a decided IsNorm carries the descent's witness (none only if a
+    swap's modulus >= 3.3e24 stays unsplit); `budget` bounds the search,
+    which runs only while the decision is open: over larger F, or while a
+    cofactor of d or delta stays unsplit."""
     d = cmfield.coerce(d)
     if not d.is_in_F():
         raise ValueError("is_norm expects an element of F")
@@ -333,8 +342,8 @@ def is_norm(d, cmfield, budget=10 ** 4):
                               if cmfield.s == 1 else (None, (), None))
     if decided is False:
         return Verdict(IS_NOT_NORM, obstruction=("prime", reason))
-    witness = ((decided and _descent_witness(d, cmfield, parts))
-               or _norm_witness(d, cmfield, budget))
+    witness = (_descent_witness(d, cmfield, parts) if decided
+               else _norm_witness(d, cmfield, budget))
     if witness is None and not decided:
         return Verdict(UNKNOWN, trace=[
             "cofactor %d neither proved prime nor split by %d rho squarings"

@@ -84,6 +84,13 @@ def test_zeta_in_larger_field():
     assert z3 ** 3 == E.one() and z3 != E.one()
 
 
+@pytest.mark.parametrize("r", [0, -1, -4])
+def test_zeta_refuses_r_below_one(r):
+    # no r < 1 is the order of a primitive root
+    with pytest.raises(FieldError):
+        zeta(gaussian_field(), r)
+
+
 def test_sign_at():
     E = make_cyclotomic(5)  # F = Q(sqrt 5) essentially, s = 2
     w = E.gen_F()  # zeta + zeta^{-1}, real values 2cos(2pi/5), 2cos(4pi/5)

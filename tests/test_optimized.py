@@ -13,6 +13,9 @@ import cmforms
 CASES = [
     ("from cmforms.residue import hilbert_symbol\n"
      "hilbert_symbol(0, 1, 3)", "ValueError"),
+    # p = 1 is no place: refused, not a valuation loop that never ends
+    ("from cmforms.residue import hilbert_symbol\n"
+     "hilbert_symbol(2, 3, 1)", "ValueError"),
     ("from cmforms.residue import rational_is_norm\n"
      "rational_is_norm(0, -1)", "ValueError"),
     ("from cmforms.field import CMField, rationals, zeta\n"
@@ -60,9 +63,10 @@ CASES = [
 
 
 @pytest.mark.parametrize("code, error", CASES, ids=[
-    "hilbert_symbol", "rational_is_norm", "zeta", "pdivmod", "cyclotomic",
-    "real_cyclotomic", "sign_of_coords", "mat_mul", "form_field",
-    "isolate_real_roots", "pmonic", "root_bound", "descent_step"])
+    "hilbert_symbol", "hilbert_symbol_place", "rational_is_norm", "zeta",
+    "pdivmod", "cyclotomic", "real_cyclotomic", "sign_of_coords", "mat_mul",
+    "form_field", "isolate_real_roots", "pmonic", "root_bound",
+    "descent_step"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from cmforms import (IS_NORM, IS_NOT_NORM, CMField, gaussian_field,
                      hilbert_symbol, is_norm, make_cyclotomic, rationals)
 from cmforms import residue
-from cmforms.residue import UNKNOWN, _is_prime, _sqrt_mod, rational_is_norm
+from cmforms.residue import (UNKNOWN, _factor, _is_prime, _root_mod,
+                             _sqrt_mod, _square_class, rational_is_norm)
 from test_search import _record_candidates
 
 
@@ -40,6 +42,13 @@ def test_hilbert_symbol_classics():
     assert hilbert_symbol(Fraction(-1), Fraction(-1), 3) == 1
     # squares are always represented
     assert hilbert_symbol(Fraction(4), Fraction(-7), 2) == 1
+
+
+@pytest.mark.parametrize("p", [1, -1, -3])
+def test_hilbert_symbol_refuses_non_places(p):
+    # p = 1 would loop forever in the valuation, and p < 0 is no place
+    with pytest.raises(ValueError):
+        hilbert_symbol(2, 3, p)
 
 
 def test_hilbert_product_formula():
@@ -123,6 +132,23 @@ def test_an_unsplit_cofactor_leaves_the_decision_open():
                        "rho squarings" % (p * q),)
 
 
+def _record_factorings(monkeypatch):
+    """The arguments of the outermost `residue._factor` calls, in order
+    (not the n - 1 that `_is_prime` factors inside a call)."""
+    calls, depth, factor = [], [], residue._factor
+
+    def recorded(n):
+        if not depth:
+            calls.append(n)
+        depth.append(1)
+        try:
+            return factor(n)
+        finally:
+            depth.pop()
+    monkeypatch.setattr(residue, "_factor", recorded)
+    return calls
+
+
 def _fields():
     """Q(sqrt delta) for delta in {-1, -2, -3, -7}, Q(i) as Q(zeta4)
     (delta = -4) and a non-integral delta = -3/2."""
@@ -163,38 +189,117 @@ def test_large_norms_carry_witnesses(delta, monkeypatch):
 
 def test_is_norm_factors_d_and_delta_once(monkeypatch):
     # 2 * 5^2 * 13 / 17 over Q(i): the numerators and denominators of d and
-    # delta are each factored once, then the one descent step's
-    # c = (t^2 + 1) / 442 = 1
-    calls = []
-    factor = residue._factor
-
-    def counted(n):
-        calls.append(n)
-        return factor(n)
-    monkeypatch.setattr(residue, "_factor", counted)
+    # delta are each factored once, and the one descent step's
+    # c = (t^2 + 1) / 442 = 1 is not factored
+    calls = _record_factorings(monkeypatch)
     E = gaussian_field()
     d = Fraction(2 * 5 ** 2 * 13, 17)
     v = is_norm(E.from_rational(d), E)
     assert v == IS_NORM and v.witness * v.witness.conjugate() == \
         E.from_rational(d)
-    assert calls == [650, 17, 4, 1, 1]
+    assert calls == [650, 17, 4, 1]
 
 
-def test_an_unsplit_descent_step_falls_back_on_the_search(monkeypatch):
-    # were a descent step's cofactor left unsplit, the search would still
-    # find the witness: 13 = N(3 + 2i) over Q(i)
-    factor = residue._factor
-    seen = []
+@pytest.mark.parametrize("E", _fields(),
+                         ids=lambda E: "delta=%s" % E.delta[0])
+def test_only_a_swap_factors_after_d_and_delta(E, monkeypatch):
+    # no descent step factors its c: after d and delta, `_factor` sees only
+    # a swap's modulus |b| < |a|, at most min(|delta'|, |d'|) for the
+    # squarefree cores; over delta' = -1, |a| = 1 and no swap happens
+    calls = _record_factorings(monkeypatch)
+    delta, swaps = E.delta[0], []
+    for d in [Fraction(n) for n in range(-200, 201) if n] + [
+            Fraction(9, 5), Fraction(-7, 12)]:
+        bound = min(_square_class(abs(q.numerator * q.denominator))
+                    for q in (d, delta))
+        del calls[:]
+        is_norm(E.from_rational(d), E)
+        # a negative d is refused at the real place, before any factoring
+        assert calls[:4] == ([abs(d.numerator), d.denominator,
+                              abs(delta.numerator), delta.denominator]
+                             if d > 0 else [])
+        assert all(n <= bound for n in calls[4:]), (d, calls)
+        swaps += calls[4:]
+    if _square_class(abs(delta.numerator * delta.denominator)) == 1:
+        assert swaps == []
 
-    def unsplit_after_four(n):
-        seen.append(n)
-        return factor(n) if len(seen) <= 4 else ({}, {n: 1})
-    monkeypatch.setattr(residue, "_factor", unsplit_after_four)
+
+@pytest.mark.parametrize("delta, ks", [
+    (-1, [144, 205, 207]), (-2, [144, 205, 207]), (-3, [144, 207, 504]),
+    (-7, [144, 207, 424])])
+def test_proth_primes_carry_witnesses(delta, ks, monkeypatch):
+    # the first three k with P = k 2^130 + 1 proved prime and split in E:
+    # no factoring after P's and delta's, and no search candidate
+    E = CMField(rationals(), [delta])
+    found = []
+    for k in itertools.count(1):
+        P = k * 2 ** 130 + 1
+        if len(found) == 3:
+            break
+        if _is_prime(P) and rational_is_norm(P, delta)[0]:
+            found.append(k)
+    assert found == ks
     tried = _record_candidates(monkeypatch)
+    calls = _record_factorings(monkeypatch)
+    for k in ks:
+        P = k * 2 ** 130 + 1
+        del calls[:]
+        v = is_norm(E.from_rational(P), E)
+        assert v == IS_NORM and v.witness * v.witness.conjugate() == \
+            E.from_rational(P)
+        assert calls == [P, 1, -delta, 1]
+    assert tried == []
+
+
+def test_a_200_digit_smooth_norm_carries_a_witness(monkeypatch):
+    # the product of the primes 1 mod 4 from 5 until it passes 10^200, over
+    # Q(i): its descent steps' c are never factored
+    n = 1
+    for p in itertools.count(5, 4):
+        if n > 10 ** 200:
+            break
+        if _is_prime(p):
+            n *= p
     E = gaussian_field()
-    v = is_norm(E.from_rational(13), E)
-    assert v == IS_NORM and v.witness.relative_norm() == E.from_rational(13)
-    assert len(seen) == 5 and tried
+    tried = _record_candidates(monkeypatch)
+    calls = _record_factorings(monkeypatch)
+    v = is_norm(E.from_rational(n), E)
+    assert v == IS_NORM and v.witness * v.witness.conjugate() == \
+        E.from_rational(n)
+    assert calls == [n, 1, 4, 1] and tried == []
+
+
+def test_a_long_descent_keeps_a_flat_stack():
+    # past 10^2000 the descent takes more steps than Python's default
+    # recursion limit (1000); undone in lowest terms, x^2 + y^2 = n z^2
+    # comes back with z = 1, since Z[i] is a principal ideal domain
+    primes, n = [], 1
+    for p in itertools.count(5, 4):
+        if n > 10 ** 2000:
+            break
+        if _is_prime(p):
+            primes.append(p)
+            n *= p
+    x, y, z = residue._descend(-1, n, _root_mod(-1, primes), [])
+    assert x * x + y * y == n * z * z and z == 1
+
+
+def test_a_non_norm_fails_the_descent_instead_of_looping():
+    # x^2 + y^2 = -z^2 has no solution: the step from (-1, -1) makes no
+    # progress and is refused
+    with pytest.raises(residue.VerificationError):
+        residue._descend(-1, -1, 0, [])
+
+
+def test_root_mod_matches_brute_force():
+    # every squarefree m <= 500 and every square a mod m
+    for m in range(1, 501):
+        primes, _ = _factor(m)
+        if any(e > 1 for e in primes.values()):
+            continue
+        for a in {t * t % m for t in range(m)}:
+            t = _root_mod(a, list(primes))
+            assert (t * t - a) % m == 0 and 2 * abs(t) <= m, (a, m, t)
 
 
 def test_sqrt_mod_matches_brute_force():
