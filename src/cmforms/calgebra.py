@@ -2,12 +2,12 @@
 X^3 = alpha and X beta = tau(beta) X.
 
 L is a cyclic cubic extension of E carrying both the Galois map tau and a
-conjugation extending theta with totally real fixed field K.  Elements of
-L and A are `field.Element`s: E-coordinates over 1, y, y^2 and L-parts
-over 1, X, X^2; L and A are `field.Parent`s, keyed by E, g, tau(y), c(y)
-and by L, alpha.  A product in L, tau, the conjugation and an involution
-of A run on `field`'s integer kernel, off L's Q-structure table or a sparse
-Q-linear map; an inverse in L is tau(x) tau^2(x) / N_{L/E}(x).
+conjugation extending theta with totally real fixed field K.  L and A are
+`field.Parent`s, keyed by E, g, tau(y), c(y) and by L, alpha, whose
+`_split` reads an element's flat Q-coordinates as E-coefficients over
+1, y, y^2 or L-parts over 1, X, X^2.  A product in L, tau, the conjugation
+and an involution of A run on `field`'s integer kernel, off L's Q-structure
+table or a sparse Q-linear map; an inverse in L is tau(x) tau^2(x) / N(x).
 The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
 injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
 A goes through it: a product xy is row 0 of S(x) S(y), built only from the
@@ -35,7 +35,7 @@ from operator import attrgetter
 from . import linalg
 from .field import (CommutativeElement, Element, FieldElement, FieldError,
                     Parent, TotallyRealField, Verdict, _apply, _candidates,
-                    _decode, _encode, make_cyclotomic)
+                    _encode, _mul, make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
@@ -61,23 +61,13 @@ class CubicExtElement(CommutativeElement):
     __slots__ = ()
     _level = 2
     ext = property(attrgetter("parent"))
-    coeffs = property(attrgetter("coords"))
+    coeffs = property(lambda self: self.parent._split(self))
 
     def __mul__(self, other):
         o = self._operand(other)
         if o is NotImplemented:
             return o
-        # the bilinear form of L's structure table on integer numerators
-        ext = self.ext
-        (xs, ys), d = _encode((self, o))
-        acc = [0] * len(ext._table)
-        for a, u in xs:
-            row = ext._table[a]
-            for b, v in ys:
-                uv = u * v
-                for k, c in row[b]:
-                    acc[k] += uv * c
-        return _decode(ext, acc, d * d * ext._den)
+        return _mul(self.parent._table, self, o)
 
     __rmul__ = __mul__
 
@@ -116,7 +106,7 @@ class CubicExtElement(CommutativeElement):
         return self._norm_and_adjugate()[0]
 
     def is_in_E(self):
-        return not any(self.coords[1:])
+        return not any(self.coeffs[1:])
 
     def __repr__(self):
         return "CubicExtElement(%r)" % (self.coeffs,)
@@ -138,7 +128,7 @@ class CyclicCubicExtension(Parent):
         if len(g) != 4 or g[3] != cmfield.one():
             raise AlgebraError("g must be a monic cubic")
         self.g = g
-        self._table, self._den = self._structure_table()
+        self._table = self._structure_table()
         self.tau_poly = tuple(map(cmfield.coerce, tau_poly))
         self.conj_poly = tuple(map(cmfield.coerce, conj_poly))
         t, c = self.element(self.tau_poly), self.element(self.conj_poly)
@@ -160,12 +150,12 @@ class CyclicCubicExtension(Parent):
         return self.E, self.g, self.tau_poly, self.conj_poly
 
     def _structure_table(self):
-        """L's Q-structure table and its one common denominator den.  The
-        Q-basis of L is y^i e_p, at index i*m + p, e_p running over E's
-        Q-basis e of m elements.  Entry [a][b] lists (k, n) for each nonzero
-        Q-coordinate n / den of the product of basis elements a and b:
-        e_p e_q y^(i+j), y^3 and y^4 read as their images mod g.  Entries
-        with equal i + j, p and q are shared."""
+        """L's Q-structure table for `field._mul`, `_encode`'s (rows, den).
+        The Q-basis of L is y^i e_p, at index i*m + p, e_p running over
+        E's Q-basis e of m elements.  Entry [a][b] lists (k, n) for each
+        nonzero Q-coordinate n / den of the product of basis elements a
+        and b: e_p e_q y^(i+j), y^3 and y^4 read as their images mod g.
+        Entries with equal i + j, p and q are shared."""
         E, e, g = self.E, self.E._q_basis(), self.g
         m = len(e)
         # y^3 = -(g0 + g1 y + g2 y^2); y^4 is y * y^3 reduced once more
@@ -175,9 +165,9 @@ class CyclicCubicExtension(Parent):
         for p, q in itertools.product(range(m), repeat=2):
             pq = e[p] * e[q]
             for k in range(5):
-                prods[k, p, q] = CubicExtElement(self, [
-                    pq * c for c in y34[k - 3]] if k > 2 else [
-                    pq if r == k else E.zero() for r in range(3)])
+                prods[k, p, q] = self._join(
+                    [pq * c for c in y34[k - 3]] if k > 2
+                    else [E.zero()] * k + [pq])
         rows, den = _encode(list(prods.values()))
         entries = dict(zip(prods, rows))
         basis = list(itertools.product(range(3), range(m)))
@@ -191,7 +181,7 @@ class CyclicCubicExtension(Parent):
         cs = tuple(map(self.E.coerce, coeffs))
         if len(cs) > 3:
             raise AlgebraError("an element of L has at most 3 coordinates")
-        return CubicExtElement(self, cs + (self.E.zero(),) * (3 - len(cs)))
+        return self._join(cs)
 
     def from_E(self, x):
         return self.element([x])
@@ -254,7 +244,7 @@ class AlgebraElement(Element):
     __slots__ = ()
     _level = 3
     algebra = property(attrgetter("parent"))
-    parts = property(attrgetter("coords"))
+    parts = property(lambda self: self.parent._split(self))
 
     def __mul__(self, other):
         return self.parent.multiply(self, self.parent.coerce(other))
@@ -299,8 +289,7 @@ class CyclicAlgebra(Parent):
         """b0 + b1 X + b2 X^2; each part goes through L's coerce, so an
         element of another extension raises AlgebraError."""
         lift = self.ext.coerce
-        return AlgebraElement(self, tuple(lift(0 if b is None else b)
-                                          for b in (b0, b1, b2)))
+        return self._join([lift(0 if b is None else b) for b in (b0, b1, b2)])
 
     def from_L(self, b):
         return self.element(b)
@@ -318,12 +307,12 @@ class CyclicAlgebra(Parent):
         """Row 0 of S(x) S(y) = S(xy), the parts of xy: the sum of
         b_k * (row k of S(y)) over the nonzero parts b_k of x.  The rows
         of S(y) whose b_k is zero are not built."""
-        ks = [k for k, b in enumerate(x.parts) if not b.is_zero()]
+        parts = x.parts
+        ks = [k for k, b in enumerate(parts) if not b.is_zero()]
         out = [self.ext.zero()] * 3
         for k, row in zip(ks, self._rows(y, ks)):
-            b = x.parts[k]
-            out = [u + b * v for u, v in zip(out, row)]
-        return AlgebraElement(self, tuple(out))
+            out = [u + parts[k] * v for u, v in zip(out, row)]
+        return self._join(out)
 
     def _rows(self, x, ks):
         """The rows k in ks (ascending) of S(x), x = b0 + b1 X + b2 X^2:
@@ -372,7 +361,7 @@ class CyclicAlgebra(Parent):
         if n.is_zero():
             raise ZeroDivisionError("inverse of zero or a zero divisor in A")
         ninv = n.inverse()
-        return AlgebraElement(self, tuple(a * ninv for a in adj))
+        return self._join([a * ninv for a in adj])
 
 
 # --- division candidate ---------------------------------------------------

@@ -7,10 +7,10 @@ those of b, over the power basis of F.  Elements of F are the ones with
 b = 0.  All sign decisions go through exact interval refinement against
 the stored root isolators; zero testing is exact coordinate comparison.
 The isolators also prove the minimal polynomial irreducible
-(`_is_irreducible`).  Only `Element.rationals` and `Parent.from_rationals`
-know the flat Q-coordinates of an element of E, L or A; the integer
-kernel (`_encode`, `_apply`, `_decode`; Cohen, GTM 138, Sec. 4.2) reads
-only them.
+(`_is_irreducible`).  An element of E, L or A stores its flat
+Q-coordinates, `coords`, which only `Parent.from_rationals`, `_split` and
+`_join` lay out; the integer kernel (`_encode`, `_mul`, `_apply`,
+`_decode`; Cohen, GTM 138, Sec. 4.2) reads and writes only `coords`.
 """
 
 from fractions import Fraction
@@ -190,8 +190,8 @@ class Parent:
     states `_element`, its element type; `_lift(x)`, the one place where a
     lower-level value is lifted or any other refused with a ValueError;
     `_key()`, the data that identifies it; `_dim`, its dimension over Q;
-    and `_below`, the parent of its coordinates (None for E, over Q).  The
-    rest is derived here."""
+    and `_below`, the parent of the parts `_split` gives (None for E, over
+    Q).  The rest is derived here."""
 
     def coerce(self, x):
         """x if it lies in this parent or an equal one, else _lift(x)."""
@@ -207,19 +207,27 @@ class Parent:
         return self._lift(1)
 
     def from_rationals(self, qs):
-        """The element whose `rationals()` are qs."""
-        qs, n, below = tuple(qs), self._dim, self._below
-        if len(qs) != n:
+        """The element whose flat Q-coordinates `coords` are qs."""
+        qs = _frac_tuple(qs)
+        if len(qs) != self._dim:
             raise FieldError("%s needs %d rational coordinates, got %d"
-                             % (type(self).__name__, n, len(qs)))
-        if below is None:
-            return self._element(self, _frac_tuple(qs))
-        k = below._dim
-        return self._element(self, [below.from_rationals(qs[r:r + k])
-                                    for r in range(0, n, k)])
+                             % (type(self).__name__, self._dim, len(qs)))
+        return self._element(self, qs)
+
+    def _split(self, x):
+        """x in L or A as three elements of the level below, whose `coords`
+        make up x's: over 1, y, y^2 in E, or over 1, X, X^2 in L."""
+        below, c, k = self._below, x.coords, self._below._dim
+        return tuple(below._element(below, c[r:r + k])
+                     for r in range(0, self._dim, k))
+
+    def _join(self, parts):
+        """The element whose `_split` is parts, padded with zeros to three."""
+        qs = [q for x in parts for q in x.coords]
+        return self._element(self, qs + [Fraction(0)] * (self._dim - len(qs)))
 
     def _q_basis(self):
-        """The elements whose `rationals()` are the unit vectors."""
+        """The elements whose `coords` are the unit vectors."""
         n = self._dim
         return [self.from_rationals([int(a == b) for b in range(n)])
                 for a in range(n)]
@@ -233,9 +241,9 @@ class Parent:
 
 class Element:
     """An element of E, L or A: its `parent` (the CMField,
-    CyclicCubicExtension or CyclicAlgebra) and `coords`, one tuple over the
-    level below: the Q-coordinates of a then b, the E-coordinates over
-    1, y, y^2, or the L-parts over 1, X, X^2.  +, -, ==, hash, truth and
+    CyclicCubicExtension or CyclicAlgebra) and `coords`, its flat tuple of
+    Q-coordinates: those of a then b in E, and in L and A those of each
+    element of the parent's `_split` in turn.  +, -, ==, hash, truth and
     is_zero() are read off `coords`, and ** from a type's * and inverse().
     Each operand goes through the parent's `coerce` (see Parent), which
     lifts a lower-level value and refuses an element of another field
@@ -287,20 +295,18 @@ class Element:
         return o if o is NotImplemented else self.coords == o.coords
 
     def __hash__(self):
-        return hash(self.coords if any(self.coords[1:]) else self.coords[0])
+        # without trailing zeros: a lift to a higher level hashes alike
+        c = self.coords
+        n = len(c)
+        while n > 1 and not c[n - 1]:
+            n -= 1
+        return hash(c[:n] if n > 1 else c[0])
 
     def __bool__(self):
         return any(self.coords)
 
     def is_zero(self):
         return not any(self.coords)
-
-    def rationals(self):
-        """The flat Q-coordinates: `coords` in E; in L and A the
-        rationals() of each coordinate in turn."""
-        if self._level == 1:
-            return self.coords
-        return sum([c.rationals() for c in self.coords], ())
 
     def __pow__(self, k):
         """Square-and-multiply; a negative k inverts first."""
@@ -478,14 +484,29 @@ def _pad(coords, s):
 
 def _encode(elements):
     """(rows, den) for elements of one level: row k lists (a, n) for each
-    nonzero flat Q-coordinate n / den of elements[k], a its index in
-    `rationals()` and den the lcm of all their denominators.  The one
-    encoder of operands, of L's structure table and of the Q-linear maps
-    tau, c and an involution of A."""
-    ratios = [[q.as_integer_ratio() for q in x.rationals()] for x in elements]
+    nonzero Q-coordinate n / den of elements[k], a its index in `coords`
+    and den the lcm of all their denominators.  The one encoder of
+    operands, of L's structure table and of the Q-linear maps tau, c and
+    an involution of A."""
+    ratios = [[q.as_integer_ratio() for q in x.coords] for x in elements]
     den = lcm(*[e for r in ratios for _, e in r])
     return [[(a, n * (den // e)) for a, (n, e) in enumerate(r) if n]
             for r in ratios], den
+
+
+def _mul(table, x, y):
+    """x y by the Q-structure table (rows, den) of their parent, rows[a][b]
+    `_encode`'s row of the product of the a-th and b-th `_q_basis` element."""
+    rows, den = table
+    (xs, ys), d = _encode((x, y))
+    acc = [0] * len(rows)
+    for a, u in xs:
+        row = rows[a]
+        for b, v in ys:
+            uv = u * v
+            for k, c in row[b]:
+                acc[k] += uv * c
+    return _decode(x.parent, acc, d * d * den)
 
 
 def _apply(qmap, x):
@@ -501,7 +522,7 @@ def _apply(qmap, x):
 
 
 def _decode(parent, acc, den):
-    """The element of parent whose `rationals()` are n / den, n in acc."""
+    """The element of parent whose `coords` are n / den, n in acc."""
     return parent.from_rationals([Fraction(n, den) for n in acc])
 
 

@@ -32,6 +32,19 @@ NormResidueVerdict = Verdict  # the former class name, kept public
 _MR_BASES = _SMALL_PRIMES[:13]  # the primes up to 41
 _MR_BOUND = 3317044064679887385961981
 
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+# `_factor`'s trial divisors: a cofactor without them below 2^26 is prime
+_TRIAL_PRIMES = _primes_below(1 << 13)
+
 # Brent-rho squarings per cofactor >= _MR_BOUND, enough for its primes below
 # about 1e10; a smaller composite has one below 1.9e12 and gets no budget.
 _RHO_STEPS = 5 * 10 ** 5
@@ -104,23 +117,26 @@ def _iroot(m, k):
 
 def _factor(n):
     """(primes, unsplit) for an integer n >= 1: {prime: exponent} and
-    {cofactor: multiplicity}, whose product is n.  Trial division below
-    50; then a cofactor that `_is_prime` proves is a prime, a j-th power
-    is its root j times (a root is >= 53 > 2^5, so j <= bits / 5), and
+    {cofactor: multiplicity}, whose product is n.  Trial division by
+    _TRIAL_PRIMES until p^2 > n; then a cofactor below 2^26 or one that
+    `_is_prime` proves is a prime, a j-th power is its root j times (a
+    root is > 2^13, so j <= bits / 13), and
     any other is split by `_rho_split` (within _RHO_STEPS squarings from
     _MR_BOUND up) or kept unsplit."""
     if n < 1:
         raise ValueError("can only factor an integer n >= 1, got %r" % (n,))
     primes, unsplit = {}, {}
-    for p in _SMALL_PRIMES:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             n, primes[p] = n // p, primes.get(p, 0) + 1
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, k = stack.pop()
-        if _is_prime(m):
+        if m < 1 << 26 or _is_prime(m):
             primes[m] = primes.get(m, 0) + k
-        elif j := next((j for j in range(m.bit_length() // 5, 1, -1)
+        elif j := next((j for j in range(m.bit_length() // 13, 1, -1)
                         if _iroot(m, j) ** j == m), 0):
             stack.append((_iroot(m, j), j * k))
         elif g := _rho_split(m, _RHO_STEPS if m >= _MR_BOUND else None):
@@ -247,14 +263,15 @@ def _root_mod(a, primes):
                 for p in primes) + m // 2) % m - m // 2
 
 
-def _descend(a, b, t, pa):
-    """Integers (x, y, z), z != 0, with x^2 - a y^2 = b z^2 for a squarefree
-    a with primes pa, b a norm from Q(sqrt a) and t^2 = a mod b, or None if
-    `_factor` leaves a swap's modulus unsplit.  Lagrange's descent (Cremona
-    and Rusin, Math. Comp. 72, 2003): for |a| <= |b|, |t| <= |b|/2 gives
-    t^2 - a = b c, |c| <= |b|/4 + 1, b = N(t + sqrt a) / N(u) for N(u) = c,
-    and t stays a root of a mod c, so no step factors c.  For |a| > |b| the
-    roles swap: b = b0 r^2 by `_factor(|b|)`, b0's root mod a from pa.  The
+def _descend(a, b, t, pa, pb):
+    """Integers (x, y, z), z != 0, with x^2 - a y^2 = b z^2 for squarefree
+    a and b with primes pa and pb, b a norm from Q(sqrt a) and t^2 = a mod
+    b, or None if `_factor` leaves a swap's modulus unsplit.  Lagrange's
+    descent (Cremona and Rusin, Math. Comp. 72, 2003): for |a| <= |b|,
+    |t| <= |b|/2 gives t^2 - a = b c, |c| <= |b|/4 + 1, b = N(t + sqrt a) /
+    N(u) for N(u) = c, and t stays a root of a mod c, so no step factors c.
+    For |a| > |b| the roles swap: b = b0 r^2, b0's root mod a from pa, and
+    `_factor` runs only on a b that a step made, never on |b| = 1.  The
     steps loop (only a swap recurses) and are undone in lowest terms."""
     steps = []
     while b != 1 and a != 1 and abs(a) <= abs(b):
@@ -269,10 +286,12 @@ def _descend(a, b, t, pa):
     if b == 1 or a == 1:
         x, y, z = (1, 0, 1) if b == 1 else (b + 1, b - 1, 2)
     else:  # X^2 - b0 Y^2 = a Z^2 is x^2 - a y^2 = b z^2
-        (_, unsplit) = parts = _factor(abs(b))
-        pb, r = _square_split(parts)
+        r, unsplit = 1, ()
+        if steps:
+            (_, unsplit) = parts = _factor(abs(b)) if abs(b) > 1 else ({}, {})
+            pb, r = _square_split(parts)
         b0 = b // (r * r)
-        if unsplit or not (s := _descend(b0, a, _root_mod(b0, pa), pb)):
+        if unsplit or not (s := _descend(b0, a, _root_mod(b0, pa), pb, pa)):
             return None
         x, y, z = r * s[0], r * s[2], s[1]
     for t, c in reversed(steps):
@@ -290,7 +309,7 @@ def _descent_witness(d, cmfield, parts):
     # d = b u^2 and delta = a v^2 for squarefree integers a, b
     u, v = Fraction(rb, q.denominator), Fraction(ra, delta.denominator)
     a, b = int(delta / v ** 2), int(q / u ** 2)
-    s = _descend(a, b, _root_mod(a, pb), pa)
+    s = _descend(a, b, _root_mod(a, pb), pa, pb)
     if s is None:
         return None
     w = cmfield.element([s[0] * u / s[2]], [s[1] * u / (v * s[2])])

@@ -4,9 +4,9 @@ Rationals are ints or strings "[+-]p", "[+-]p/q" or "[+-]p.q" in ASCII
 digits.  Floats, booleans, null and other strings ("1e9", "1_0", " 7")
 are refused: a double is not the rational it was written as.  A field
 is {"min_poly": [ints, constant first], "delta": [rationals]}.  An
-element of E, L or A is the list of its `coords`, each a rational or the
-list of an element of the level below: 2s rationals for E (the F-part,
-then the sqrt(delta)-part), three E-lists for L, three L-lists for A.
+element of E is the list of its 2s `coords` (the F-part, then the
+sqrt(delta)-part), and one of L or A the lists of the three elements of
+the level below that `Parent._split` gives and `Parent._join` reads.
 Forms and groups carry their field inline, an algebra spec its E.  Every
 array must be a list of the length its place needs, and every document a
 JSON object with the keys it needs.
@@ -19,7 +19,7 @@ import re
 from .calgebra import (_LABELS, AlgebraElement, CubicExtElement,
                        CyclicAlgebra, CyclicCubicExtension, Involution,
                        verify_involution)
-from .field import CMField, Element, FieldElement, TotallyRealField
+from .field import CMField, FieldElement, TotallyRealField
 from .hermitian import HermitianForm
 from . import linalg
 
@@ -80,8 +80,9 @@ def field_from_json(obj):
 
 def element_to_json(x):
     """x in E, L or A as nested lists of rational strings."""
-    return [element_to_json(c) if isinstance(c, Element) else frac_to_str(c)
-            for c in x.coords]
+    if x.parent._below is None:
+        return [frac_to_str(c) for c in x.coords]
+    return [element_to_json(c) for c in x.parent._split(x)]
 
 
 _NAMES = {FieldElement: "an element of E", CubicExtElement: "an element of L",
@@ -89,13 +90,12 @@ _NAMES = {FieldElement: "an element of E", CubicExtElement: "an element of L",
 
 
 def element_from_json(parent, arr):
-    """The element of E, L or A written as arr: one entry per coordinate
-    of parent.zero(), read as that coordinate is, a rational or an element."""
-    zero = parent.zero()
-    arr = _list(arr, _NAMES[type(zero)], len(zero.coords))
-    return type(zero)(parent, [element_from_json(z.parent, a)
-                               if isinstance(z, Element) else frac_from_str(a)
-                               for z, a in zip(zero.coords, arr)])
+    """The element of E, L or A that `element_to_json` writes as arr."""
+    below = parent._below
+    arr = _list(arr, _NAMES[parent._element], 3 if below else parent._dim)
+    if below is None:
+        return parent.from_rationals(map(frac_from_str, arr))
+    return parent._join([element_from_json(below, a) for a in arr])
 
 
 def matrix_to_json(M):

@@ -168,7 +168,7 @@ def test_additive_group_and_zero_from_the_coordinates(x, y):
 @given(_elements(gaussian_field()), _elements(make_cyclotomic(5)))
 def test_e_rationals_round_trip(x, z):
     for w in (x, z):
-        qs = w.rationals()
+        qs = w.coords
         assert qs == w.a + w.b
         back = w.parent.from_rationals(qs)
         assert back == w and back.coords == w.coords and hash(back) == hash(w)
@@ -229,10 +229,10 @@ def test_field_parent_alone_states_the_parent_protocol():
     classes = list(_class_bodies())
     assert [(m, c) for m, c, _, bound in classes
             if bound & {"coerce", "zero", "one"}] == [("field.py", "Parent")]
-    # the flat Q-coordinates are read and written in field only
+    # the layout of the flat Q-coordinates is known in field only
     assert {(m, c) for m, c, _, bound in classes
-            if bound & {"rationals", "from_rationals"}} == {
-        ("field.py", "Element"), ("field.py", "Parent")}
+            if bound & {"from_rationals", "_split", "_join"}} == {
+        ("field.py", "Parent")}
     parents = {"Parent"}
     while True:
         more = {c for _, c, bases, _ in classes if bases & parents} - parents
@@ -245,10 +245,26 @@ def test_field_parent_alone_states_the_parent_protocol():
 
 
 def test_field_alone_defines_the_integer_kernel():
-    # _encode, _apply and _decode are defined in field and nowhere else
+    # _encode, _mul, _apply and _decode are defined in field and nowhere else
+    kernel = {"_encode", "_mul", "_apply", "_decode"}
     defined = {(module, n.name) for module, tree in _module_trees()
                for n in ast.walk(tree)
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and n.name in {"_encode", "_apply", "_decode"}}
-    assert defined == {("field.py", "_encode"), ("field.py", "_apply"),
-                       ("field.py", "_decode")}
+               and n.name in kernel}
+    assert defined == {("field.py", name) for name in kernel}
+
+
+def test_field_alone_lays_out_the_coordinates():
+    # outside field no module indexes `coords` or builds an element of L
+    # or A from a coordinate tuple: Parent's _split and _join do that
+    found = []
+    for module, tree in _module_trees():
+        for n in ast.walk(tree) if module != "field.py" else ():
+            if isinstance(n, ast.Subscript) and isinstance(
+                    n.value, ast.Attribute) and n.value.attr == "coords":
+                found.append((module, n.lineno, "coords[...]"))
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if name in {"CubicExtElement", "AlgebraElement"}:
+                    found.append((module, n.lineno, name))
+    assert found == []

@@ -1,6 +1,7 @@
 from fractions import Fraction
 import itertools
 import random
+import time
 
 import pytest
 
@@ -205,13 +206,15 @@ def test_is_norm_factors_d_and_delta_once(monkeypatch):
 def test_only_a_swap_factors_after_d_and_delta(E, monkeypatch):
     # no descent step factors its c: after d and delta, `_factor` sees only
     # a swap's modulus |b| < |a|, at most min(|delta'|, |d'|) for the
-    # squarefree cores; over delta' = -1, |a| = 1 and no swap happens
+    # squarefree cores, never d' (its primes are known) and never 1; over
+    # delta' = -1, |a| = 1 and no swap happens
     calls = _record_factorings(monkeypatch)
     delta, swaps = E.delta[0], []
     for d in [Fraction(n) for n in range(-200, 201) if n] + [
             Fraction(9, 5), Fraction(-7, 12)]:
-        bound = min(_square_class(abs(q.numerator * q.denominator))
-                    for q in (d, delta))
+        d_core = _square_class(abs(d.numerator * d.denominator))
+        bound = min(d_core, _square_class(abs(delta.numerator
+                                               * delta.denominator)))
         del calls[:]
         is_norm(E.from_rational(d), E)
         # a negative d is refused at the real place, before any factoring
@@ -219,9 +222,22 @@ def test_only_a_swap_factors_after_d_and_delta(E, monkeypatch):
                               abs(delta.numerator), delta.denominator]
                              if d > 0 else [])
         assert all(n <= bound for n in calls[4:]), (d, calls)
+        assert not {d_core, 1} & set(calls[4:]), (d, calls)
         swaps += calls[4:]
     if _square_class(abs(delta.numerator * delta.denominator)) == 1:
         assert swaps == []
+
+
+@pytest.mark.parametrize("d, calls", [(2, [2, 1, 7, 1]), (8, [8, 1, 7, 1])])
+def test_a_swap_reuses_the_primes_of_d(d, calls, monkeypatch):
+    # over delta = -7 the first swap's b is d' = 2, whose primes the
+    # decision holds, and a later swap's b = -1 needs none
+    recorded = _record_factorings(monkeypatch)
+    E = CMField(rationals(), [-7])
+    v = is_norm(E.from_rational(d), E)
+    assert v == IS_NORM and v.witness * v.witness.conjugate() == \
+        E.from_rational(d)
+    assert recorded == calls
 
 
 @pytest.mark.parametrize("delta, ks", [
@@ -269,6 +285,23 @@ def test_a_200_digit_smooth_norm_carries_a_witness(monkeypatch):
     assert calls == [n, 1, 4, 1] and tried == []
 
 
+def test_a_1500_digit_smooth_norm_is_factored_by_trial_division():
+    # the 447 primes 1 mod 4 from 5 to 7,109 all lie below 2^13, so trial
+    # division splits their product; rho peeled one prime a round (22 s)
+    primes = [p for p in range(5, 7110, 4) if _is_prime(p)]
+    n = 1
+    for p in primes:
+        n *= p
+    assert len(primes) == 447 and len(str(n)) == 1500
+    start = time.perf_counter()
+    assert _factor(n) == (dict.fromkeys(primes, 1), {})
+    E = gaussian_field()
+    v = is_norm(E.from_rational(n), E)
+    assert v == IS_NORM and v.witness * v.witness.conjugate() == \
+        E.from_rational(n)
+    assert time.perf_counter() - start < 5
+
+
 def test_a_long_descent_keeps_a_flat_stack():
     # past 10^2000 the descent takes more steps than Python's default
     # recursion limit (1000); undone in lowest terms, x^2 + y^2 = n z^2
@@ -280,7 +313,7 @@ def test_a_long_descent_keeps_a_flat_stack():
         if _is_prime(p):
             primes.append(p)
             n *= p
-    x, y, z = residue._descend(-1, n, _root_mod(-1, primes), [])
+    x, y, z = residue._descend(-1, n, _root_mod(-1, primes), [], primes)
     assert x * x + y * y == n * z * z and z == 1
 
 
@@ -288,7 +321,7 @@ def test_a_non_norm_fails_the_descent_instead_of_looping():
     # x^2 + y^2 = -z^2 has no solution: the step from (-1, -1) makes no
     # progress and is refused
     with pytest.raises(residue.VerificationError):
-        residue._descend(-1, -1, 0, [])
+        residue._descend(-1, -1, 0, [], [])
 
 
 def test_root_mod_matches_brute_force():
