@@ -5,14 +5,15 @@ L is a cyclic cubic extension of E carrying both the Galois map tau and a
 conjugation extending theta with totally real fixed field K.  L and A are
 `field.Parent`s, keyed by E, g, tau(y), c(y) and by L, alpha, whose
 `_split` reads an element's flat Q-coordinates as E-coefficients over
-1, y, y^2 or L-parts over 1, X, X^2.  A product in L, tau, the conjugation
-and an involution of A run on `field`'s integer kernel, off L's Q-structure
-table or a sparse Q-linear map; an inverse in L is tau(x) tau^2(x) / N(x).
-The structure of A is stated once, by the splitting S: A -> Mat(3, L), an
-injective homomorphism (Reiner, Maximal Orders, Sec. 9), and everything in
-A goes through it: a product xy is row 0 of S(x) S(y), built only from the
-rows of S(y) that a nonzero part of x selects; the reduced norm det S(x)
-and the inverse adj S(x) / det S(x) come from the cofactors of column 0
+1, y, y^2 or L-parts over 1, X, X^2.  A product in L or A, tau, the
+conjugation and an involution of A run on `field`'s integer kernel, off a
+Q-structure table or a sparse Q-linear map; an inverse in L is
+tau(x) tau^2(x) / N(x).  The structure of A is stated once, by the
+splitting S: A -> Mat(3, L), an injective homomorphism (Reiner, Maximal
+Orders, Sec. 9), and everything in A goes through it: a product xy is
+row 0 of S(x) S(y), one `field._mul` on A's Q-structure table, read off S
+once per algebra, on the first product; the reduced norm det S(x) and the
+inverse adj S(x) / det S(x) come from the cofactors of column 0
 of S(x), one adjugate row; and signatures are those of the
 `hermitian.HermitianForm` D S(h) over L, D the involution's splitting
 conjugator.  The nine E-basis elements y^i X^j have one order, _LABELS.
@@ -304,44 +305,47 @@ class CyclicAlgebra(Parent):
                 for i, j in _LABELS]
 
     def multiply(self, x, y):
-        """Row 0 of S(x) S(y) = S(xy), the parts of xy: the sum of
-        b_k * (row k of S(y)) over the nonzero parts b_k of x.  The rows
-        of S(y) whose b_k is zero are not built."""
-        parts = x.parts
-        ks = [k for k, b in enumerate(parts) if not b.is_zero()]
-        out = [self.ext.zero()] * 3
-        for k, row in zip(ks, self._rows(y, ks)):
-            out = [u + parts[k] * v for u, v in zip(out, row)]
-        return self._join(out)
+        """xy, the parts of row 0 of S(x) S(y): one `field._mul` on A's
+        Q-structure table."""
+        return _mul(self._table, x, y)
 
-    def _rows(self, x, ks):
-        """The rows k in ks (ascending) of S(x), x = b0 + b1 X + b2 X^2:
-        entry (k, c) is tau^k(b_{(c - k) mod 3}), times alpha when c < k.
-        This is the one statement of the relations X^3 = alpha and
-        X b = tau(b) X; tau is applied only up to the last row asked for."""
+    @functools.cached_property
+    def _table(self):
+        """A's Q-structure table for `field._mul`, `_encode`'s (rows, den),
+        read off S and built once, on the first product.  The a-th Q-basis
+        element is e X^j, e in L's Q-basis, so row 0 of its S is e in
+        column j, and its product with the b-th is e times row j of S(b-th)."""
+        n = self._dim
+        S = [self._rows(q) for q in self._q_basis()]
+        rows, den = _encode([self._join([e * v if v else v for v in s[j]])
+                             for j in range(3) for e in self.ext._q_basis()
+                             for s in S])
+        return [rows[a:a + n] for a in range(0, n * n, n)], den
+
+    def _rows(self, x):
+        """The rows of S(x), x = b0 + b1 X + b2 X^2: entry (k, c) is
+        tau^k(b_{(c - k) mod 3}), times alpha when c < k.  This is the one
+        statement of the relations X^3 = alpha and X b = tau(b) X; the
+        product table, the reduced norm and the signatures read it."""
         parts, rows = x.parts, []
-        for k in range(ks[-1] + 1 if ks else 0):
+        for k in range(3):
             if k:
-                parts = [self.ext.tau_of(b) for b in parts]
-            if k in ks:
-                row = [parts[(c - k) % 3] for c in range(3)]
-                for c in range(k):
-                    if not row[c].is_zero():
-                        row[c] = row[c] * self.alpha
-                rows.append(row)
+                parts = [self.ext.tau_of(b) if b else b for b in parts]
+            row = [parts[(c - k) % 3] for c in range(3)]
+            rows.append([v * self.alpha_L if c < k and v else v
+                         for c, v in enumerate(row)])
         return rows
 
     def splitting_matrix(self, x):
         """Image in Mat(3; L), the rows of `_rows`."""
-        return linalg.mat(self._rows(x, (0, 1, 2)))
+        return linalg.mat(self._rows(x))
 
     def _norm_and_adjugate(self, x):
         """(Nrd(x), row 0 of adj S(x)): det S(x) by cofactor expansion
         along column 0.  With t_k = tau(b_k) and s_k = tau^2(b_k) the row
         is (t0 s0 - alpha t1 s2, alpha b2 s2 - b1 s0, b1 t1 - b2 t0) and
         Nrd(x) = b0 adj0 + alpha (t2 adj1 + s1 adj2)."""
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
-            self._rows(x, (0, 1, 2))
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self._rows(x)
         adj = (m11 * m22 - m12 * m21, m02 * m21 - m01 * m22,
                m01 * m12 - m02 * m11)
         d = m00 * adj[0] + m10 * adj[1] + m20 * adj[2]

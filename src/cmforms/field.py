@@ -10,7 +10,8 @@ The isolators also prove the minimal polynomial irreducible
 (`_is_irreducible`).  An element of E, L or A stores its flat
 Q-coordinates, `coords`, which only `Parent.from_rationals`, `_split` and
 `_join` lay out; the integer kernel (`_encode`, `_mul`, `_apply`,
-`_decode`; Cohen, GTM 138, Sec. 4.2) reads and writes only `coords`.
+`_decode`; Cohen, GTM 138, Sec. 4.2) reads and writes only `coords`, and
+runs the products of L and A off their Q-structure tables.
 """
 
 from fractions import Fraction
@@ -482,6 +483,9 @@ def _pad(coords, s):
 
 # --- the integer kernel ----------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
 def _encode(elements):
     """(rows, den) for elements of one level: row k lists (a, n) for each
     nonzero Q-coordinate n / den of elements[k], a its index in `coords`
@@ -523,7 +527,8 @@ def _apply(qmap, x):
 
 def _decode(parent, acc, den):
     """The element of parent whose `coords` are n / den, n in acc."""
-    return parent.from_rationals([Fraction(n, den) for n in acc])
+    return parent.from_rationals([Fraction(n, den) if n else _ZERO
+                                  for n in acc])
 
 
 # --- constructions -------------------------------------------------------

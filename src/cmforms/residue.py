@@ -44,6 +44,7 @@ def _primes_below(n):
 
 # `_factor`'s trial divisors: a cofactor without them below 2^26 is prime
 _TRIAL_PRIMES = _primes_below(1 << 13)
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 # Brent-rho squarings per cofactor >= _MR_BOUND, enough for its primes below
 # about 1e10; a smaller composite has one below 1.9e12 and gets no budget.
@@ -118,7 +119,8 @@ def _iroot(m, k):
 def _factor(n):
     """(primes, unsplit) for an integer n >= 1: {prime: exponent} and
     {cofactor: multiplicity}, whose product is n.  Trial division by
-    _TRIAL_PRIMES until p^2 > n; then a cofactor below 2^26 or one that
+    _TRIAL_PRIMES until p^2 > n, skipped for an n >= 2^26 that none of
+    them divides (one gcd); then a cofactor below 2^26 or one that
     `_is_prime` proves is a prime, a j-th power is its root j times (a
     root is > 2^13, so j <= bits / 13), and
     any other is split by `_rho_split` (within _RHO_STEPS squarings from
@@ -126,7 +128,11 @@ def _factor(n):
     if n < 1:
         raise ValueError("can only factor an integer n >= 1, got %r" % (n,))
     primes, unsplit = {}, {}
-    for p in _TRIAL_PRIMES:
+    # from 2^26 up, p^2 > n cannot end the scan, which divides out nothing
+    # when gcd(n, _TRIAL_PRODUCT) = 1
+    trial = _TRIAL_PRIMES if n < 1 << 26 or gcd(n, _TRIAL_PRODUCT) > 1 \
+        else ()
+    for p in trial:
         if p * p > n:
             break
         while n % p == 0:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import cmforms
 import oracles
-from cmforms import linalg
+from cmforms import calgebra, linalg
 from cmforms.calgebra import (_LABELS, AlgebraElement, AlgebraError,
                               CyclicAlgebra,
                               CubicExtElement, CyclicCubicExtension,
@@ -469,11 +469,13 @@ def test_involution_images_are_read_only(builtin):
 
 
 def test_e_multiplication_counts(builtin, monkeypatch):
-    # pins the cost of the cofactor norm and inverse, of a product with a
-    # sparse left factor and of the involution check, in E-multiplications
-    # and in L-multiplications; an L-product, tau, the conjugation and the
-    # involution make no E-product, since all four are read off the integer
-    # kernel, so the E-products left are the one each inverse in E makes
+    # pins the cost of the cofactor norm and inverse, of a product and of
+    # the involution check, in E-multiplications and in L-multiplications;
+    # an L-product, an A-product, tau, the conjugation and the involution
+    # make no E-product, since all five are read off the integer kernel, so
+    # the E-products left are the one each inverse in E makes, and an
+    # A-product (its table built with the built-in algebra) makes no
+    # L-product but one `field._mul` call
     algebra, involution = builtin
     rng = random.Random(5)
     x = _random_A(algebra, rng)
@@ -500,8 +502,14 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     e_inv, l_inv = count(lambda: algebra.inverse(x))
     e_xy, l_xy = count(lambda: X * y)
     e_inv_check, l_inv_check = count(lambda: verify_involution(involution))
-    assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 4, 249)
+    assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 0, 78)
     assert e_nrd == 0 and e_inv <= 1 and e_xy == 0
+    assert count(lambda: x * y) == (0, 0)
+    xy, tables, mul = _product_oracle(algebra, x, y), [], calgebra._mul
+    monkeypatch.setattr(calgebra, "_mul",
+                        lambda t, a, b: tables.append(t) or mul(t, a, b))
+    assert x * y == xy
+    assert len(tables) == 1 and tables[0] is algebra._table
     assert e_inv_check <= 4
     b = x.parts[1]
     assert count(lambda: algebra.ext.tau_of(b)) == (0, 0)
@@ -712,15 +720,35 @@ def _product_oracle(algebra, x, y):
     return algebra.element(*parts)
 
 
-def test_product_matches_the_defining_relations(builtin):
-    algebra, _ = builtin
-    basis = algebra.basis()
+def _product_algebras():
+    """The built-in algebra, the Q(zeta5) one of the elimination test
+    (Q-dimension 36) and the split algebra alpha = 1 on the built-in L."""
+    builtin = builtin_example()[0]
+    E = make_cyclotomic(5)
+    ext = CyclicCubicExtension(E, [-1, -2, 1, 1], [-2, 0, 1], [0, 1])
+    return {"builtin": builtin,
+            "qzeta5": CyclicAlgebra(ext, E.element([2, 1],
+                                                   [Fraction(1, 2), 0])),
+            "split": CyclicAlgebra(builtin.ext, 1)}
+
+
+@pytest.mark.parametrize("name", ["builtin", "qzeta5", "split"])
+def test_product_matches_the_defining_relations(name):
+    # every pair of Q-basis elements (each entry of the product table),
+    # then random pairs, dense or with one or two zero parts, on either side
+    algebra = _product_algebras()[name]
+    basis = algebra._q_basis()
     for a in basis:
         for b in basis:
             assert a * b == _product_oracle(algebra, a, b)
     rng = random.Random(9)
-    for _ in range(20):
-        x, y = _random_A(algebra, rng), _random_A(algebra, rng)
+
+    def random_L(r):
+        return _oracle_element(algebra.ext, r)
+    xs = _oracle_cases(algebra, random_L, rng)
+    ys = _oracle_cases(algebra, random_L, rng)
+    rng.shuffle(ys)
+    for x, y in zip(xs + ys, ys + xs):
         assert x * y == _product_oracle(algebra, x, y)
 
 

@@ -12,7 +12,7 @@ from math import prod
 import pytest
 import sympy
 
-from cmforms.residue import _MR_BOUND, _factor, _is_prime
+from cmforms.residue import _MR_BOUND, _TRIAL_PRIMES, _factor, _is_prime
 
 # n - 1 = 10 (10^19 + 51)(2 10^19 + 11): a 40-digit prime whose n - 1 has a
 # cofactor beyond the rho budget, so the n - 1 test cannot prove it
@@ -94,6 +94,24 @@ def test_small_primes_beyond_the_bound_are_split():
         assert n >= _MR_BOUND and _factor(n) == _proved(n), n
     n = (10 ** 10 + 19) * _random_prime(rng, 15)
     assert n >= _MR_BOUND and _factor(n) == _proved(n)
+
+
+def test_primes_past_the_trial_bound_skip_the_scan():
+    # from 2^26 up a prime is tested by one gcd with the trial primes'
+    # product, not by all 1,028 of them; a trial prime in n still is found
+    rng = random.Random(26)
+    large = [sympy.nextprime(rng.randrange(lo, 10 * lo))
+             for lo in (1 << 26, 10 ** 9, 10 ** 12, 10 ** 15, 10 ** 17)]
+    large.append(sympy.prevprime(10 ** 18))
+    for p in large:
+        assert (1 << 26) <= p <= 10 ** 18
+        assert _factor(p) == _proved(p) == ({p: 1}, {})
+        for _ in range(3):
+            n = p * prod(rng.choice(_TRIAL_PRIMES) ** rng.randint(1, 3)
+                         for _ in range(rng.randint(1, 3)))
+            assert _factor(n) == _proved(n), n
+    assert _factor(_TRIAL_PRIMES[-1] * large[0]) == \
+        _proved(_TRIAL_PRIMES[-1] * large[0])
 
 
 def test_zero_is_refused():
