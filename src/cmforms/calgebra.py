@@ -10,17 +10,18 @@ conjugation and an involution of A run on `field`'s integer kernel, off a
 Q-structure table or a sparse Q-linear map; an inverse in L is
 tau(x) tau^2(x) / N(x).  The structure of A is stated once, by the
 splitting S: A -> Mat(3, L), an injective homomorphism (Reiner, Maximal
-Orders, Sec. 9), and everything in A goes through it: a product xy is
-row 0 of S(x) S(y), one `field._mul` on A's Q-structure table, read off S
-once per algebra, on the first product; the reduced norm det S(x) and the
-inverse adj S(x) / det S(x) come from the cofactors of column 0
-of S(x), one adjugate row; and signatures are those of the
-`hermitian.HermitianForm` D S(h) over L, D the involution's splitting
-conjugator.  The nine E-basis elements y^i X^j have one order, _LABELS.
-The module also provides a verified involution of second kind, the
-unitary-group membership predicate x* h x = h and a bounded division
-search, both answering with a `field.Verdict` (the membership scalar, the
-norm witness).  `serialize` alone reads and writes its JSON.
+Orders, Sec. 9), on integer numerators: five Q-linear maps of L applied to
+x's parts, encoded once, give S(x).  Everything in A goes through it: a
+product xy is row 0 of S(x) S(y), one `field._mul` on A's Q-structure
+table, read off S on the first product; the reduced norm det S(x) and the
+inverse adj S(x) / det S(x) come from the cofactors of column 0 of S(x),
+integer products on L's table decoded once; and signatures are those of
+the `hermitian.HermitianForm` D S(h) over L, D the splitting conjugator.
+The nine E-basis elements y^i X^j have one order, _LABELS.  The module
+also provides a verified involution of second kind, the unitary-group
+membership predicate x* h x = h and a bounded division search, both
+answering with a `field.Verdict` (the membership scalar, the norm
+witness).  `serialize` alone reads and writes its JSON.
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -31,12 +32,13 @@ import functools
 import itertools
 import types
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from . import linalg
 from .field import (CommutativeElement, Element, FieldElement, FieldError,
                     Parent, TotallyRealField, Verdict, _apply, _candidates,
-                    _encode, _mul, make_cyclotomic)
+                    _decode, _encode, _image, _mul, _prod, _sparse,
+                    make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
 
@@ -312,60 +314,83 @@ class CyclicAlgebra(Parent):
     @functools.cached_property
     def _table(self):
         """A's Q-structure table for `field._mul`, `_encode`'s (rows, den),
-        read off S and built once, on the first product.  The a-th Q-basis
+        read off `_rows` once, on the first product.  The a-th Q-basis
         element is e X^j, e in L's Q-basis, so row 0 of its S is e in
-        column j, and its product with the b-th is e times row j of S(b-th)."""
-        n = self._dim
-        S = [self._rows(q) for q in self._q_basis()]
-        rows, den = _encode([self._join([e * v if v else v for v in s[j]])
-                             for j in range(3) for e in self.ext._q_basis()
-                             for s in S])
-        return [rows[a:a + n] for a in range(0, n * n, n)], den
+        column j, and its product with the b-th is e times row j of S(b-th),
+        the parts' numerators in turn, as `_join` lays them out."""
+        lrows, t = self.ext._table
+        S = [[[_sparse(v) for v in row] for row in self._rows(q)[0]]
+             for q in self._q_basis()]  # over `_maps`' den: q's den is 1
+        return [[_sparse([n for v in s[j] for n in _prod(lrows, [(e, 1)], v)])
+                 for s in S] for j in range(3) for e in range(len(lrows))], \
+            self._maps[1] * t
+
+    @functools.cached_property
+    def _maps(self):
+        """The Q-linear maps of L that make up S, b -> b, tau(b), tau^2(b),
+        alpha tau(b) and alpha tau^2(b), `_encode`'s rows over one den."""
+        ext, m = self.ext, self.ext._dim
+        t = [ext.tau_of(b) for b in ext._q_basis()]
+        tt = [ext.tau_of(b) for b in t]
+        rows, den = _encode(ext._q_basis() + t + tt
+                            + [self.alpha_L * b for b in t + tt])
+        return [rows[i:i + m] for i in range(0, 5 * m, m)], den
 
     def _rows(self, x):
-        """The rows of S(x), x = b0 + b1 X + b2 X^2: entry (k, c) is
-        tau^k(b_{(c - k) mod 3}), times alpha when c < k.  This is the one
-        statement of the relations X^3 = alpha and X b = tau(b) X; the
-        product table, the reduced norm and the signatures read it."""
-        parts, rows = x.parts, []
-        for k in range(3):
-            if k:
-                parts = [self.ext.tau_of(b) if b else b for b in parts]
-            row = [parts[(c - k) % 3] for c in range(3)]
-            rows.append([v * self.alpha_L if c < k and v else v
-                         for c, v in enumerate(row)])
-        return rows
+        """S(x) on integer numerators, (rows, den): the parts b0, b1, b2 of
+        x are encoded once, and entry (k, c), tau^k(b_{(c - k) mod 3}) times
+        alpha when c < k, is that part's image by `_maps`[k + 2(c < k)].
+        This is the one statement of X^3 = alpha and X b = tau(b) X; the
+        product table, the reduced norm, the inverse and signatures read it."""
+        maps, den = self._maps
+        parts, d = _encode(x.parts)
+        return [[_image(maps[k + 2 * (c < k)], parts[(c - k) % 3])
+                 for c in range(3)] for k in range(3)], d * den
 
     def splitting_matrix(self, x):
-        """Image in Mat(3; L), the rows of `_rows`."""
-        return linalg.mat(self._rows(x))
+        """Image in Mat(3; L), the rows of `_rows` decoded."""
+        rows, den = self._rows(x)
+        return linalg.mat([[_decode(self.ext, v, den) for v in row]
+                           for row in rows])
 
     def _norm_and_adjugate(self, x):
-        """(Nrd(x), row 0 of adj S(x)): det S(x) by cofactor expansion
-        along column 0.  With t_k = tau(b_k) and s_k = tau^2(b_k) the row
-        is (t0 s0 - alpha t1 s2, alpha b2 s2 - b1 s0, b1 t1 - b2 t0) and
-        Nrd(x) = b0 adj0 + alpha (t2 adj1 + s1 adj2)."""
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self._rows(x)
-        adj = (m11 * m22 - m12 * m21, m02 * m21 - m01 * m22,
-               m01 * m12 - m02 * m11)
-        d = m00 * adj[0] + m10 * adj[1] + m20 * adj[2]
-        if not d.is_in_E():
+        """(Nrd(x), adj, den): det S(x) by cofactor expansion along column
+        0, and adj the numerators over den of row 0 of adj S(x), by `_prod`
+        on L's table from `_rows`.  With t_k = tau(b_k), s_k = tau^2(b_k)
+        the row is (t0 s0 - alpha t1 s2, alpha b2 s2 - b1 s0, b1 t1 - b2 t0)
+        and Nrd(x) = b0 adj0 + alpha (t2 adj1 + s1 adj2)."""
+        rows, d = self._rows(x)
+        lrows, t = self.ext._table
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = [
+            [_sparse(v) for v in row] for row in rows]
+
+        def minor(a, b, c, e):  # the numerators of ab - ce
+            return list(map(sub, _prod(lrows, a, b), _prod(lrows, c, e)))
+        adj = (minor(m11, m22, m12, m21), minor(m02, m21, m01, m22),
+               minor(m01, m12, m02, m11))
+        terms = [_prod(lrows, m, _sparse(a))
+                 for m, a in zip((m00, m10, m20), adj)]
+        det = _decode(self.ext, list(map(sum, zip(*terms))), d ** 3 * t * t)
+        if not det.is_in_E():
             raise AlgebraError("reduced norm did not land in E")
-        return d.coeffs[0], adj
+        return det.coeffs[0], adj, d * d * t
 
     def reduced_norm(self, x):
         """Nrd(x) = det S(x), an element of E."""
         return self._norm_and_adjugate(x)[0]
 
     def inverse(self, x):
-        """x^-1 = adj S(x) / Nrd(x) read off row 0: row 0 of S(y) is the
-        parts (b0, b1, b2) of y.  Raises ZeroDivisionError if Nrd(x) = 0,
-        i.e. if x is a zero divisor."""
-        n, adj = self._norm_and_adjugate(x)
+        """x^-1 = adj S(x) / Nrd(x) read off row 0, the parts of x^-1: the
+        cofactor row scaled by Nrd(x)^-1 on its numerators.  Raises
+        ZeroDivisionError if Nrd(x) = 0, i.e. if x is a zero divisor."""
+        n, adj, den = self._norm_and_adjugate(x)
         if n.is_zero():
             raise ZeroDivisionError("inverse of zero or a zero divisor in A")
-        ninv = n.inverse()
-        return self._join([a * ninv for a in adj])
+        lrows, t = self.ext._table
+        (ninv,), e = _encode((self.ext.from_E(n.inverse()),))
+        return _decode(self, [c for a in adj
+                              for c in _prod(lrows, _sparse(a), ninv)],
+                       den * e * t)
 
 
 # --- division candidate ---------------------------------------------------

@@ -9,9 +9,11 @@ the stored root isolators; zero testing is exact coordinate comparison.
 The isolators also prove the minimal polynomial irreducible
 (`_is_irreducible`).  An element of E, L or A stores its flat
 Q-coordinates, `coords`, which only `Parent.from_rationals`, `_split` and
-`_join` lay out; the integer kernel (`_encode`, `_mul`, `_apply`,
-`_decode`; Cohen, GTM 138, Sec. 4.2) reads and writes only `coords`, and
-runs the products of L and A off their Q-structure tables.
+`_join` lay out.  The integer kernel (Cohen, GTM 138, Sec. 4.2) reads and
+writes only `coords`: `_encode` and `_decode` turn them into integer
+numerators over one denominator and back, and between them `_prod` (by a
+Q-structure table) and `_image` (by a Q-linear map) run on numerators
+alone: once in `_mul` and `_apply`, chained in A's table and norm.
 """
 
 from fractions import Fraction
@@ -503,6 +505,11 @@ def _mul(table, x, y):
     `_encode`'s row of the product of the a-th and b-th `_q_basis` element."""
     rows, den = table
     (xs, ys), d = _encode((x, y))
+    return _decode(x.parent, _prod(rows, xs, ys), d * d * den)
+
+
+def _prod(rows, xs, ys):
+    """The numerators of xs ys, both `_encode`'s rows, by the table rows."""
     acc = [0] * len(rows)
     for a, u in xs:
         row = rows[a]
@@ -510,7 +517,7 @@ def _mul(table, x, y):
             uv = u * v
             for k, c in row[b]:
                 acc[k] += uv * c
-    return _decode(x.parent, acc, d * d * den)
+    return acc
 
 
 def _apply(qmap, x):
@@ -518,11 +525,21 @@ def _apply(qmap, x):
     with row a the image of the a-th element of `Parent._q_basis`."""
     rows, den = qmap
     (xs,), dx = _encode((x,))
+    return _decode(x.parent, _image(rows, xs), dx * den)
+
+
+def _image(rows, xs):
+    """The numerators of the image of `_encode`'s row xs by the map rows."""
     acc = [0] * len(rows)
     for a, u in xs:
         for k, c in rows[a]:
             acc[k] += u * c
-    return _decode(x.parent, acc, dx * den)
+    return acc
+
+
+def _sparse(acc):
+    """`_encode`'s row of the numerators acc, for a further `_prod`."""
+    return [(k, n) for k, n in enumerate(acc) if n]
 
 
 def _decode(parent, acc, den):

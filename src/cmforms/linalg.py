@@ -2,8 +2,9 @@
 
 Elements must support +, -, *, unary -, inverse() or /, equality, and
 is_zero(); `congruence_diagonal` and `conj_transpose` read each entry's
-own conjugate().  Matrices are tuples of tuples.  Used both for CM-field
-matrices and for matrices over the cubic extension in the algebra module.
+own conjugate(), and `inverse` its parent's one() and zero().  Matrices
+are tuples of tuples.  Used both for CM-field matrices and for matrices
+over the cubic extension in the algebra module.
 `mat_mul` skips zero terms: the catalog generators, the embedded integer
 matrices and the diagonal forms are mostly zeros, so a product of two
 such matrices costs far fewer than n^3 multiplications.
@@ -179,8 +180,7 @@ def inverse(A):
     nz = next((x for r in A for x in r if not x.is_zero()), None)
     if nz is None:
         raise ZeroDivisionError("matrix is singular")
-    one = nz * nz.inverse()
-    zero = nz - nz
+    one, zero = nz.parent.one(), nz.parent.zero()
     M = [list(r) + [one if i == j else zero for j in range(n)]
          for i, r in enumerate(A)]
     for col in range(n):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import cmforms
 import oracles
-from cmforms import calgebra, linalg
+from cmforms import calgebra, field, linalg
 from cmforms.calgebra import (_LABELS, AlgebraElement, AlgebraError,
                               CyclicAlgebra,
                               CubicExtElement, CyclicCubicExtension,
@@ -271,27 +271,44 @@ def _parts_element(algebra, random_L, rng, ks):
 
 
 def _assert_matches_elimination(algebra, x):
-    # Nrd(x) = det S(x) and x^-1 = row 0 of S(x)^-1, by exact elimination
+    # Nrd(x) = det S(x), the cofactor row is that of column 0 of S(x), and
+    # x^-1 = row 0 of S(x)^-1, by exact elimination
     S = algebra.splitting_matrix(x)
     d = linalg.det(S)
-    assert d.is_in_E() and algebra.reduced_norm(x) == d.coeffs[0]
+    n, adj, den = algebra._norm_and_adjugate(x)
+    assert d.is_in_E() and n.coords == d.coeffs[0].coords
+    minors = [linalg.det([row[1:] for r, row in enumerate(S) if r != k])
+              for k in range(3)]
+    assert [field._decode(algebra.ext, a, den).coords for a in adj] == [
+        (-m if k == 1 else m).coords for k, m in enumerate(minors)]
     if d.is_zero():
         with pytest.raises(ZeroDivisionError):
             algebra.inverse(x)
     else:
-        assert algebra.inverse(x).parts == tuple(linalg.inverse(S)[0])
+        assert [b.coords for b in algebra.inverse(x).parts] == [
+            b.coords for b in linalg.inverse(S)[0]]
 
 
 def test_cofactors_match_the_elimination_oracle(builtin):
-    algebra, _ = builtin
+    # on every L of _oracle_extensions(), so that the common denominator of
+    # the maps of S is checked where it is not 1 (Q(sqrt(-3/2)), alpha with
+    # a denominator) and where c(y) = -y; the split algebra's 1 - X and X
+    # have Nrd 0 and 1
     rng = random.Random(12)
-    cases = []
-    for _ in range(4):
-        cases += _oracle_cases(algebra,
-                               lambda r: _random_L(algebra.ext, r), rng)
-    assert len(cases) >= 40
-    for x in cases:
-        _assert_matches_elimination(algebra, x)
+    for name, ext in _oracle_extensions().items():
+        E, s = ext.E, ext.E.s
+        algebra = builtin[0] if name == "qi" else CyclicAlgebra(
+            ext, E.element([2] + [1] * (s - 1), [Fraction(1, 2)]))
+        cases = []
+        for _ in range(4 if name == "qi" else 2):
+            cases += _oracle_cases(algebra,
+                                   lambda r: _oracle_element(ext, r), rng)
+        assert len(cases) >= 20
+        for x in cases:
+            _assert_matches_elimination(algebra, x)
+        split = CyclicAlgebra(ext, 1)
+        for x in (split.one() - split.X(), split.X()):
+            _assert_matches_elimination(split, x)
 
 
 def test_cofactors_match_the_elimination_oracle_over_qzeta5():
@@ -473,9 +490,10 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     # the involution check, in E-multiplications and in L-multiplications;
     # an L-product, an A-product, tau, the conjugation and the involution
     # make no E-product, since all five are read off the integer kernel, so
-    # the E-products left are the one each inverse in E makes, and an
-    # A-product (its table built with the built-in algebra) makes no
-    # L-product but one `field._mul` call
+    # the E-products left are the one each inverse in E makes; an A-product
+    # (its table built with the built-in algebra) makes no L-product but
+    # one `field._mul` call, and the reduced norm and the inverse make no
+    # L-product: they run on the integer rows of S(x), encoding x once
     algebra, involution = builtin
     rng = random.Random(5)
     x = _random_A(algebra, rng)
@@ -502,7 +520,7 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     e_inv, l_inv = count(lambda: algebra.inverse(x))
     e_xy, l_xy = count(lambda: X * y)
     e_inv_check, l_inv_check = count(lambda: verify_involution(involution))
-    assert (l_nrd, l_inv, l_xy, l_inv_check) == (12, 15, 0, 78)
+    assert (l_nrd, l_inv, l_xy, l_inv_check) == (0, 0, 0, 68)
     assert e_nrd == 0 and e_inv <= 1 and e_xy == 0
     assert count(lambda: x * y) == (0, 0)
     xy, tables, mul = _product_oracle(algebra, x, y), [], calgebra._mul
@@ -511,6 +529,12 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     assert x * y == xy
     assert len(tables) == 1 and tables[0] is algebra._table
     assert e_inv_check <= 4
+    encodes, encode = [], field._encode
+    for module in (field, calgebra):
+        monkeypatch.setattr(module, "_encode",
+                            lambda xs: encodes.append(xs) or encode(xs))
+    algebra.reduced_norm(x)
+    assert encodes == [x.parts]  # x, once
     b = x.parts[1]
     assert count(lambda: algebra.ext.tau_of(b)) == (0, 0)
     assert count(lambda: b.conjugate()) == (0, 0)

@@ -245,13 +245,29 @@ def test_field_parent_alone_states_the_parent_protocol():
 
 
 def test_field_alone_defines_the_integer_kernel():
-    # _encode, _mul, _apply and _decode are defined in field and nowhere else
-    kernel = {"_encode", "_mul", "_apply", "_decode"}
+    # the kernel's functions are defined in field and nowhere else
+    kernel = {"_encode", "_mul", "_prod", "_apply", "_image", "_sparse",
+              "_decode"}
     defined = {(module, n.name) for module, tree in _module_trees()
                for n in ast.walk(tree)
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                and n.name in kernel}
     assert defined == {("field.py", name) for name in kernel}
+
+
+def test_calgebra_states_the_splitting_once():
+    # in calgebra only S's integer rows (`_rows`) and the builder of the
+    # maps they apply (`_maps`) read alpha_L, so X^3 = alpha and
+    # X b = tau(b) X are stated there alone
+    tree = dict(_module_trees())["calgebra.py"]
+
+    def reads(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "alpha_L"
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+    allowed = sum(reads(fn) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name in {"_rows", "_maps"})
+    assert reads(tree) == allowed > 0
 
 
 def test_field_alone_lays_out_the_coordinates():
