@@ -405,7 +405,8 @@ def is_division_candidate(algebra, budget=10 ** 4):
     Tries the first `budget` candidates; the budget alone bounds the walk.
     A witness certifies NotDivision (alpha is a norm, so the algebra has
     zero divisors) and is the Verdict's `witness`; exhaustion yields
-    Unknown since no complete local test is implemented here."""
+    Unknown, whose trace names the candidates tried, since no complete
+    local test is implemented here."""
     ext = algebra.ext
     # simplest candidates first: small L1 norm, positive leading signs
     candidates = _candidates(ext._dim, l1_first=True)
@@ -413,7 +414,10 @@ def is_division_candidate(algebra, budget=10 ** 4):
         gamma = ext.from_rationals(c)
         if gamma.relative_norm() == algebra.alpha:
             return Verdict(NOT_DIVISION, witness=gamma)
-    return Verdict(UNKNOWN)
+    # the enumerator is endless, so exhaustion means budget candidates
+    return Verdict(UNKNOWN, trace=[
+        "norm-witness search tried %d candidates gamma in L, none with "
+        "N(gamma) = alpha" % max(budget, 0)])
 
 
 # --- involutions of second kind -------------------------------------------

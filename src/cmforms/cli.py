@@ -7,8 +7,8 @@ one JSON object per line, one per enumerated group.  Run as a program,
 it exits 1 without a traceback when its reader closes stdout early (as
 `| head` does).
 
-Budgets: weak-approximation max-norm 20, norm-witness search 10^4
-candidates, closure cap 10^4 elements; all adjustable by flags, which,
+Budgets (the negative slot is built, with none): norm-witness search
+10^4 candidates, closure cap 10^4 elements; adjustable by flags, which,
 like `--max-m`, refuse a negative value (exit 2).  Over Q the norm
 budget bounds the search only when d or delta stays unsplit: a decided
 norm gets its witness by descent.  Factoring spends at most 5*10^5
@@ -101,7 +101,11 @@ def cmd_average(args):
 
 def cmd_embed_first_type(args):
     entry = catalog_entry(args.name)
-    field, H, group = groups.embed_first_type(entry, args.budget)
+    field, H, group = groups.embed_first_type(entry)
+    s = field.s  # the slot's pattern: - at place 0, + at the others
+    slot = "built the negative slot from %s and certified its %d sign%s: %s" \
+        % ("the sign change between places 0 and 1" if s > 1 else
+           "no sign change", s, "s" * (s > 1), ", ".join("-" + "+" * (s - 1)))
     payload = {
         "field": serialize.field_to_json(field),
         "form": serialize.form_to_json(H),
@@ -109,7 +113,7 @@ def cmd_embed_first_type(args):
         "order": group.order,
     }
     return CommandResult("ok", payload,
-                         ["weak approximation found the negative slot",
+                         [slot,
                           "verified admissibility",
                           "verified exact invariance under the generators "
                           "(%d of them); their closure has order %d"
@@ -121,7 +125,7 @@ def cmd_regular_embed(args):
     field = serialize.field_from_json(_load_json(args.field))
     rep = groups.regular_rep(table)
     H, rho = groups.regular_embed(rep, field, args.n, args.cls,
-                                  args.budget, args.norm_budget)
+                                  norm_budget=args.norm_budget)
     payload = {
         "form": serialize.form_to_json(H),
         "generators": [serialize.matrix_to_json(rho[g])
@@ -192,7 +196,7 @@ def cmd_algebra_check(args):
         payload["division"] = verdict.status
         if verdict == UNKNOWN:
             status = "unknown"
-            trace.append("norm-witness search exhausted the budget")
+            trace.extend(verdict.trace)
         else:
             trace.append("found a norm witness: the algebra has zero "
                          "divisors")
@@ -252,12 +256,6 @@ def build_parser():
 
     norm_help = ("norm-witness search budget (over Q: only when d or delta"
                  " stays unsplit)")
-    def add_budgets(sp, norm=False):
-        sp.add_argument("--budget", type=nonnegative, default=20,
-                        help="weak-approximation max-norm budget")
-        if norm:
-            sp.add_argument("--norm-budget", type=nonnegative,
-                            default=10 ** 4, help=norm_help)
 
     sp = sub.add_parser("invariants", help="form invariants")
     sp.add_argument("--form", required=True)
@@ -282,7 +280,6 @@ def build_parser():
     sp = sub.add_parser("embed-first-type",
                         help="admissible form for a catalog group")
     sp.add_argument("name")
-    add_budgets(sp)
     sp.set_defaults(func=cmd_embed_first_type)
 
     sp = sub.add_parser("regular-embed",
@@ -293,7 +290,8 @@ def build_parser():
     sp.add_argument("--cls", choices=[groups.DEFAULT_CLASS,
                                       groups.OTHER_CLASS],
                     default=groups.DEFAULT_CLASS)
-    add_budgets(sp, norm=True)
+    sp.add_argument("--norm-budget", type=nonnegative, default=10 ** 4,
+                    help=norm_help)
     sp.set_defaults(func=cmd_regular_embed)
 
     sp = sub.add_parser("dgroup", help="metacyclic group verdicts")

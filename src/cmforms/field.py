@@ -98,6 +98,8 @@ class TotallyRealField:
             raise FieldError("polynomial is not totally real")
         if not _is_irreducible(p, self._isolators):
             raise FieldError("minimal polynomial is reducible over Q")
+        # between consecutive roots, taken before `_refine` moves them
+        self._separators = tuple(hi for _, hi in self._isolators[:-1])
 
     def _refine(self, ell):
         lo, hi = self._isolators[ell]
@@ -619,19 +621,21 @@ def validate_sign_pattern(field, pattern):
     return pattern
 
 
-def weak_approx_find(field, pattern, budget=20):
-    """Element of F with prescribed signs at every real embedding.
-
-    Tries integer coordinate vectors up to max-norm `budget`; a failure is
-    always a budget artifact, never a nonexistence claim.
-    """
+def weak_approx_find(field, pattern):
+    """Element of F with prescribed signs at every real embedding, by the
+    approximation theorem (Neukirch II Sec. 3): the last sign times the
+    product of x - r over the `_separators` r where the pattern changes
+    sign.  Each sign is certified, or VerificationError is raised."""
     pattern = validate_sign_pattern(field, pattern)
-    s = field.degree
-    for coords in _candidates(s, budget):
-        signs = tuple(field.sign_of_coords(coords, ell) for ell in range(s))
-        if signs == pattern:
-            return _frac_tuple(coords)
-    raise BudgetExceeded("no sign-pattern witness with max-norm <= %d" % budget)
+    q = (Fraction(pattern[-1]),)
+    for r, a, b in zip(field._separators, pattern, pattern[1:]):
+        if a != b:
+            q = polyn.pmul(q, (-r, Fraction(1)))
+    coords = _frac_tuple(_pad(q, field.degree))
+    if any(field.sign_of_coords(coords, ell) != e
+           for ell, e in enumerate(pattern)):
+        raise VerificationError("sign pattern %s not met" % (pattern,))
+    return coords
 
 
 def _candidates(dim, max_norm=None, l1_first=False):

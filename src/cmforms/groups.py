@@ -145,25 +145,25 @@ def invariant_under(H, matrices):
     return True
 
 
-def _with_negative_slot(block, budget):
-    """(block + (alpha), alpha) by `with_slot`: alpha in F from weak
-    approximation, negative at the distinguished embedding and positive at
-    the others."""
+def _with_negative_slot(block):
+    """(block + (alpha), alpha) by `with_slot`: alpha in F built by
+    `weak_approx_find`, negative at the distinguished embedding and
+    positive at the others."""
     field = block.field
     pattern = (NEGATIVE,) + (POSITIVE,) * (field.s - 1)
-    alpha = field.element(weak_approx_find(field.base, pattern, budget))
+    alpha = field.element(weak_approx_find(field.base, pattern))
     return with_slot(block, alpha), alpha
 
 
-def embed_first_type(entry, budget=20):
+def embed_first_type(entry):
     """Realize a catalog group inside a first-type admissible pair.
 
-    Forms diag(1, 1, alpha) with the negative slot alpha and verifies
-    exact invariance under the whole group: under its generators, which
-    implies invariance under every product of them.  The closure is still
-    built, for the group's order."""
+    Forms diag(1, 1, alpha) with the negative slot alpha, built with no
+    search, and verifies exact invariance under the whole group: under
+    its generators, which implies invariance under every product of them.
+    The closure is still built, for the group's order."""
     field = entry.field
-    H, _ = _with_negative_slot(diagonal_form(field, [1, 1]), budget)
+    H, _ = _with_negative_slot(diagonal_form(field, [1, 1]))
     group = MatrixGroup(field, entry.generators)
     if not invariant_under(H, group.generators):
         raise VerificationError(
@@ -266,15 +266,15 @@ DEFAULT_CLASS = "default"
 OTHER_CLASS = "other"
 
 
-def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
-                  budget=20, norm_budget=10 ** 4):
+def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS, *,
+                  norm_budget=10 ** 4):
     """Admissible invariant form containing rep's group, in dimension n.
 
     Averages over the group closed from rep.generators for a positive
-    definite block, pads it with an identity block, and closes with a
-    weak-approximation negative slot; class_selector =
-    "other" lands in a different determinant class via the twisting
-    construction.  rho holds the image of every element, in table order;
+    definite block, pads it with an identity block, and closes with the
+    negative slot; class_selector = "other" lands in a different
+    determinant class via the twisting construction, which alone spends
+    `norm_budget`.  rho holds the image of every element, in table order;
     it is faithful, as `IntegralRep` proved rep an injective homomorphism
     and the identity padding keeps images distinct."""
     if n < rep.m + 1:
@@ -285,7 +285,7 @@ def regular_embed(rep, cmfield, n, class_selector=DEFAULT_CLASS,
     pad = n - 1 - rep.m
     positive_block = H_G if pad == 0 else direct_sum(
         H_G, diagonal_form(cmfield, [1] * pad))
-    H, alpha = _with_negative_slot(positive_block, budget)
+    H, alpha = _with_negative_slot(positive_block)
     if class_selector == OTHER_CLASS:
         H = _other_class(H, positive_block, alpha, norm_budget)
     rho = [_embed_int_matrix(M, cmfield, n) for M in rep.matrices]

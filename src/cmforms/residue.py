@@ -350,7 +350,8 @@ def is_norm(d, cmfield, budget=10 ** 4):
     Over Q a decided IsNorm carries the descent's witness (none only if a
     swap's modulus >= 3.3e24 stays unsplit); `budget` bounds the search,
     which runs only while the decision is open: over larger F, or while a
-    cofactor of d or delta stays unsplit."""
+    cofactor of d or delta stays unsplit.  An Unknown's trace names each
+    unsplit cofactor and the candidates the search tried."""
     d = cmfield.coerce(d)
     if not d.is_in_F():
         raise ValueError("is_norm expects an element of F")
@@ -370,7 +371,10 @@ def is_norm(d, cmfield, budget=10 ** 4):
     witness = (_descent_witness(d, cmfield, parts) if decided
                else _norm_witness(d, cmfield, budget))
     if witness is None and not decided:
+        # `_candidates` is endless, so the search took budget candidates
         return Verdict(UNKNOWN, trace=[
             "cofactor %d neither proved prime nor split by %d rho squarings"
-            % (m, _RHO_STEPS) for m in reason])
+            % (m, _RHO_STEPS) for m in reason] + [
+            "norm-witness search tried %d candidates x in E, none with "
+            "N(x) = d up to a rational square" % max(budget, 0)])
     return Verdict(IS_NORM, witness=witness)

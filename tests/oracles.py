@@ -4,6 +4,7 @@ Nothing under src/ calls them: each states directly a fact that the
 library reaches another way, or no longer needs.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from cmforms import ClosureCapExceeded, dgroups, polyn
@@ -116,3 +117,34 @@ def star_by_images(involution, x):
             acc = acc + algebra.element(*[
                 schoolbook_lmul(p, c) for p in involution.images[(i, j)].parts])
     return acc
+
+
+_ROOT_INTERVALS = {}  # min_poly -> sympy's root intervals, refined as needed
+
+
+def signs_at_real_roots(min_poly, coords):
+    """The sign of g = sum coords[i] x^i at each real root of min_poly,
+    roots ascending, inside the rational intervals of sympy's exact root
+    isolation: an interval of midpoint m and radius h is refined (by
+    doubling step counts, and kept for the next call) until |g(m)|
+    exceeds h times a bound on |g'| over it, so g keeps the sign of g(m)
+    there.  g must not vanish at a root."""
+    import sympy
+    f = sympy.Poly(list(reversed(min_poly)), sympy.Symbol("x"), domain="QQ")
+    intervals = _ROOT_INTERVALS.setdefault(
+        tuple(min_poly), [ab for ab, _ in f.intervals()])
+    signs = []
+    for k, (a, b) in enumerate(intervals):
+        steps = 1
+        while True:
+            lo, hi = (Fraction(int(e.p), int(e.q)) for e in (a, b))
+            m, top = (lo + hi) / 2, max(abs(lo), abs(hi))
+            gm = sum(c * m ** i for i, c in enumerate(coords))
+            slope = sum(abs(i * c) * top ** (i - 1)
+                        for i, c in enumerate(coords) if i)
+            if abs(gm) > slope * (hi - lo) / 2:
+                break
+            a, b = intervals[k] = f.refine_root(a, b, steps=steps)
+            steps *= 2
+        signs.append(1 if gm > 0 else -1)
+    return tuple(signs)

@@ -205,7 +205,6 @@ def test_dgroup_enumerate_checks_p_before_any_row():
 
 
 @pytest.mark.parametrize("argv", [
-    ["embed-first-type", "C2", "--budget", "-1"],
     ["equivalent", "--form", "h1.json", "--form2", "h2.json",
      "--budget", "-1"],
     ["regular-embed", "--table", "t.json", "--field", "f.json", "--n", "3",
@@ -349,15 +348,15 @@ def test_equivalent_on_an_unsplit_det_is_unknown_quickly(tmp_path):
                                "by 500000 rho squarings" % (p * q))
 
 
-def test_budget_zero_is_unknown_in_both_embeddings(tmp_path):
-    # no weak-approximation candidate at max-norm 0, also over Q(i)
-    code, doc = run_json(["embed-first-type", "C2", "--budget", "0"])
-    assert code == 3 and doc["status"] == "unknown"
-    tp = _write(tmp_path, "c2.json", {"table": [[0, 1], [1, 0]]})
-    fp = _write(tmp_path, "qi.json", serialize.field_to_json(gaussian_field()))
-    code, doc = run_json(["regular-embed", "--table", tp, "--field", fp,
-                          "--n", "3", "--budget", "0"])
-    assert code == 3 and doc["status"] == "unknown"
+@pytest.mark.parametrize("argv", [
+    ["embed-first-type", "C2", "--budget", "0"],
+    ["regular-embed", "--table", "t.json", "--field", "f.json", "--n", "3",
+     "--budget", "0"],
+], ids=lambda argv: argv[0])
+def test_the_negative_slot_has_no_budget_flag(capsys, argv):
+    # the slot is built, not searched for: no budget to set
+    assert run(argv) == (2, "")
+    assert "unrecognized arguments: --budget 0" in capsys.readouterr().err
 
 
 def test_closure_cap_is_unknown(tmp_path):

@@ -68,43 +68,43 @@ def resolve(tmp_path_factory):
 
 CASES = [
     ('embed-first-type C2', 0,
-     '8e282ee3efe1ce26f695448f4e0844d48ac8b618baf080ab898555b6dcf5f1eb'),
+     '87b5a4e429b3e7ade918d2c1d51178483c33685f84e33bb3c55335ea96815484'),
     ('embed-first-type C3', 0,
-     'ef036930f630ede98862aa68805f334bc695984b98046f81003a2d24920a7235'),
+     'dbd7295af76a974c3cdeef84075916f2105c5e513aece9eb996fe28ad58aca9c'),
     ('embed-first-type C4', 0,
-     '46d7ce9c7cdf02cdaf4d68c9cdf412a15be4fb9b65f2a83134f64b396ff7a29e'),
+     'ec464286ea779d52c75ff51e5d16ef1fc96778833ccc1dd1b005d4be36c384b5'),
     ('embed-first-type C5', 0,
-     '47f5e40053efa7784a401a80708c576c7c312456c9a26e92d336dffeaa4dbb82'),
+     '153aea320fe4958d5b49a77587270a69a7e2a36914b84199060b19dc46aceab8'),
     ('embed-first-type C7', 0,
-     '2004658494c1bd25dc55759ab196e9bd7783beb7b7f62109b943e38a9afd281c'),
+     'dad26028b3adee02831dd9a78db4057f4db32448824d34a5d4802e0acbfe69bb'),
     ('embed-first-type C8', 0,
-     'edbe3423669d33efbb01e86ee778179f19036518691eb037d21829b97a7655c3'),
+     '7afe5b3b712e7ff69f5ffef948f4539d8b1b0bd8b90fced25e6673670de4c68d'),
     ('embed-first-type C9', 0,
-     '4f879a090f7e1c01ae98db7355ce02a6a0cd484a4472d7f8af64a340cc2fad5c'),
+     'cea6038544b3cf394f8917837e4ceee1ed02991891671f6b31d0eb014708ddb7'),
     ('embed-first-type C12', 0,
-     'cfe8129871114212a839f4463f7ab589f3602732e14aa16efe5987bd07ab8e35'),
+     '325b990359c8be2b521e1d4ac91b33392c11aab9330c7f8cc0649927db32ca3f'),
     ('embed-first-type C5xU1_5', 0,
-     '280d8ba6abae2a347b692959a11fcff476f77535ebba2ce2c48d664474ad84a1'),
+     '5a60ca75df35aa82bc131c0370b92e0cc962fd577ba8999b3637323e5775a410'),
     ('embed-first-type center_zeta3', 0,
-     'b31b05412914446be8f75f92f60ef835b91c65a19e151ad02e09fea2e54bb017'),
+     'e8c76c29cebac712c8d2d234895d914d6bd588df458cb4135fca314a26a3a323'),
     ('embed-first-type Q8', 0,
-     'd1a7029f7aa142503de21865309e1d013cb4d3f89274b9b09fe8d8f086b0c312'),
+     '80c205eda8bbc438348e12dd01549e1513bbbc2a800d029bf091317c10409654'),
     ('embed-first-type Q8xU1_4', 0,
-     '3a2a3c5b66c42ee631de53091503dd407d05645e4574abd90859eaccab72f09d'),
+     'f3b4cd9ed1dbdd60bf05b2845d10345884d229e43f9d239a16eefa81a7b85c8c'),
     ('embed-first-type 2D3', 0,
-     'b3b5c7f08cce62f0086813b311edeb00c2efe93f9b3ba3aa4a67edb46c413acd'),
+     '6b17e4431cef0fa8654542a9e2a533e3590da0c73f7347857da213539aafc110'),
     ('embed-first-type 2D4', 0,
-     '4d948ce5207adf64e5eb479bc94b43def22e3d11a248e809ab21ab77c711f7e9'),
+     '0af22ec3161ae79c23137baf5459134fc31732b017cc40ae2fd27471b004e18a'),
     ('embed-first-type 2D5', 0,
-     'd62f527cd6dc9d442b86dcc7bf519dd1dde8bfad3d46aea1d9b61a219e63a836'),
+     '2aa1e46e4ed04dff9d8c3c2fb52f36f17127f65a336c26c118494a43746c9ce5'),
     ('embed-first-type 2D6', 0,
-     '4da4d3caf986e0a2d0d4442d38c2fdd8344d805a42553c4979204eefb8358940'),
+     '130282eb3c6982055d48191fc815c7130003f670206336a640cf86caac6eb02e'),
     ('embed-first-type 2T', 0,
-     '4d026d9f766e8a1ed0ce0650aabf156efe9367323fff0f146b77d2a67d81383c'),
+     '37d44a2b6f89bdade0fbf5df77bee4a3687db893b44463322b5b86994b2c4928'),
     ('embed-first-type 2O', 0,
-     'b36c8502ee434a1d6b3bf87ada36436edbb1e232026d4dce9af9d471bfd4b62c'),
+     'cc36ef6cacdfa1816668f5e9bffd20a0a8c38832f9125042f9d9c7d1ecc7ca31'),
     ('embed-first-type 2I', 0,
-     '3db6d84cf4c4ae84f1a93218ae429d0e5210f53a8295b58e75e41ce7ca54e2ef'),
+     '6623b011d25826907761b1d4e64ab52cd72df03e870dd7fdb9bffd222f595ce0'),
     ('regular-embed --table @table:2 --field @field:4 --n 4 --cls default', 0,
      '49b04e95fe11a481a5a14e7c64d84cf3d7cba966e270d9052338fd268d9f90e2'),
     ('regular-embed --table @table:2 --field @field:4 --n 4 --cls other', 0,
@@ -178,7 +178,7 @@ CASES = [
     ('dgroup enumerate --max-m 12 --p 3', 0,
      '23b1f652010fdb649b5741305c6e5f60431dbe5c199576d4fc5a2203bf270f57'),
     ('algebra check --division-budget 300', 3,
-     'f75ea2fd62539c5803ff449e5af64424e6406d7d8e7b8239d1cf865ece78cddd'),
+     '65499ceb7f04c6454b1b66df09ad6f92ab9890d00f72c0f72de754855282f967'),
     ('algebra check', 0,
      '597339c5b2b191e79463d737619ed224f6ba036659a2880e9028cfddfdd6c12c'),
     ('algebra norm --element @alg:X', 0,

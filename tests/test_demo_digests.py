@@ -24,7 +24,7 @@ DIGESTS = {
     "cyclic_algebra_tour.py":
         "c9cda3b2b74e737bc6bdadb2ccfae1cf274ff13f0cd14a66f4d67358d8226030",
     "first_type_forms.py":
-        "2ed12b25e019782f8fc281618a1b5fa05bd3730b29e1bc5ebc5e7d6f10d73112",
+        "fae0598eea5149a3271d269fd7f4449d2e0f219fafdcac286c946bbaf06d6275",
     "second_type_cyclic_only.py":
         "b7f515873014160185e980d1553765a2f2752e043233d6a0f0b912ce2692b625",
 }

@@ -1,14 +1,18 @@
 import ast
+import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import cmforms
-from cmforms import (BudgetExceeded, FieldError, TotallyRealField,
-                     NEGATIVE, POSITIVE, gaussian_field, make_cyclotomic,
-                     rationals, validate_sign_pattern, weak_approx_find, zeta)
+from cmforms import (FieldError, TotallyRealField, NEGATIVE, POSITIVE,
+                     gaussian_field, make_cyclotomic, polyn,
+                     validate_sign_pattern, weak_approx_find, zeta)
+from cmforms import field as field_module
+from oracles import signs_at_real_roots
 
 
 def test_totally_real_validation():
@@ -109,10 +113,41 @@ def test_weak_approx_all_patterns():
             assert F.sign_of_coords(coords, ell) == want
 
 
-def test_weak_approx_budget_exhaustion():
-    F = rationals()
-    with pytest.raises(BudgetExceeded):
-        weak_approx_find(F, (POSITIVE,), budget=0)
+def test_weak_approx_is_built_the_same_after_sign_queries(monkeypatch):
+    # sign queries refine the isolators in place; the construction reads
+    # the separators taken before any refinement, and searches nothing
+    monkeypatch.setattr(field_module, "_candidates", _no_search)
+    F = TotallyRealField(polyn.real_cyclotomic(7))
+    pattern = (NEGATIVE, POSITIVE, POSITIVE)
+    before = weak_approx_find(F, pattern)
+    isolators = list(F._isolators)
+    for k in range(40):
+        coords = (Fraction(k, 7), Fraction(-1) ** k, Fraction(1, k + 1))
+        for ell in range(F.degree):
+            F.sign_of_coords(coords, ell)
+    assert F._isolators != isolators
+    assert weak_approx_find(F, pattern) == before
+    assert before == (Fraction(3, 2), Fraction(1), Fraction(0))
+
+
+def _no_search(*args, **kw):
+    raise AssertionError("weak approximation enumerated candidates")
+
+
+@pytest.mark.parametrize("r", [5, 7, 9, 11, 13, 17, 31, 41])
+def test_weak_approx_meets_every_pattern_by_the_sympy_oracle(r, monkeypatch):
+    # every pattern up to degree 8, 32 seeded random ones above; the
+    # signs are read off sympy's root intervals, not sign_of_coords
+    monkeypatch.setattr(field_module, "_candidates", _no_search)
+    F = TotallyRealField(polyn.real_cyclotomic(r))
+    s, rng = F.degree, random.Random(r)
+    patterns = itertools.product((POSITIVE, NEGATIVE), repeat=s) \
+        if s <= 8 else [tuple(rng.choice((POSITIVE, NEGATIVE))
+                              for _ in range(s)) for _ in range(32)]
+    for pattern in patterns:
+        coords = weak_approx_find(F, pattern)
+        assert len(coords) == s
+        assert signs_at_real_roots(F.min_poly, coords) == pattern
 
 
 def test_validate_sign_pattern():

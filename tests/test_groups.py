@@ -395,6 +395,14 @@ def test_regular_embed_dimension_check():
         regular_embed(rep, E, 3)  # needs n >= m + 1 = 4
 
 
+def test_regular_embed_takes_the_norm_budget_by_keyword_only():
+    # a positional fifth argument (the old slot budget) is refused, not
+    # read as the norm budget
+    rep = regular_rep(_cyclic_table(2))
+    with pytest.raises(TypeError):
+        regular_embed(rep, gaussian_field(), 3, OTHER_CLASS, 20)
+
+
 @pytest.fixture()
 def counted(monkeypatch):
     """Calls of weak_approx_find and equivalent made from groups."""

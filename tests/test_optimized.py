@@ -59,6 +59,14 @@ CASES = [
      "residue._sqrt_mod = lambda a, p: 0\n"
      "E = gaussian_field()\n"
      "residue.is_norm(E.from_rational(13), E)", "VerificationError"),
+    # a separator above both roots of x^2 + x - 1 puts no sign change
+    # between them: the built slot fails its certification
+    ("from fractions import Fraction\n"
+     "from cmforms import polyn\n"
+     "from cmforms.field import TotallyRealField, weak_approx_find\n"
+     "F = TotallyRealField(polyn.real_cyclotomic(5))\n"
+     "F._separators = (Fraction(5),)\n"
+     "weak_approx_find(F, (-1, 1))", "VerificationError"),
 ]
 
 
@@ -66,7 +74,7 @@ CASES = [
     "hilbert_symbol", "hilbert_symbol_place", "rational_is_norm", "zeta",
     "pdivmod", "cyclotomic", "real_cyclotomic", "sign_of_coords", "mat_mul",
     "form_field", "isolate_real_roots", "pmonic", "root_bound",
-    "descent_step"])
+    "descent_step", "weak_approx_find"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())

@@ -130,7 +130,9 @@ def test_an_unsplit_cofactor_leaves_the_decision_open():
     v = is_norm(E.from_rational(p * q), E, budget=100)
     assert v == UNKNOWN and v.witness is None
     assert v.trace == ("cofactor %d neither proved prime nor split by 500000 "
-                       "rho squarings" % (p * q),)
+                       "rho squarings" % (p * q),
+                       "norm-witness search tried 100 candidates x in E, "
+                       "none with N(x) = d up to a rational square")
 
 
 def _record_factorings(monkeypatch):

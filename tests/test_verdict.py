@@ -112,6 +112,8 @@ def test_equivalent_verdicts():
                    diagonal_form(E5, [1, 1, -3]), budget=10)
     _behaves_as_status(v, UNKNOWN)
     assert v.witness is None and v.obstruction is None
+    assert v.trace == ("norm-witness search tried 10 candidates x in E, "
+                       "none with N(x) = d up to a rational square",)
 
 
 def test_division_verdicts(builtin):
@@ -119,6 +121,8 @@ def test_division_verdicts(builtin):
     v = is_division_candidate(algebra, budget=5)
     _behaves_as_status(v, UNKNOWN)
     assert v.witness is None
+    assert v.trace == ("norm-witness search tried 5 candidates gamma in L, "
+                       "none with N(gamma) = alpha",)
     v = is_division_candidate(CyclicAlgebra(algebra.ext, 1), budget=10)
     _behaves_as_status(v, NOT_DIVISION)
     assert v.witness.relative_norm() == algebra.E.one()
