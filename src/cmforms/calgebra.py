@@ -13,15 +13,15 @@ splitting S: A -> Mat(3, L), an injective homomorphism (Reiner, Maximal
 Orders, Sec. 9), on integer numerators: five Q-linear maps of L applied to
 x's parts, encoded once, give S(x).  Everything in A goes through it: a
 product xy is row 0 of S(x) S(y), one `field._mul` on A's Q-structure
-table, read off S on the first product; the reduced norm det S(x) and the
-inverse adj S(x) / det S(x) come from the cofactors of column 0 of S(x),
-integer products on L's table decoded once; and signatures are those of
-the `hermitian.HermitianForm` D S(h) over L, D the splitting conjugator.
-The nine E-basis elements y^i X^j have one order, _LABELS.  The module
-also provides a verified involution of second kind, the unitary-group
-membership predicate x* h x = h and a bounded division search, both
-answering with a `field.Verdict` (the membership scalar, the norm
-witness).  `serialize` alone reads and writes its JSON.
+table, read off S on the first product; Nrd(x) = det S(x) and the
+inverse adj S(x) / Nrd(x) come from the cofactors of column 0 of S(x);
+and signatures are those of the hermitian D S(h) over L, D the splitting
+conjugator.  The nine E-basis elements y^i X^j have one order, _LABELS.
+An involution of second kind is verified, and the unitary-group
+membership x* h x = h decided, with no element built: on A's table, the
+involution's Q-linear map and, for D S(x*) = S(x)^H D with det D != 0,
+on S.  Membership and a bounded division search answer with a
+`field.Verdict`.  `serialize` alone reads and writes its JSON.
 
 The shipped example is the smallest classical tower: E = Q(i),
 L = E(eta) with eta = zeta_7 + zeta_7^{-1}, alpha = 10 - 5i and the
@@ -37,7 +37,7 @@ from operator import attrgetter, sub
 from . import linalg
 from .field import (CommutativeElement, Element, FieldElement, FieldError,
                     Parent, TotallyRealField, Verdict, _apply, _candidates,
-                    _decode, _encode, _image, _mul, _prod, _sparse,
+                    _decode, _encode, _image, _mul, _prod, _same, _sparse,
                     make_cyclotomic)
 from .hermitian import DegenerateFormError, HermitianForm, signature_profile
 from .residue import UNKNOWN
@@ -55,6 +55,21 @@ def _map(E, images, on_E):
     an involution of A, with theta."""
     e = E._q_basis()
     return _encode([on_E(ep) * w for w in images for ep in e])
+
+
+def _cofactors(lrows, M):
+    """(det, adj) of the 3 x 3 matrix M of `_encode`'s rows over d of L by
+    `_prod` on L's table rows lrows, over t: the numerators over d^3 t^2
+    of det M along column 0, and over d^2 t of row 0 of adj M."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+
+    def minor(a, b, c, e):  # the numerators of ab - ce
+        return list(map(sub, _prod(lrows, a, b), _prod(lrows, c, e)))
+    adj = (minor(m11, m22, m12, m21), minor(m02, m21, m01, m22),
+           minor(m01, m12, m02, m11))
+    terms = [_prod(lrows, m, _sparse(a))
+             for m, a in zip((m00, m10, m20), adj)]
+    return list(map(sum, zip(*terms))), adj
 
 
 class CubicExtElement(CommutativeElement):
@@ -319,8 +334,7 @@ class CyclicAlgebra(Parent):
         column j, and its product with the b-th is e times row j of S(b-th),
         the parts' numerators in turn, as `_join` lays them out."""
         lrows, t = self.ext._table
-        S = [[[_sparse(v) for v in row] for row in self._rows(q)[0]]
-             for q in self._q_basis()]  # over `_maps`' den: q's den is 1
+        S = [self._rows([(a, 1)], 1)[0] for a in range(self._dim)]
         return [[_sparse([n for v in s[j] for n in _prod(lrows, [(e, 1)], v)])
                  for s in S] for j in range(3) for e in range(len(lrows))], \
             self._maps[1] * t
@@ -336,41 +350,34 @@ class CyclicAlgebra(Parent):
                             + [self.alpha_L * b for b in t + tt])
         return [rows[i:i + m] for i in range(0, 5 * m, m)], den
 
-    def _rows(self, x):
-        """S(x) on integer numerators, (rows, den): the parts b0, b1, b2 of
-        x are encoded once, and entry (k, c), tau^k(b_{(c - k) mod 3}) times
-        alpha when c < k, is that part's image by `_maps`[k + 2(c < k)].
-        This is the one statement of X^3 = alpha and X b = tau(b) X; the
-        product table, the reduced norm, the inverse and signatures read it."""
-        maps, den = self._maps
-        parts, d = _encode(x.parts)
-        return [[_image(maps[k + 2 * (c < k)], parts[(c - k) % 3])
+    def _rows(self, xs, d):
+        """S(x) as (rows, den) of `_encode`'s rows, from x's row xs over d:
+        entry (k, c), tau^k(b_{(c - k) mod 3}) times alpha when c < k, is
+        x's part b_{(c - k) mod 3} under `_maps`[k + 2(c < k)].  This is
+        the one statement of X^3 = alpha and X b = tau(b) X; products, Nrd,
+        the inverse, the involution checks and signatures read it."""
+        (maps, den), m = self._maps, self.ext._dim
+        parts = [[(a - c, n) for a, n in xs if c <= a < c + m]
+                 for c in range(0, 3 * m, m)]
+        return [[_sparse(_image(maps[k + 2 * (c < k)], parts[(c - k) % 3]))
                  for c in range(3)] for k in range(3)], d * den
 
     def splitting_matrix(self, x):
         """Image in Mat(3; L), the rows of `_rows` decoded."""
-        rows, den = self._rows(x)
-        return linalg.mat([[_decode(self.ext, v, den) for v in row]
-                           for row in rows])
+        (xs,), d = _encode((x,))
+        rows, den = self._rows(xs, d)
+        m = self.ext._dim
+        return linalg.mat([[_decode(self.ext, [dict(v).get(a, 0)
+                                               for a in range(m)], den)
+                            for v in row] for row in rows])
 
     def _norm_and_adjugate(self, x):
-        """(Nrd(x), adj, den): det S(x) by cofactor expansion along column
-        0, and adj the numerators over den of row 0 of adj S(x), by `_prod`
-        on L's table from `_rows`.  With t_k = tau(b_k), s_k = tau^2(b_k)
-        the row is (t0 s0 - alpha t1 s2, alpha b2 s2 - b1 s0, b1 t1 - b2 t0)
-        and Nrd(x) = b0 adj0 + alpha (t2 adj1 + s1 adj2)."""
-        rows, d = self._rows(x)
-        lrows, t = self.ext._table
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = [
-            [_sparse(v) for v in row] for row in rows]
-
-        def minor(a, b, c, e):  # the numerators of ab - ce
-            return list(map(sub, _prod(lrows, a, b), _prod(lrows, c, e)))
-        adj = (minor(m11, m22, m12, m21), minor(m02, m21, m01, m22),
-               minor(m01, m12, m02, m11))
-        terms = [_prod(lrows, m, _sparse(a))
-                 for m, a in zip((m00, m10, m20), adj)]
-        det = _decode(self.ext, list(map(sum, zip(*terms))), d ** 3 * t * t)
+        """(Nrd(x), adj, den): det S(x) and adj the numerators over den of
+        row 0 of adj S(x), by `_cofactors` on `_rows`, x encoded once."""
+        (xs,), d = _encode((x,))
+        (rows, d), (lrows, t) = self._rows(xs, d), self.ext._table
+        det, adj = _cofactors(lrows, rows)
+        det = _decode(self.ext, det, d ** 3 * t * t)
         if not det.is_in_E():
             raise AlgebraError("reduced norm did not land in E")
         return det.coeffs[0], adj, d * d * t
@@ -478,33 +485,44 @@ def verify_involution(inv):
     and E central, so (ab)* = b* a* for a in the basis and b in 1, y, X
     gives it for all a, b (those b form an E-subalgebra; y, X generate A).
     Then x** is an E-algebra map, the identity once it fixes 1, y and X,
-    and a* = 1* a* for all a gives 1* = 1, so star restricts to theta on E."""
-    algebra = inv.algebra
-    basis = algebra.basis()
-    star = inv.apply
-    stars = [star(a) for a in basis]
+    and a* = 1* a* for all a gives 1* = 1, so star restricts to theta on E.
+    A splitting conjugator D must have det D != 0 (else ZeroDivisionError)
+    and D S(x*) = S(x)^H D, i.e. S(x*) = D^-1 S(x)^H D, at x = 1, X, y and
+    X + y^2.  All on numerators, by rows of `_qmap` and A's table."""
+    algebra, (q, qden) = inv.algebra, inv._qmap
+    rows, _ = algebra._table
+    # y^i X^j is the Q-basis element j m + 2 i s, m = dim_Q L
+    at = [j * algebra.ext._dim + 2 * i * algebra.E.s for i, j in _LABELS]
     gens = (0, 1, 3)  # 1, y, X in _LABELS order
     for k in gens:
-        for (la, a, sa) in zip(_LABELS, basis, stars):
-            if star(a * basis[k]) != stars[k] * sa:
+        for la, a in zip(_LABELS, at):
+            if not _same(_sparse(_image(q, rows[a][at[k]])), 1,
+                         _sparse(_prod(rows, q[at[k]], q[a])), qden):
                 raise InvolutionError("(xy)* != y* x* at basis pair %s, %s"
                                       % (la, _LABELS[k]))
-    for k in gens:
-        if star(stars[k]) != basis[k]:
+    for k in gens:  # x** = x: the numerators of e_b over qden^2
+        if _sparse(_image(q, q[at[k]])) != [(at[k], qden * qden)]:
             raise InvolutionError("(x*)* != x at basis element %s"
                                   % (_LABELS[k],))
-    # splitting compatibility: star corresponds to conjugate-transposition
-    # up to the fixed conjugator D
     if inv.splitting_conjugator is not None:
-        D = inv.splitting_conjugator
-        Dinv = linalg.inverse(D)
-        ext = algebra.ext
-        for x in (algebra.one(), algebra.X(), algebra.from_L(ext.gen()),
-                  algebra.X() + algebra.from_L(ext.gen() ** 2)):
-            lhs = algebra.splitting_matrix(star(x))
-            ct = linalg.conj_transpose(algebra.splitting_matrix(x))
-            rhs = linalg.mat_mul(Dinv, linalg.mat_mul(ct, D))
-            if not linalg.mat_eq(lhs, rhs):
+        (lrows, _), (crows, cden) = algebra.ext._table, algebra.ext._conj
+        D, _ = _encode([algebra.ext.coerce(v)
+                        for r in inv.splitting_conjugator for v in r])
+        D = [D[i:i + 3] for i in (0, 3, 6)]
+        if not any(_cofactors(lrows, D)[0]):
+            raise ZeroDivisionError("the splitting conjugator is singular")
+
+        def times(P, Q):  # the numerators of P Q, as one row
+            return _sparse([n for i in range(3) for j in range(3)
+                            for n in map(sum, zip(*(_prod(
+                                lrows, P[i][k], Q[k][j]) for k in range(3))))])
+        for xs in ([(at[0], 1)], [(at[3], 1)], [(at[1], 1)],
+                   [(at[2], 1), (at[3], 1)]):  # 1, X, y, X + y^2
+            S, d = algebra._rows(xs, 1)
+            T, e = algebra._rows(_sparse(_image(q, xs)), qden)
+            SH = [[_sparse(_image(crows, S[k][i])) for k in range(3)]
+                  for i in range(3)]
+            if not _same(times(D, T), e, times(SH, D), d * cden):
                 raise InvolutionError("splitting compatibility fails")
     return inv
 
@@ -524,12 +542,15 @@ def unitary_membership(algebra, involution, h, x):
     This is the predicate "h^-1 x* h x is a central scalar lambda with
     lambda^3 = 1": x* h x is hermitian, so such a lambda lies in the
     totally real F, where lambda^3 = 1 forces lambda = 1, the scalar
-    reported for members."""
-    if involution.apply(h) != h:
+    reported for members.  All on the numerators of h and x."""
+    (q, qden), (rows, t) = involution._qmap, algebra._table
+    (hs, xs), d = _encode((algebra.coerce(h), algebra.coerce(x)))
+    if not _same(_sparse(_image(q, hs)), qden, hs, 1):
         raise AlgebraError("h is not hermitian under the involution")
-    if algebra.reduced_norm(h).is_zero():
+    if not any(_cofactors(algebra.ext._table[0], algebra._rows(hs, d)[0])[0]):
         raise ZeroDivisionError("element is not invertible")
-    if involution.apply(x) * h * x == h:
+    xhx = _prod(rows, _sparse(_image(q, xs)), _sparse(_prod(rows, hs, xs)))
+    if _same(_sparse(xhx), d * d * qden * t * t, hs, 1):
         return Verdict(IN_GROUP, scalar=algebra.E.one())
     return Verdict(NOT_IN_GROUP)
 
@@ -543,7 +564,8 @@ def splitting_signature(algebra, involution, h):
     hermitian matrix G = D S(h) over L, whose signatures
     `signature_profile` reads.  Needs D, so an involution loaded from JSON
     is refused, and so is F != Q."""
-    if involution.apply(h) != h:
+    (q, qden), ((hs,), _) = involution._qmap, _encode((algebra.coerce(h),))
+    if not _same(_sparse(_image(q, hs)), qden, hs, 1):
         raise AlgebraError("h is not hermitian under the involution")
     D = involution.splitting_conjugator
     if D is None:

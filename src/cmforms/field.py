@@ -13,7 +13,7 @@ Q-coordinates, `coords`, which only `Parent.from_rationals`, `_split` and
 writes only `coords`: `_encode` and `_decode` turn them into integer
 numerators over one denominator and back, and between them `_prod` (by a
 Q-structure table) and `_image` (by a Q-linear map) run on numerators
-alone: once in `_mul` and `_apply`, chained in A's table and norm.
+alone: once in `_mul` and `_apply`, chained (and compared by `_same`) in A.
 """
 
 from fractions import Fraction
@@ -544,6 +544,11 @@ def _sparse(acc):
     return [(k, n) for k, n in enumerate(acc) if n]
 
 
+def _same(u, du, v, dv):
+    """Do `_encode`'s rows u over du and v over dv hold one vector?"""
+    return [(k, n * dv) for k, n in u] == [(k, n * du) for k, n in v]
+
+
 def _decode(parent, acc, den):
     """The element of parent whose `coords` are n / den, n in acc."""
     return parent.from_rationals([Fraction(n, den) if n else _ZERO
@@ -638,14 +643,12 @@ def weak_approx_find(field, pattern):
     return coords
 
 
-def _candidates(dim, max_norm=None, l1_first=False):
+def _candidates(dim, l1_first=False):
     """Nonzero integer vectors of length dim, the one enumerator behind every
-    bounded search: shells of max-norm 1, 2, ... (up to max_norm), each in
+    bounded search, endless: shells of max-norm 1, 2, ..., each in
     lexicographic order or, with `l1_first`, lazily by L1 norm and then in
     descending lexicographic order.  Callers take budgets with islice."""
-    norm = 0
-    while max_norm is None or norm < max_norm:
-        norm += 1
+    for norm in itertools.count(1):
         vecs = (v for l1 in range(norm, dim * norm + 1)
                 for v in _l1_vectors(dim, norm, l1)) if l1_first else \
             itertools.product(range(-norm, norm + 1), repeat=dim)

@@ -275,4 +275,4 @@ def test_criterion_9_weak_approximation():
                 assert F.sign_of_coords(coords, ell) == want
             total += 1
     _report(9, time.time() - t0, 30,
-            "%d sign patterns witnessed within the default budget" % total)
+            "%d sign patterns built and certified" % total)

@@ -344,7 +344,10 @@ def _oracle_extensions():
     """The built-in L over Q(i), the Q(zeta5) one of the elimination test,
     one over Q(sqrt(-3/2)), whose structure table has denominator 2, and
     the built-in L on the generator i*eta, where c(y) = -y: there g is
-    y^3 + i y^2 + 2y + i and tau(y) = -i y^2 - 2i."""
+    y^3 + i y^2 + 2y + i and tau(y) = -i y^2 - 2i, and on the generator
+    eta + i/2, where tau and c = y - i have denominators too: there g is
+    y^3 + (1 - 3i/2) y^2 - (11/4 + i) y - 5/4 + 9i/8 and tau(y) =
+    y^2 - i y - 9/4 + i/2."""
     cubic = ([-1, -2, 1, 1], [-2, 0, 1], [0, 1])
     E = make_cyclotomic(4)
     i = E.element([0], [Fraction(1, 2)])  # sqrt(delta) = 2i
@@ -353,7 +356,11 @@ def _oracle_extensions():
             "q-3/2": CyclicCubicExtension(
                 CMField(rationals(), [Fraction(-3, 2)]), *cubic),
             "i-eta": CyclicCubicExtension(E, [i, 2, i, 1],
-                                          [-2 * i, 0, -i], [0, -1])}
+                                          [-2 * i, 0, -i], [0, -1]),
+            "eta+i/2": CyclicCubicExtension(
+                E, [Fraction(-5, 4) + Fraction(9, 8) * i,
+                    Fraction(-11, 4) - i, 1 - Fraction(3, 2) * i, 1],
+                [Fraction(-9, 4) + i / 2, -i, 1], [-i, 1])}
 
 
 def _oracle_element(ext, rng):
@@ -378,7 +385,7 @@ def _assert_same(got, want):
     assert hash(got) == hash(want)
 
 
-_ORACLE_NAMES = ["qi", "qzeta5", "q-3/2", "i-eta"]
+_ORACLE_NAMES = ["qi", "qzeta5", "q-3/2", "i-eta", "eta+i/2"]
 
 
 @pytest.mark.parametrize("name", _ORACLE_NAMES)
@@ -493,7 +500,8 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     # the E-products left are the one each inverse in E makes; an A-product
     # (its table built with the built-in algebra) makes no L-product but
     # one `field._mul` call, and the reduced norm and the inverse make no
-    # L-product: they run on the integer rows of S(x), encoding x once
+    # L-product: they run on the integer rows of S(x), encoding x once;
+    # the involution check and membership build no element at all
     algebra, involution = builtin
     rng = random.Random(5)
     x = _random_A(algebra, rng)
@@ -520,7 +528,7 @@ def test_e_multiplication_counts(builtin, monkeypatch):
     e_inv, l_inv = count(lambda: algebra.inverse(x))
     e_xy, l_xy = count(lambda: X * y)
     e_inv_check, l_inv_check = count(lambda: verify_involution(involution))
-    assert (l_nrd, l_inv, l_xy, l_inv_check) == (0, 0, 0, 68)
+    assert (l_nrd, l_inv, l_xy, l_inv_check) == (0, 0, 0, 0)
     assert e_nrd == 0 and e_inv <= 1 and e_xy == 0
     assert count(lambda: x * y) == (0, 0)
     xy, tables, mul = _product_oracle(algebra, x, y), [], calgebra._mul
@@ -528,17 +536,43 @@ def test_e_multiplication_counts(builtin, monkeypatch):
                         lambda t, a, b: tables.append(t) or mul(t, a, b))
     assert x * y == xy
     assert len(tables) == 1 and tables[0] is algebra._table
-    assert e_inv_check <= 4
+    assert e_inv_check == 0
     encodes, encode = [], field._encode
     for module in (field, calgebra):
         monkeypatch.setattr(module, "_encode",
                             lambda xs: encodes.append(xs) or encode(xs))
     algebra.reduced_norm(x)
-    assert encodes == [x.parts]  # x, once
+    assert encodes == [(x,)]  # x, once
     b = x.parts[1]
     assert count(lambda: algebra.ext.tau_of(b)) == (0, 0)
     assert count(lambda: b.conjugate()) == (0, 0)
     assert count(lambda: involution.apply(x)) == (0, 0)
+
+
+def test_involution_checks_call_no_linalg_and_no_decode(builtin,
+                                                        monkeypatch):
+    # verify_involution and unitary_membership run on numerators alone:
+    # no matrix function, no decoded element, no element-level product
+    algebra, involution = builtin
+    h = algebra.from_L(algebra.ext.element([1, 1]))
+    x = _random_A(algebra, random.Random(9))
+    members = [unitary_membership(algebra, involution, h, y)
+               for y in (x, -algebra.one())]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+    for name in dir(linalg):
+        if callable(getattr(linalg, name)) and not name.startswith("__"):
+            monkeypatch.setattr(linalg, name, refused)
+    for module in (field, calgebra):
+        monkeypatch.setattr(module, "_decode", refused)
+    for cls in (FieldElement, CubicExtElement, AlgebraElement):
+        monkeypatch.setattr(cls, "__mul__", refused)
+        monkeypatch.setattr(cls, "__rmul__", refused)
+    assert verify_involution(involution) is involution
+    assert [unitary_membership(algebra, involution, h, y)
+            for y in (x, -algebra.one())] == members == [NOT_IN_GROUP,
+                                                         IN_GROUP]
 
 
 def test_division_candidate_trivial(builtin):
@@ -636,6 +670,78 @@ def test_unitary_membership(builtin):
     with pytest.raises(ZeroDivisionError, match="not invertible"):
         unitary_membership(algebra, involution, algebra.zero(),
                            algebra.one())
+
+
+def _half_integer_A(algebra, rng):
+    """A random element of A whose Q-coordinates lie in Z/2."""
+    return algebra.from_rationals([Fraction(rng.randint(-3, 3), 2)
+                                   for _ in range(algebra._dim)])
+
+
+def _matrix_oracle(algebra, involution, h, x):
+    """S is injective, so x* h x = h iff S(x)^H D S(h) S(x) = D S(h)."""
+    G = linalg.mat_mul(involution.splitting_conjugator,
+                       algebra.splitting_matrix(h))
+    S = algebra.splitting_matrix(x)
+    return linalg.mat_eq(G, linalg.mat_mul(linalg.conj_transpose(S),
+                                           linalg.mat_mul(G, S)))
+
+
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_split_membership_matches_the_matrix_oracle(name):
+    # the split algebra alpha = 1 with beta = 1 over each oracle L, so
+    # that the involution's map, A's table and L's conjugation carry the
+    # denominators of Q(sqrt(-3/2)) and of eta + i/2, and c(y) = -y once,
+    # in verify_involution and in membership; h = g* g is hermitian,
+    # and g^-1 u g lies in U(h) for u = (1 - k)(1 + k)^-1, k = z - z*
+    ext = _oracle_extensions()[name]
+    algebra = CyclicAlgebra(ext, 1)
+    involution = verify_involution(make_involution(algebra, ext.one()))
+    star, one = involution.apply, algebra.one()
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(2):
+        g, z = _half_integer_A(algebra, rng), _half_integer_A(algebra, rng)
+        k = z - star(z)
+        if algebra.reduced_norm(g).is_zero() or \
+                algebra.reduced_norm(one + k).is_zero():
+            continue
+        h, g_inv = star(g) * g, algebra.inverse(g)
+        u = (one - k) * algebra.inverse(one + k)
+        for x in (one, g_inv * u * g, _half_integer_A(algebra, rng)):
+            v = unitary_membership(algebra, involution, h, x)
+            assert v == (IN_GROUP if _matrix_oracle(
+                algebra, involution, h, x) else NOT_IN_GROUP)
+            seen.add(v.status)
+    assert seen == {IN_GROUP, NOT_IN_GROUP}
+
+
+def test_singular_or_wrong_conjugator_is_refused(builtin):
+    # a singular D raises ZeroDivisionError before any other check: the
+    # zero matrix passes D S(x*) = S(x)^H D at the four x the check uses,
+    # so only det D != 0 refuses it, and so does D = diag(tau(beta), 0,
+    # 1/tau^2(beta)); with 2 in place of the 0, D is invertible and wrong
+    algebra, involution = builtin
+    ext = algebra.ext
+    tb, z = ext.tau_of(ext.from_E(5)), ext.zero()
+
+    def conjugator(middle):
+        return linalg.mat([[tb, z, z], [z, ext.from_E(middle), z],
+                           [z, z, ext.tau_of(tb).inverse()]])
+    zero = linalg.mat([[z] * 3] * 3)
+    for x in (algebra.one(), algebra.X(), algebra.from_L(ext.gen()),
+              algebra.X() + algebra.from_L(ext.gen() ** 2)):
+        S = algebra.splitting_matrix(x)
+        assert linalg.mat_eq(
+            linalg.mat_mul(zero, algebra.splitting_matrix(involution.apply(x))),
+            linalg.mat_mul(linalg.conj_transpose(S), zero))
+    for singular in (zero, conjugator(0)):
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            verify_involution(Involution(algebra, involution.images,
+                                         singular))
+    with pytest.raises(InvolutionError, match="splitting compatibility"):
+        verify_involution(Involution(algebra, involution.images,
+                                     conjugator(2)))
 
 
 def test_membership_closed_under_inverse(builtin):

@@ -282,7 +282,7 @@ def test_field_parent_alone_states_the_parent_protocol():
 def test_field_alone_defines_the_integer_kernel():
     # the kernel's functions are defined in field and nowhere else
     kernel = {"_encode", "_mul", "_prod", "_apply", "_image", "_sparse",
-              "_decode"}
+              "_same", "_decode"}
     defined = {(module, n.name) for module, tree in _module_trees()
                for n in ast.walk(tree)
                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))

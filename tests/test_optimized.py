@@ -67,6 +67,13 @@ CASES = [
      "F = TotallyRealField(polyn.real_cyclotomic(5))\n"
      "F._separators = (Fraction(5),)\n"
      "weak_approx_find(F, (-1, 1))", "VerificationError"),
+    # a wrong image of y X fails the involution's checks on numerators
+    ("from cmforms.calgebra import (Involution, builtin_example,\n"
+     "                              verify_involution)\n"
+     "algebra, involution = builtin_example()\n"
+     "images = dict(involution.images)\n"
+     "images[1, 1] = images[1, 1] + 1\n"
+     "verify_involution(Involution(algebra, images))", "InvolutionError"),
 ]
 
 
@@ -74,7 +81,7 @@ CASES = [
     "hilbert_symbol", "hilbert_symbol_place", "rational_is_norm", "zeta",
     "pdivmod", "cyclotomic", "real_cyclotomic", "sign_of_coords", "mat_mul",
     "form_field", "isolate_real_roots", "pmonic", "root_bound",
-    "descent_step", "weak_approx_find"])
+    "descent_step", "weak_approx_find", "involution"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())
