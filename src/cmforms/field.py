@@ -14,9 +14,14 @@ writes only `coords`: `_encode` and `_decode` turn them into integer
 numerators over one denominator and back, and between them `_prod` (by a
 Q-structure table) and `_image` (by a Q-linear map) run on numerators
 alone: once in `_mul` and `_apply`, chained (and compared by `_same`) in A.
+E states the same two maps, its table and theta (`CMField._table` and
+`_conj`, built on first use), for the code that runs on its numerators:
+its inverse theta(x) N(x)^-1, `linalg.congruence_diagonal` and a form's
+det.  E's product itself (`FieldElement.__mul__`) stays on `_fmul`.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 from math import ceil, floor, lcm
 from operator import add, attrgetter, neg, sub
@@ -248,8 +253,10 @@ class Element:
     """An element of E, L or A: its `parent` (the CMField,
     CyclicCubicExtension or CyclicAlgebra) and `coords`, its flat tuple of
     Q-coordinates: those of a then b in E, and in L and A those of each
-    element of the parent's `_split` in turn.  +, -, ==, hash, truth and
-    is_zero() are read off `coords`, and ** from a type's * and inverse().
+    element of the parent's `_split` in turn.  +, -, ==, hash, truth,
+    is_zero(), is_rational() and as_fraction() are read off `coords` (index
+    0 is the coordinate of 1 at every level), and ** from a type's * and
+    inverse().
     Each operand goes through the parent's `coerce` (see Parent), which
     lifts a lower-level value and refuses an element of another field
     with a ValueError (== answers False instead).  An operand from a higher
@@ -313,6 +320,14 @@ class Element:
     def is_zero(self):
         return not any(self.coords)
 
+    def is_rational(self):
+        return not any(self.coords[1:])
+
+    def as_fraction(self):
+        if not self.is_rational():
+            raise FieldError("element is not rational")
+        return self.coords[0]
+
     def __pow__(self, k):
         """Square-and-multiply; a negative k inverts first."""
         x = self.inverse() if k < 0 else self
@@ -366,13 +381,24 @@ class FieldElement(CommutativeElement):
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        """theta(x) N(x)^-1 on numerators: N(x) = x theta(x) by `_prod` on
+        E's table, inverted by `_finv` unless it is rational, the result
+        decoded once.  N(x) outside F raises VerificationError."""
+        f = self.parent
+        (xs,), d = _encode((self,))
+        if not xs:
             raise ZeroDivisionError("inverse of zero")
-        n = self.relative_norm()          # in F, nonzero
-        ninv = self.field._finv(n.a)
-        conj = self.conjugate()
-        f = self.field
-        return FieldElement(f, f._fmul(conj.a, ninv) + f._fmul(conj.b, ninv))
+        (rows, t), (crows, c) = f._table, f._conj
+        cs = _sparse(_image(crows, xs))  # theta(x), over d c
+        n = _prod(rows, xs, cs)          # N(x), over d^2 c t
+        if any(n[f.s:]):
+            raise VerificationError("N(x) does not lie in F")
+        # (cs / d c) (d^2 c t / n) = cs d t / n
+        if not any(n[1:]):  # a rational n needs no _finv
+            return _decode(f, [v * d * t for v in _dense(cs, f._dim)], n[0])
+        ninv = f._finv(_frac_tuple(n[:f.s])) + (_ZERO,) * f.s  # ns / e
+        (ns,), e = _encode((FieldElement(f, ninv),))
+        return _decode(f, [v * d for v in _prod(rows, cs, ns)], e)
 
     # --- structure ------------------------------------------------------
 
@@ -383,19 +409,12 @@ class FieldElement(CommutativeElement):
     def relative_norm(self):
         """x * theta(x); lands in F."""
         n = self * self.conjugate()
-        assert n.is_in_F()
+        if not n.is_in_F():
+            raise VerificationError("x theta(x) does not lie in F")
         return n
 
     def is_in_F(self):
         return not any(self.b)
-
-    def is_rational(self):
-        return not any(self.coords[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise FieldError("element is not rational")
-        return self.coords[0]
 
     def sign_at(self, ell):
         """Certified sign at the ell-th real embedding; element must be in F."""
@@ -449,6 +468,33 @@ class CMField(Parent):
             return self.from_rational(-self.base.min_poly[0])
         return self.element([0, 1])
 
+    # --- kernel maps ------------------------------------------------------
+
+    @functools.cached_property
+    def _table(self):
+        """E's Q-structure table for `_prod`, `_encode`'s (rows, den).  The
+        a-th Q-basis element is w^p, times sqrt(delta) from a = s on (w the
+        generator of F, p = a mod s), so the product of the a-th and b-th
+        is w^(p+q) mod min_poly, in the b-part if one of them has
+        sqrt(delta), times delta if both do.  Entries with equal p + q and
+        sqrt(delta) count are shared."""
+        s, zero = self.s, (_ZERO,) * self.s
+        prods = {}
+        for k in range(2 * s - 1):
+            w = _frac_tuple(_pad(polyn.pmod((_ZERO,) * k + (Fraction(1),),
+                                            self.base.min_poly), s))
+            prods[k, 0], prods[k, 1] = w + zero, zero + w
+            prods[k, 2] = self._fmul(self.delta, w) + zero
+        rows, den = _encode([FieldElement(self, c) for c in prods.values()])
+        entries = dict(zip(prods, rows))
+        return [[entries[a % s + b % s, (a >= s) + (b >= s)]
+                 for b in range(2 * s)] for a in range(2 * s)], den
+
+    @functools.cached_property
+    def _conj(self):
+        """theta as a Q-linear map, `_encode`'s (rows, den)."""
+        return _encode([x.conjugate() for x in self._q_basis()])
+
     # --- F arithmetic on raw coordinate vectors -------------------------
 
     def _fmul(self, u, v):
@@ -470,7 +516,9 @@ class CMField(Parent):
             q, r = polyn.pdivmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, polyn.psub(s0, polyn.pmul(q, s1))
-        assert polyn.degree(r0) == 0
+        if polyn.degree(r0) != 0:
+            raise VerificationError(
+                "u shares a factor with the minimal polynomial of F")
         inv = polyn.pscale(s0, 1 / r0[0])
         return _frac_tuple(_pad(inv, self.s))
 
@@ -542,6 +590,14 @@ def _image(rows, xs):
 def _sparse(acc):
     """`_encode`'s row of the numerators acc, for a further `_prod`."""
     return [(k, n) for k, n in enumerate(acc) if n]
+
+
+def _dense(u, n):
+    """The n numerators of `_encode`'s row u, for `_decode`."""
+    acc = [0] * n
+    for k, c in u:
+        acc[k] = c
+    return acc
 
 
 def _same(u, du, v, dv):

@@ -4,18 +4,24 @@ decision, admissibility, direct sums, and the one admissible closure
 `with_slot`: a positive definite block plus one slot, certified admissible.
 
 A form is diagonalised once by congruence, P H P^H = diag(d_1, ..., d_n)
-with det P = +-1 (`linalg.congruence_diagonal`).  The pivots d_i lie in F;
-their product is det H, and by Sylvester's law of inertia the signature at
-each real embedding counts the d_i that are positive there.
+with det P = +-1 (`linalg.congruence_diagonal`, on the field's integer
+numerators).  The pivots d_i lie in F; their product det H is one `_prod`
+chain on their numerators, and by Sylvester's law of inertia the
+signature at each real embedding counts the d_i that are positive there.
 
 The entries may also lie in the CM field L of `calgebra`, with K in place
-of F: a form reads only conjugate(), sign_at and the field's s.
+of F: a form reads only conjugate(), sign_at, the field's s and its
+kernel maps `_table` and `_conj`.  Over L the det class is det itself,
+unless det is rational, and `equivalent` decides only the dimension and
+signature obstructions: with no norm test from L to K, equal invariants
+answer Unknown.
 """
 
 from fractions import Fraction
 
 from . import linalg
-from .field import POSITIVE, VerificationError, Verdict
+from .field import (CMField, POSITIVE, VerificationError, Verdict, _decode,
+                    _dense, _encode, _prod, _sparse)
 from .residue import is_norm, IS_NORM, IS_NOT_NORM, UNKNOWN, _square_class
 
 
@@ -47,10 +53,13 @@ class HermitianForm:
         if not pivots or any(d.is_zero() for d in pivots):
             raise DegenerateFormError("form is degenerate")
         self.pivots = tuple(pivots)
-        det = pivots[0]
-        for d in pivots[1:]:
-            det = det * d
-        self.det = det
+        # det H: one `_prod` chain over the pivots' numerators
+        (rows, t), n = cmfield._table, self.dim
+        (acc, *rest), den = _encode(pivots)
+        for d in rest:
+            acc = _sparse(_prod(rows, acc, d))
+        self.det = _decode(cmfield, _dense(acc, cmfield._dim),
+                           den ** n * t ** (n - 1))
 
     def __eq__(self, other):
         return (isinstance(other, HermitianForm) and self.field == other.field
@@ -100,8 +109,9 @@ def invariants(H):
     det = H.det
     # any representative of det modulo norms is its class: when det is
     # rational, strip the square factors that the budgeted factoring finds
+    # (a rational square m^2 is the norm of m, from E or from L)
     if det.is_rational():
-        det = H.field.from_rational(_squarefree_kernel(det.as_fraction()))
+        det = H.field.coerce(_squarefree_kernel(det.as_fraction()))
     return FormInvariant(H.dim, signature_profile(H), det)
 
 
@@ -114,7 +124,9 @@ def equivalent(H1, H2, budget=10 ** 4):
     """Theorem-of-classification decision: compare the invariant triples.
 
     The Verdict carries `is_norm`'s witness, obstruction or trace for
-    det H1 / det H2, or the differing ("dimension" or "signatures", ...)."""
+    det H1 / det H2, or the differing ("dimension" or "signatures", ...).
+    Over L, where no norm test from L to K exists here, equal dimensions
+    and signatures answer Unknown, with a trace saying so."""
     if H1.field != H2.field:
         raise ValueError("forms live over different CM fields")
     if H1.dim != H2.dim:
@@ -124,6 +136,10 @@ def equivalent(H1, H2, budget=10 ** 4):
     if prof1 != prof2:
         return Verdict(NOT_EQUIVALENT,
                        obstruction=("signatures", prof1, prof2))
+    if not isinstance(H1.field, CMField):
+        return Verdict(UNKNOWN_EQUIVALENCE, trace=[
+            "the invariants agree; no norm test from L to K decides "
+            "whether det H1 / det H2 is a norm"])
     verdict = is_norm(H1.det / H2.det, H1.field, budget)
     status = {IS_NORM: EQUIVALENT,
               IS_NOT_NORM: NOT_EQUIVALENT}.get(verdict, UNKNOWN_EQUIVALENCE)

@@ -1,16 +1,21 @@
 """Exact dense linear algebra over any field-like element type.
 
 Elements must support +, -, *, unary -, inverse() or /, equality, and
-is_zero(); `congruence_diagonal` and `conj_transpose` read each entry's
-own conjugate(), and `inverse` its parent's one() and zero().  Matrices
-are tuples of tuples.  Used both for CM-field matrices and for matrices
-over the cubic extension in the algebra module.
+is_zero(); `conj_transpose` reads each entry's own conjugate(), and
+`inverse` its parent's one() and zero().  `congruence_diagonal` runs on
+`field`'s integer kernel instead, by its entries' parent's Q-structure
+table `_table` and conjugation `_conj` (E or L).  Matrices are tuples of
+tuples.  Used both for CM-field matrices and for matrices over the cubic
+extension in the algebra module.
 `mat_mul` skips zero terms: the catalog generators, the embedded integer
 matrices and the diagonal forms are mostly zeros, so a product of two
 such matrices costs far fewer than n^3 multiplications.
 """
 
 from fractions import Fraction
+from operator import sub
+
+from .field import _decode, _dense, _encode, _image, _prod, _same, _sparse
 
 
 def mat(rows):
@@ -118,60 +123,96 @@ def det(A):
 def congruence_diagonal(A):
     """Pivots d_1..d_n of a congruence P A P^H = diag(d) with det P = +-1.
 
-    A must be hermitian for its entries' conjugate(); only its entries on
-    and above the diagonal are read.  Each step pivots on the first nonzero
-    diagonal entry of the Schur complement, moved to the front by a
-    symmetric row/column swap.  If that whole diagonal is 0 but row k has an
-    entry h = A[k][j] != 0, the substitution e_k += h e_j makes the pivot
-    2 h conj(h) != 0, so no 2x2 pivots are needed; if row k is 0, its pivot
-    is 0 and A is singular.  Hence prod(d) = det A, and by Sylvester's law
-    of inertia the signs of the d_i give the inertia of A.  Raises
-    ValueError if a pivot is not fixed by the conjugation."""
+    A must be hermitian; only its entries on and above the diagonal are
+    read.  Its entries' parent (E or L) gives the kernel maps: its
+    Q-structure table `_table` and conjugation `_conj`.  Each step pivots
+    on the first nonzero diagonal entry of the Schur complement, moved to
+    the front by a symmetric row/column swap.  If that whole diagonal is 0
+    but row k has an entry h = A[k][j] != 0, the substitution e_k += h e_j
+    makes the pivot 2 h conj(h) != 0, so no 2x2 pivots are needed; if row
+    k is 0, its pivot is 0 and A is singular.  Hence prod(d) = det A, and
+    by Sylvester's law of inertia the signs of the d_i give the inertia of
+    A.  Raises ValueError if a pivot is not fixed by the conjugation.
+
+    The upper triangle is encoded once and eliminated fraction-free on
+    integer numerators (`field._prod`, `field._image`): the active block
+    is M = U / S with U its numerators and S = r sigma, r a positive
+    integer and sigma (numerators) in F, or K for L.  A Schur step
+    multiplies the block by the pivot instead of dividing by it, and each
+    pivot is decoded once, U[k][k] / S, S divided out in F."""
     n = len(A)
-    M = [list(r) for r in A]
-    for i in range(n):
-        for j in range(i):
-            M[i][j] = M[j][i].conjugate()
+    if not n:
+        return []
+    parent = A[0][0].parent
+    (rows, t), (crows, c), dim = parent._table, parent._conj, parent._dim
+
+    def conj(u):  # c times the conjugate of u
+        return _sparse(_image(crows, u))
+
+    def times(u, v, k=1):  # k u v, over t
+        return _sparse(_prod(rows, scaled(u, k), v))
+
+    def scaled(u, k):
+        return u if k == 1 else [(a, k * x) for a, x in u]
+
+    enc, r = _encode([A[i][j] for i in range(n) for j in range(i, n)])
+    it = iter(enc)
+    U = [[None] * i + [next(it) for _ in range(i, n)] for i in range(n)]
+    sigma = [(0, 1)]
     pivots = []
     for k in range(n):
-        row = M[k]
-        p = next((i for i in range(k, n) if not M[i][i].is_zero()), None)
+        row = U[k]
+        p = next((i for i in range(k, n) if U[i][i]), None)
         if p is None:
-            j = next((j for j in range(k + 1, n) if not row[j].is_zero()),
-                     None)
+            j = next((j for j in range(k + 1, n) if row[j]), None)
             if j is None:
-                pivots.append(row[k])
+                pivots.append(parent.zero())
                 continue
-            h = row[j]
-            norm = h * h.conjugate()
-            row[k] = norm + norm
-            for c in range(k + 1, n):
-                if not M[j][c].is_zero():
-                    row[c] = row[c] + h * M[j][c]
-                M[c][k] = row[c].conjugate()
+            # e_k += h e_j, h = M[k][j]: the block times c t S, S -> c t S^2
+            h, cr = row[j], c * r
+            new = [times(h, conj(h), 2)]
+            for col in range(k + 1, n):  # M[j][col] = conj(M[col][j])
+                v = _prod(rows, h, conj(U[col][j]) if col < j
+                          else scaled(U[j][col], c))
+                w = _prod(rows, sigma, row[col])
+                new.append(_sparse([cr * x + y for x, y in zip(w, v)]))
+            row[k:] = new
+            for a in range(k + 1, n):
+                U[a][a:] = [times(sigma, x, cr) for x in U[a][a:]]
+            r, sigma = cr * r, times(sigma, sigma)
         elif p != k:
-            M[k], M[p] = M[p], M[k]
-            for r in M:
-                r[k], r[p] = r[p], r[k]
-            row = M[k]
+            # the symmetric swap; an entry crossing the diagonal is
+            # conjugated, which scales it by c, so the others are too
+            at = list(range(n))
+            at[k], at[p] = p, k
+            U[k:] = [[None] * a + [
+                scaled(U[at[a]][at[b]], c) if at[a] <= at[b]
+                else conj(U[at[b]][at[a]]) for b in range(a, n)]
+                for a in range(k, n)]
+            r, row = c * r, U[k]
         d = row[k]
-        if d.conjugate() != d:
+        if not _same(conj(d), c, d, 1):
             raise ValueError("pivot %d is not fixed by the conjugation" % k)
-        pivots.append(d)
-        dinv = None
-        # Schur complement on the upper triangle, lower by conjugation
+        if len(sigma) == 1 and sigma[0][0] == 0:  # S is rational
+            pivots.append(_decode(parent, _dense(d, dim), r * sigma[0][1]))
+        else:
+            (inv,), e = _encode((_decode(parent, _dense(sigma, dim),
+                                         1).inverse(),))
+            pivots.append(_decode(parent, _prod(rows, d, inv), r * e * t))
+        ck = {i: conj(row[i]) for i in range(k + 1, n) if row[i]}
+        if not ck:
+            continue  # the Schur complement is the block as it stands
+        # M[i][j] - conj(M[k][i]) M[k][j] / d: the block times c t d
         for i in range(k + 1, n):
-            if row[i].is_zero():
-                continue
-            if dinv is None:
-                dinv = d.inverse()
-            f = row[i].conjugate() * dinv
-            Mi = M[i]
-            Mi[i] = Mi[i] - f * row[i]
-            for j in range(i + 1, n):
-                if not row[j].is_zero():
-                    Mi[j] = Mi[j] - f * row[j]
-                    M[j][i] = Mi[j].conjugate()
+            Ui = U[i]
+            for j in range(i, n):
+                if i in ck and row[j]:
+                    Ui[j] = _sparse(list(map(
+                        sub, _prod(rows, scaled(Ui[j], c), d),
+                        _prod(rows, ck[i], row[j]))))
+                elif Ui[j]:
+                    Ui[j] = times(Ui[j], d, c)
+        r, sigma = c * r, times(sigma, d)
     return pivots
 
 

@@ -119,6 +119,63 @@ def star_by_images(involution, x):
     return acc
 
 
+def congruence_diagonal(A):
+    """Pivots d_1..d_n of a congruence P A P^H = diag(d), det P = +-1, on
+    elements: each entry's own *, inverse() and conjugate().  The same
+    rules as `linalg.congruence_diagonal`: the first nonzero diagonal
+    entry of the Schur complement is the pivot, moved to the front by a
+    symmetric swap; on a zero diagonal, e_k += h e_j with h = A[k][j] the
+    first nonzero entry of row k makes the pivot 2 h conj(h); a zero row
+    gives the pivot 0.  Raises ValueError if a pivot is not fixed by the
+    conjugation."""
+    n = len(A)
+    M = [list(r) for r in A]
+    for i in range(n):
+        for j in range(i):
+            M[i][j] = M[j][i].conjugate()
+    pivots = []
+    for k in range(n):
+        row = M[k]
+        p = next((i for i in range(k, n) if not M[i][i].is_zero()), None)
+        if p is None:
+            j = next((j for j in range(k + 1, n) if not row[j].is_zero()),
+                     None)
+            if j is None:
+                pivots.append(row[k])
+                continue
+            h = row[j]
+            norm = h * h.conjugate()
+            row[k] = norm + norm
+            for c in range(k + 1, n):
+                if not M[j][c].is_zero():
+                    row[c] = row[c] + h * M[j][c]
+                M[c][k] = row[c].conjugate()
+        elif p != k:
+            M[k], M[p] = M[p], M[k]
+            for r in M:
+                r[k], r[p] = r[p], r[k]
+            row = M[k]
+        d = row[k]
+        if d.conjugate() != d:
+            raise ValueError("pivot %d is not fixed by the conjugation" % k)
+        pivots.append(d)
+        dinv = None
+        # Schur complement on the upper triangle, lower by conjugation
+        for i in range(k + 1, n):
+            if row[i].is_zero():
+                continue
+            if dinv is None:
+                dinv = d.inverse()
+            f = row[i].conjugate() * dinv
+            Mi = M[i]
+            Mi[i] = Mi[i] - f * row[i]
+            for j in range(i + 1, n):
+                if not row[j].is_zero():
+                    Mi[j] = Mi[j] - f * row[j]
+                    M[j][i] = Mi[j].conjugate()
+    return pivots
+
+
 _ROOT_INTERVALS = {}  # min_poly -> sympy's root intervals, refined as needed
 
 

@@ -181,6 +181,54 @@ def test_field_axioms_cyclotomic5(x, y, z):
         assert x * x.inverse() == x.field.one()
 
 
+_INVERSE_FIELDS = tuple(make_cyclotomic(r) for r in (4, 5, 8, 7))
+
+
+@st.composite
+def _elements_of_e_or_f(draw):
+    """An element of Q(i), Q(zeta5), Q(zeta8) or Q(zeta7); about half lie
+    in F, with b = 0."""
+    E = draw(st.sampled_from(_INVERSE_FIELDS))
+    a = draw(st.lists(_coord, min_size=E.s, max_size=E.s))
+    in_F = draw(st.booleans())
+    return E.element(a, [] if in_F else draw(
+        st.lists(_coord, min_size=E.s, max_size=E.s)))
+
+
+@given(_elements_of_e_or_f())
+def test_inverse_is_a_two_sided_inverse(x):
+    E = x.parent
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert x * x.inverse() == E.one() == x.inverse() * x
+    assert x.inverse().inverse() == x
+
+
+def test_inverse_of_zero_raises():
+    for E in _INVERSE_FIELDS:
+        with pytest.raises(ZeroDivisionError):
+            E.zero().inverse()
+
+
+def test_inverse_makes_no_product_and_no_relative_norm(monkeypatch):
+    # theta(x) N(x)^-1 on numerators: N(x) comes from the table kernel
+    xs = [E.element(list(range(1, E.s + 1)), b)
+          for E in _INVERSE_FIELDS for b in ([], [Fraction(1, 3)] * E.s)]
+    expected = [(x * x.conjugate()).a for x in xs]
+
+    def refused(*args):
+        raise AssertionError("inverse called an E-product")
+    for name in ("__mul__", "__rmul__", "relative_norm"):
+        monkeypatch.setattr(field_module.FieldElement, name, refused)
+    inverses = [x.inverse() for x in xs]
+    monkeypatch.undo()
+    for x, y, n in zip(xs, inverses, expected):
+        assert x * y == x.parent.one()
+        assert y.relative_norm().a == x.parent._finv(n)
+
+
 @given(_elements(gaussian_field()))
 def test_norm_is_rational_and_positive(x):
     n = x * x.conjugate()

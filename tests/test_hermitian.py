@@ -11,10 +11,12 @@ from cmforms import (DegenerateFormError, EQUIVALENT, HermitianForm,
                      gaussian_field, invariants, is_admissible, linalg,
                      make_cyclotomic, signature_at, signature_profile,
                      twist_determinant, zeta)
-from cmforms.calgebra import AlgebraError, builtin_example
-from cmforms.field import VerificationError
-from cmforms.hermitian import _squarefree_kernel, with_slot
+from cmforms.calgebra import (AlgebraError, CyclicCubicExtension,
+                              builtin_example)
+from cmforms.field import FieldElement, VerificationError
+from cmforms.hermitian import UNKNOWN_EQUIVALENCE, _squarefree_kernel, with_slot
 from cmforms.polyn import sign_variations
+from oracles import congruence_diagonal
 
 
 def test_hermitian_validation():
@@ -270,3 +272,113 @@ def test_diagonalisation_matches_char_poly_and_det(case):
         e_plus = sign_variations([c.sign_at(ell) for c in coeffs])
         descartes.append((e_plus, H.dim - e_plus))
     assert signature_profile(H) == tuple(descartes)
+
+
+def _shifted_builtin_L():
+    """The built-in L on the generator y' = eta + i/2, where
+    c(y') = y' - i: its conjugation's Q-linear map has denominator 2."""
+    ext = builtin_example()[0].ext
+    E = ext.E
+    i = E.sqrt_delta() / 2
+    g = [E.zero()] * 4  # g(y' - i/2) by Horner, constant first
+    for c in reversed(ext.g):
+        g = [c - i / 2 * g[0]] + [g[k] - i / 2 * g[k + 1] for k in range(3)]
+    # tau(y') = (y' - i/2)^2 - 2 + i/2
+    tau = [i * i / 4 - 2 + i / 2, -i, E.one()]
+    return CyclicCubicExtension(E, g, tau, [-i, 1])
+
+
+_L, _SHIFTED_L = builtin_example()[0].ext, _shifted_builtin_L()
+_frac = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Random hermitian matrices: n <= 4 over Q(i), Q(zeta5) or Q(zeta8),
+    3 x 3 over the built-in L or over the shifted one; about half have an
+    all-zero diagonal."""
+    P = draw(st.sampled_from(_FIELDS + (make_cyclotomic(8), _L, _SHIFTED_L)))
+    n = draw(st.integers(1, 4)) if isinstance(P.one(), FieldElement) else 3
+    zero_diagonal = draw(st.booleans())
+
+    def element():
+        return P.from_rationals(draw(st.lists(
+            _frac, min_size=P._dim, max_size=P._dim)))
+    M = [[None] * n for _ in range(n)]
+    for j in range(n):
+        z = element()
+        M[j][j] = P.zero() if zero_diagonal else z + z.conjugate()
+        for k in range(j + 1, n):
+            M[j][k] = element() if draw(st.booleans()) else P.zero()
+            M[k][j] = M[j][k].conjugate()
+    return P, linalg.mat(M)
+
+
+@settings(deadline=None)
+@given(_oracle_cases())
+def test_congruence_on_numerators_matches_the_element_oracle(case):
+    P, M = case
+    pivots = congruence_diagonal(M)
+    assert linalg.congruence_diagonal(M) == pivots
+    if any(d.is_zero() for d in pivots):
+        with pytest.raises(DegenerateFormError):
+            HermitianForm(P, M)
+        return
+    H = HermitianForm(P, M)
+    det = pivots[0]
+    for d in pivots[1:]:
+        det = det * d
+    assert H.pivots == tuple(pivots) and H.det == det
+
+
+def test_the_shifted_L_has_a_conjugation_denominator():
+    assert _SHIFTED_L._conj[1] != 1
+    y = _SHIFTED_L.gen()
+    assert y.conjugate() == y - _SHIFTED_L.coerce(_L.E.sqrt_delta() / 2)
+
+
+def test_forms_over_E_make_no_E_product(monkeypatch):
+    # the congruence, det and the inverse of a non-rational pivot product
+    # run on E's table: not one FieldElement.__mul__ call
+    forms = []
+    for E in (gaussian_field(), make_cyclotomic(5)):
+        w = E.gen_F() + E.sqrt_delta()
+        dense = [[E.from_rational(2), w, 1 - w],
+                 [w.conjugate(), E.from_rational(-5), 3 * w],
+                 [1 - w.conjugate(), 3 * w.conjugate(), E.gen_F() + 7]]
+        forms += [(E, dense), (E, [[E.gen_F() + k + 1 if j == k else 0
+                                    for k in range(3)] for j in range(3)])]
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    built = [HermitianForm(E, rows) for E, rows in forms]
+    assert calls == []
+    assert all(H.det == linalg.det(H.entries) for H in built)
+    assert calls
+
+
+def test_invariants_of_a_form_over_L():
+    one, y = _L.one(), _L.gen()
+    inv = invariants(diagonal_form(_L, [one, y]))
+    # det = eta, not in E: the det is its own class representative
+    assert inv.det_class == y and inv.dim == 2
+    # a rational det is reduced mod squares, as over E
+    assert invariants(diagonal_form(_L, [1, -12])).det_class == \
+        _L.coerce(-3)
+
+
+def test_equivalent_over_L_decides_obstructions_only():
+    one, y = _L.one(), _L.gen()
+    H = diagonal_form(_L, [one, y])
+    v = equivalent(H, diagonal_form(_L, [one, one, y]))
+    assert v == NOT_EQUIVALENT and v.obstruction[0] == "dimension"
+    v = equivalent(H, diagonal_form(_L, [one, -one]))
+    assert v == NOT_EQUIVALENT and v.obstruction[0] == "signatures"
+    v = equivalent(H, diagonal_form(_L, [4, y]))
+    assert v == UNKNOWN_EQUIVALENCE
+    assert any("norm test from L to K" in line for line in v.trace)

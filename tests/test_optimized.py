@@ -67,6 +67,23 @@ CASES = [
      "F = TotallyRealField(polyn.real_cyclotomic(5))\n"
      "F._separators = (Fraction(5),)\n"
      "weak_approx_find(F, (-1, 1))", "VerificationError"),
+    # a conjugation that fixes sqrt(delta) puts x theta(x) outside F
+    ("from cmforms.field import FieldElement, gaussian_field\n"
+     "FieldElement.conjugate = lambda self: self\n"
+     "E = gaussian_field()\n"
+     "(E.one() + E.sqrt_delta()).relative_norm()", "VerificationError"),
+    # the same wrong conjugation as E's Q-linear map: N(x) of the inverse
+    # on numerators leaves F
+    ("from cmforms.field import gaussian_field\n"
+     "E = gaussian_field()\n"
+     "E._conj = ([[(a, 1)] for a in range(E._dim)], 1)\n"
+     "(E.one() + E.sqrt_delta()).inverse()", "VerificationError"),
+    # x^2 - 1 in place of F's minimal polynomial: x - 1 has no inverse
+    ("from fractions import Fraction\n"
+     "from cmforms.field import make_cyclotomic\n"
+     "E = make_cyclotomic(5)\n"
+     "E.base.min_poly = (Fraction(-1), Fraction(0), Fraction(1))\n"
+     "E._finv((Fraction(-1), Fraction(1)))", "VerificationError"),
     # a wrong image of y X fails the involution's checks on numerators
     ("from cmforms.calgebra import (Involution, builtin_example,\n"
      "                              verify_involution)\n"
@@ -81,7 +98,8 @@ CASES = [
     "hilbert_symbol", "hilbert_symbol_place", "rational_is_norm", "zeta",
     "pdivmod", "cyclotomic", "real_cyclotomic", "sign_of_coords", "mat_mul",
     "form_field", "isolate_real_roots", "pmonic", "root_bound",
-    "descent_step", "weak_approx_find", "involution"])
+    "descent_step", "weak_approx_find", "relative_norm", "inverse", "finv",
+    "involution"])
 def test_caller_input_errors_under_python_O(code, error):
     script = "try:\n%s\nexcept Exception as e:\n    print(type(e).__name__)\n" \
         % "".join("    %s\n" % line for line in code.splitlines())
